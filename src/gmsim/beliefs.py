@@ -16,6 +16,11 @@ re-solving both fixed points at every stage evaluation (warm-started from
 the previous stage). After each full step, negative roundoff is clamped and
 the vector renormalized; the pre-clamp deviations are tracked so a caller
 can prove they stayed at roundoff scale.
+
+All of this arithmetic lives in one private per-model kernel: the public
+functions here build it once per call, the engine once per path. Building
+it runs the admissibility gate once, and its quote solves go through the
+equilibrium module's single Picard loop.
 """
 
 from __future__ import annotations
@@ -24,15 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Belief, GeneratorMatrix, Quote, StateGrid
-from .equilibrium import (
-    DEFAULT_TOL,
-    FALLBACK_MAX_ITER,
-    _certified_max_iter,
-    _fixed_point,
-    _mean_given_buy,
-    _mean_given_sell,
-    _solver_gate,
-)
+from .equilibrium import DEFAULT_TOL, _iteration_ceiling, _picard, solve_static_quotes
 from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
@@ -72,131 +69,135 @@ class SimplexDiagnostics:
 
 
 # --------------------------------------------------------------------------
-# Raw kernels on plain sequences (hot path; no validation)
+# The per-model kernel (hot path; no validation)
 
 
-def _jump_raw(probs, price, xs, noise, buy):
-    weights = []
-    total = 0.0
-    if buy:
-        for x, p in zip(xs, probs):
-            w = p * noise.survival(price - x)
-            weights.append(w)
-            total += w
-    else:
-        for x, p in zip(xs, probs):
-            w = p * noise.cdf(price - x)
-            weights.append(w)
-            total += w
-    if total <= 0.0:
-        if buy:
-            raise ZeroBuyProbability(f"buy at {price} has zero probability")
-        raise ZeroSellProbability(f"sell at {price} has zero probability")
-    return [w / total for w in weights]
+class _FilterKernel:
+    """Quote and filter arithmetic for one model, built once and reused.
 
+    Holds the grid values, the generator's columns, the arrival rate and
+    the noise tails. Given fp_tol it also runs the admissibility gate once
+    and keeps the Picard iteration ceiling, so that quotes() can solve;
+    without fp_tol it only jumps and drifts, which need no certificate.
+    Beliefs are plain sequences of floats, and nothing is validated here.
+    """
 
-def _drift_raw(probs, ask, bid, lam, q_cols, xs, noise):
-    n = len(probs)
-    if lam > 0.0:
-        a = [noise.cdf(bid - x) + noise.survival(ask - x) for x in xs]
-        a_bar = 0.0
-        for p, ai in zip(probs, a):
-            a_bar += p * ai
-    out = [0.0] * n
-    for i in range(n):
-        kol = 0.0
-        col = q_cols[i]
-        for j in range(n):
-            pj = probs[j]
-            if pj != 0.0:
-                kol += pj * col[j]
-        if lam > 0.0:
-            out[i] = lam * probs[i] * (a_bar - a[i]) + kol
-        else:
-            out[i] = kol
-    return out
+    def __init__(self, grid, noise, generator=None, lam=0.0, fp_tol=None, force=False):
+        if fp_tol is not None:
+            self.max_iter = _iteration_ceiling(noise, grid, fp_tol, force)
+        self.fp_tol = fp_tol
+        self.xs = tuple(float(v) for v in grid.values)
+        if generator is not None:
+            rates, n = generator.rates, generator.n
+            self.q_cols = tuple(
+                tuple(float(rates[j, i]) for j in range(n)) for i in range(n)
+            )
+        self.lam = lam
+        self.survival = noise.survival
+        self.cdf = noise.cdf
 
+    def quotes(self, probs, ask, bid):
+        """Both zero-profit quotes at probs, warm-started from ask and bid."""
+        xs, tol, max_iter = self.xs, self.fp_tol, self.max_iter
+        ask, _ = _picard(self.survival, ZeroBuyProbability, xs, probs, ask, tol, max_iter)
+        bid, _ = _picard(self.cdf, ZeroSellProbability, xs, probs, bid, tol, max_iter)
+        return ask, bid
 
-def _solve_raw(probs, xs, noise, start, buy, tol, max_iter):
-    if buy:
-        price, _ = _fixed_point(
-            lambda s: _mean_given_buy(s, xs, probs, noise), start, tol, max_iter
-        )
-    else:
-        price, _ = _fixed_point(
-            lambda s: _mean_given_sell(s, xs, probs, noise), start, tol, max_iter
-        )
-    return price
-
-
-def _integrate_raw(
-    probs, dt, lam, q_cols, xs, noise, ask, bid, ode_step, fp_tol, max_iter, diag,
-    ask_shift=0.0,
-):
-    """Advance the filter ODE by dt. probs is consumed and a new list is
-    returned along with the fixed-point quotes at the terminal belief.
-    ask/bid must be the fixed points at the initial belief. ask_shift is
-    added to the ask inside the drift only (a maker posting off-equilibrium
-    asks still conditions on the prices actually quoted); the solved and
-    returned quotes stay unshifted."""
-    if dt <= 0.0:
-        return probs, ask, bid
-    n_steps = max(1, math.ceil(dt / ode_step))
-    h = dt / n_steps
-    n = len(probs)
-    p = probs
-    informative = lam > 0.0  # with lam = 0 the quotes never enter the drift
-    for _ in range(n_steps):
-        k1 = _drift_raw(p, ask + ask_shift, bid, lam, q_cols, xs, noise)
-
-        stage = [p[i] + 0.5 * h * k1[i] for i in range(n)]
-        if informative:
-            ask = _solve_raw(stage, xs, noise, ask, True, fp_tol, max_iter)
-            bid = _solve_raw(stage, xs, noise, bid, False, fp_tol, max_iter)
-        k2 = _drift_raw(stage, ask + ask_shift, bid, lam, q_cols, xs, noise)
-
-        stage = [p[i] + 0.5 * h * k2[i] for i in range(n)]
-        if informative:
-            ask = _solve_raw(stage, xs, noise, ask, True, fp_tol, max_iter)
-            bid = _solve_raw(stage, xs, noise, bid, False, fp_tol, max_iter)
-        k3 = _drift_raw(stage, ask + ask_shift, bid, lam, q_cols, xs, noise)
-
-        stage = [p[i] + h * k3[i] for i in range(n)]
-        if informative:
-            ask = _solve_raw(stage, xs, noise, ask, True, fp_tol, max_iter)
-            bid = _solve_raw(stage, xs, noise, bid, False, fp_tol, max_iter)
-        k4 = _drift_raw(stage, ask + ask_shift, bid, lam, q_cols, xs, noise)
-
-        sixth = h / 6.0
-        p = [
-            p[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-            for i in range(n)
-        ]
-
+    def jump(self, probs, price, buy):
+        """Posterior after a buy at the ask price (buy=True) or a sell at the
+        bid price."""
+        tail = self.survival if buy else self.cdf
+        weights = []
         total = 0.0
-        low = p[0]
-        for v in p:
-            total += v
-            if v < low:
-                low = v
-        diag.absorb(abs(total - 1.0), low)
-        if low < 0.0:
-            p = [v if v > 0.0 else 0.0 for v in p]
-            total = sum(p)
-        p = [v / total for v in p]
+        for x, p in zip(self.xs, probs):
+            w = p * tail(price - x)
+            weights.append(w)
+            total += w
+        if total <= 0.0:
+            if buy:
+                raise ZeroBuyProbability(f"buy at {price} has zero probability")
+            raise ZeroSellProbability(f"sell at {price} has zero probability")
+        return [w / total for w in weights]
 
-        if informative:
-            ask = _solve_raw(p, xs, noise, ask, True, fp_tol, max_iter)
-            bid = _solve_raw(p, xs, noise, bid, False, fp_tol, max_iter)
-    if not informative:
-        ask = _solve_raw(p, xs, noise, ask, True, fp_tol, max_iter)
-        bid = _solve_raw(p, xs, noise, bid, False, fp_tol, max_iter)
-    return p, ask, bid
+    def drift(self, probs, ask, bid):
+        """Right-hand side of the no-trade filter ODE at the given quotes."""
+        lam = self.lam
+        n = len(probs)
+        if lam > 0.0:
+            a = [self.cdf(bid - x) + self.survival(ask - x) for x in self.xs]
+            a_bar = 0.0
+            for p, ai in zip(probs, a):
+                a_bar += p * ai
+        out = [0.0] * n
+        for i in range(n):
+            kol = 0.0
+            col = self.q_cols[i]
+            for j in range(n):
+                pj = probs[j]
+                if pj != 0.0:
+                    kol += pj * col[j]
+            if lam > 0.0:
+                out[i] = lam * probs[i] * (a_bar - a[i]) + kol
+            else:
+                out[i] = kol
+        return out
 
+    def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0):
+        """Advance the filter ODE by dt. probs is consumed and a new list is
+        returned along with the fixed-point quotes at the terminal belief.
+        ask/bid must be the fixed points at the initial belief. ask_shift is
+        added to the ask inside the drift only (a maker posting
+        off-equilibrium asks still conditions on the prices actually
+        quoted); the solved and returned quotes stay unshifted."""
+        if dt <= 0.0:
+            return probs, ask, bid
+        n_steps = max(1, math.ceil(dt / ode_step))
+        h = dt / n_steps
+        n = len(probs)
+        p = probs
+        drift, quotes = self.drift, self.quotes
+        informative = self.lam > 0.0  # with lam = 0 the quotes never enter the drift
+        for _ in range(n_steps):
+            k1 = drift(p, ask + ask_shift, bid)
 
-def _q_columns(q: GeneratorMatrix, n: int):
-    rates = q.rates
-    return tuple(tuple(float(rates[j, i]) for j in range(n)) for i in range(n))
+            stage = [p[i] + 0.5 * h * k1[i] for i in range(n)]
+            if informative:
+                ask, bid = quotes(stage, ask, bid)
+            k2 = drift(stage, ask + ask_shift, bid)
+
+            stage = [p[i] + 0.5 * h * k2[i] for i in range(n)]
+            if informative:
+                ask, bid = quotes(stage, ask, bid)
+            k3 = drift(stage, ask + ask_shift, bid)
+
+            stage = [p[i] + h * k3[i] for i in range(n)]
+            if informative:
+                ask, bid = quotes(stage, ask, bid)
+            k4 = drift(stage, ask + ask_shift, bid)
+
+            sixth = h / 6.0
+            p = [
+                p[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
+                for i in range(n)
+            ]
+
+            total = 0.0
+            low = p[0]
+            for v in p:
+                total += v
+                if v < low:
+                    low = v
+            diag.absorb(abs(total - 1.0), low)
+            if low < 0.0:
+                p = [v if v > 0.0 else 0.0 for v in p]
+                total = sum(p)
+            p = [v / total for v in p]
+
+            if informative:
+                ask, bid = quotes(p, ask, bid)
+        if not informative:
+            ask, bid = quotes(p, ask, bid)
+        return p, ask, bid
 
 
 # --------------------------------------------------------------------------
@@ -205,12 +206,12 @@ def _q_columns(q: GeneratorMatrix, n: int):
 
 def buy_jump(belief: Belief, ask: float, grid: StateGrid, noise: NoiseModel) -> Belief:
     """Posterior after observing a buy at the ask."""
-    return Belief(_jump_raw(belief.probs, ask, grid.values, noise, True))
+    return Belief(_FilterKernel(grid, noise).jump(belief.probs, ask, True))
 
 
 def sell_jump(belief: Belief, bid: float, grid: StateGrid, noise: NoiseModel) -> Belief:
     """Posterior after observing a sell at the bid."""
-    return Belief(_jump_raw(belief.probs, bid, grid.values, noise, False))
+    return Belief(_FilterKernel(grid, noise).jump(belief.probs, bid, False))
 
 
 def belief_drift(
@@ -226,15 +227,8 @@ def belief_drift(
         raise ConfigError("belief, grid and generator sizes disagree")
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ConfigError("arrival rate must be nonnegative and finite")
-    q_cols = _q_columns(q, belief.n)
-    return _drift_raw(
-        [float(v) for v in belief.probs],
-        float(quote.ask),
-        float(quote.bid),
-        lam,
-        q_cols,
-        tuple(float(v) for v in grid.values),
-        noise,
+    return _FilterKernel(grid, noise, q, lam).drift(
+        [float(v) for v in belief.probs], float(quote.ask), float(quote.bid)
     )
 
 
@@ -247,18 +241,8 @@ def make_filter_state(
     force: bool = False,
 ) -> FilterState:
     """Solve both quotes for a belief and bundle them as a FilterState."""
-    k_value = _solver_gate(noise, grid, force)
-    max_iter = (
-        FALLBACK_MAX_ITER
-        if k_value is None
-        else _certified_max_iter(k_value, grid.width, fp_tol)
-    )
-    xs = tuple(float(v) for v in grid.values)
-    probs = [float(v) for v in belief.probs]
-    mean = belief.mean(grid)
-    ask = _solve_raw(probs, xs, noise, mean, True, fp_tol, max_iter)
-    bid = _solve_raw(probs, xs, noise, mean, False, fp_tol, max_iter)
-    return FilterState(belief=belief, time=time, ask=ask, bid=bid)
+    quotes = solve_static_quotes(belief, grid, noise, tol=fp_tol, force=force)
+    return FilterState(belief=belief, time=time, ask=quotes.ask, bid=quotes.bid)
 
 
 def integrate_between_events(
@@ -291,25 +275,10 @@ def integrate_between_events(
         raise ConfigError("belief, grid and generator sizes disagree")
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ConfigError("arrival rate must be nonnegative and finite")
-    k_value = _solver_gate(noise, grid, force)
-    max_iter = (
-        FALLBACK_MAX_ITER
-        if k_value is None
-        else _certified_max_iter(k_value, grid.width, fp_tol)
-    )
+    kernel = _FilterKernel(grid, noise, q, lam, fp_tol, force)
     diag = diagnostics if diagnostics is not None else SimplexDiagnostics()
-    probs, ask, bid = _integrate_raw(
-        [float(v) for v in state.belief.probs],
-        dt,
-        lam,
-        _q_columns(q, state.belief.n),
-        tuple(float(v) for v in grid.values),
-        noise,
-        float(state.ask),
-        float(state.bid),
-        ode_step,
-        fp_tol,
-        max_iter,
-        diag,
+    probs, ask, bid = kernel.integrate(
+        [float(v) for v in state.belief.probs], dt, float(state.ask),
+        float(state.bid), ode_step, diag,
     )
     return FilterState(belief=Belief(probs), time=state.time + dt, ask=ask, bid=bid)

@@ -26,20 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .beliefs import (
-    SimplexDiagnostics,
-    _integrate_raw,
-    _jump_raw,
-    _q_columns,
-    _solve_raw,
-)
+from .beliefs import SimplexDiagnostics, _FilterKernel
 from .core import Belief, GeneratorMatrix, Quote, StateGrid
-from .equilibrium import (
-    DEFAULT_TOL,
-    FALLBACK_MAX_ITER,
-    _certified_max_iter,
-    _solver_gate,
-)
+from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
 from .noise import NoiseModel
 
@@ -264,11 +253,9 @@ def simulate_gmps_path(
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError("horizon must be positive and finite")
-    k_value = _solver_gate(model.noise, model.grid, config.force)
-    max_iter = (
-        FALLBACK_MAX_ITER
-        if k_value is None
-        else _certified_max_iter(k_value, model.grid.width, config.fp_tol)
+    kernel = _FilterKernel(
+        model.grid, model.noise, model.generator, model.arrival_rate,
+        config.fp_tol, config.force,
     )
 
     value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
@@ -279,20 +266,14 @@ def simulate_gmps_path(
     eps_draws = model.noise.sample(noise_rng, len(arrivals))
 
     grid = model.grid
-    noise = model.noise
-    lam = model.arrival_rate
-    xs = tuple(float(v) for v in grid.values)
     x_of = grid.values
-    q_cols = _q_columns(model.generator, grid.n)
     perturb = config.perturb_ask * grid.width
-    fp_tol = config.fp_tol
     ode_step = config.ode_step
     diag = SimplexDiagnostics()
 
     probs = [float(v) for v in model.initial_belief.probs]
     mean0 = model.initial_belief.mean(grid)
-    ask = _solve_raw(probs, xs, noise, mean0, True, fp_tol, max_iter)
-    bid = _solve_raw(probs, xs, noise, mean0, False, fp_tol, max_iter)
+    ask, bid = kernel.quotes(probs, mean0, mean0)
 
     sampling = config.sample_dt is not None
     samples: list[tuple] = []
@@ -306,9 +287,8 @@ def simulate_gmps_path(
         grid points along the way."""
         nonlocal probs, ask, bid
         if not sampling:
-            probs, ask, bid = _integrate_raw(
-                probs, t_target - t_now, lam, q_cols, xs, noise,
-                ask, bid, ode_step, fp_tol, max_iter, diag, ask_shift=perturb,
+            probs, ask, bid = kernel.integrate(
+                probs, t_target - t_now, ask, bid, ode_step, diag, perturb
             )
             return
         dt_s = config.sample_dt
@@ -322,16 +302,14 @@ def simulate_gmps_path(
             t_grid = k * dt_s
             if t_grid >= t_target - tol_hi:
                 break
-            probs, ask, bid = _integrate_raw(
-                probs, t_grid - t_cur, lam, q_cols, xs, noise,
-                ask, bid, ode_step, fp_tol, max_iter, diag, ask_shift=perturb,
+            probs, ask, bid = kernel.integrate(
+                probs, t_grid - t_cur, ask, bid, ode_step, diag, perturb
             )
             t_cur = t_grid
             record_sample(t_grid)
             k += 1
-        probs, ask, bid = _integrate_raw(
-            probs, t_target - t_cur, lam, q_cols, xs, noise,
-            ask, bid, ode_step, fp_tol, max_iter, diag, ask_shift=perturb,
+        probs, ask, bid = kernel.integrate(
+            probs, t_target - t_cur, ask, bid, ode_step, diag, perturb
         )
 
     if sampling:
@@ -364,18 +342,17 @@ def simulate_gmps_path(
         belief_before = np.array(probs)
         profit = 0.0
         if outcome is Outcome.BUY:
-            probs = _jump_raw(probs, quote_ask, xs, noise, True)
+            probs = kernel.jump(probs, quote_ask, True)
             profit = quote_ask - x_val
             buy_profit += profit
             n_buys += 1
         elif outcome is Outcome.SELL:
-            probs = _jump_raw(probs, quote_bid, xs, noise, False)
+            probs = kernel.jump(probs, quote_bid, False)
             profit = quote_bid - x_val
             sell_profit += profit
             n_sells += 1
         if outcome is not Outcome.NO_TRADE:
-            ask = _solve_raw(probs, xs, noise, ask, True, fp_tol, max_iter)
-            bid = _solve_raw(probs, xs, noise, bid, False, fp_tol, max_iter)
+            ask, bid = kernel.quotes(probs, ask, bid)
         events.append(
             EventRecord(
                 t=t_cur,

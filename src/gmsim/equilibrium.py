@@ -17,6 +17,11 @@ families like the two-point lattice.
 
 Prices live in [x_1, x_n]; outside, conditioning can be vacuous and the
 sums raise ZeroBuyProbability / ZeroSellProbability.
+
+This module holds the package's only quote-solving path: _iteration_ceiling
+(the admissibility gate and the certified iteration ceiling) and _picard
+(one Picard loop for either side, given its tail). The public solvers here
+and the belief filter's per-model kernel both call them.
 """
 
 from __future__ import annotations
@@ -45,50 +50,33 @@ FALLBACK_MAX_ITER = 500
 # 2-10 states, where a plain loop beats array dispatch by a wide margin.
 
 
-def _buy_sums(s, xs, probs, noise):
+def _conditional_mean(s, xs, probs, tail, no_mass):
+    """g(s) with tail = noise.survival, h(s) with tail = noise.cdf: the
+    value's mean given a trade at price s. Raises no_mass (the side's
+    ZeroBuyProbability or ZeroSellProbability) when that trade has no
+    probability."""
     num = 0.0
     den = 0.0
     for x, p in zip(xs, probs):
         if p != 0.0:
-            w = p * noise.survival(s - x)
+            w = p * tail(s - x)
             num += w * x
             den += w
-    return num, den
-
-
-def _sell_sums(s, xs, probs, noise):
-    num = 0.0
-    den = 0.0
-    for x, p in zip(xs, probs):
-        if p != 0.0:
-            w = p * noise.cdf(s - x)
-            num += w * x
-            den += w
-    return num, den
-
-
-def _mean_given_buy(s, xs, probs, noise):
-    num, den = _buy_sums(s, xs, probs, noise)
     if den <= 0.0:
-        raise ZeroBuyProbability(f"no buy mass at price {s}")
-    return num / den
-
-def _mean_given_sell(s, xs, probs, noise):
-    num, den = _sell_sums(s, xs, probs, noise)
-    if den <= 0.0:
-        raise ZeroSellProbability(f"no sell mass at price {s}")
+        raise no_mass(f"no trade mass at price {s}")
     return num / den
 
 
-def _fixed_point(eval_one, start, tol, max_iter):
-    """Iterate s <- eval_one(s) until successive values agree within tol.
+def _picard(tail, no_mass, xs, probs, start, tol, max_iter):
+    """Iterate s <- _conditional_mean(s) until successive values agree
+    within tol.
 
     Returns (price, iterations). Under a contraction with modulus K the
-    returned price satisfies |eval_one(price) - price| <= K * tol <= tol.
+    returned price satisfies |g(price) - price| <= K * tol <= tol.
     """
     s = start
     for i in range(1, max_iter + 1):
-        s_next = eval_one(s)
+        s_next = _conditional_mean(s, xs, probs, tail, no_mass)
         if abs(s_next - s) <= tol:
             return s_next, i
         s = s_next
@@ -98,25 +86,23 @@ def _fixed_point(eval_one, start, tol, max_iter):
     )
 
 
-def _certified_max_iter(k_value, width, tol):
-    """Steps until K^n * C falls below tol, plus slack for roundoff."""
-    if not 0.0 < k_value < 1.0:
-        return FALLBACK_MAX_ITER
-    if width <= tol:
-        return 10
-    return int(math.ceil(math.log(tol / width) / math.log(k_value))) + 20
+def _iteration_ceiling(noise, grid, tol, force):
+    """Admission check and iteration ceiling shared by every Picard solve.
 
-
-def _solver_gate(noise, grid, force):
-    """Shared admission check for the Picard solvers. Returns the certified
-    contraction modulus K, or None when iterating on force alone."""
+    Refuses static-only families and failed admissibility checks unless
+    force=True. A certified contraction modulus K gives the steps until
+    K^n * C falls below tol, plus slack for roundoff; a forced run gets
+    FALLBACK_MAX_ITER.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError("tol must be positive and finite")
     if noise.static_only:
         if not force:
             raise ConditionFailed(
                 f"{type(noise).__name__} is static-only; the fixed point may "
                 "not be unique. Pass force=True to iterate anyway."
             )
-        return None
+        return FALLBACK_MAX_ITER
     report = check_gm_condition(noise, grid.width)
     if not report.passes:
         if not force:
@@ -124,8 +110,19 @@ def _solver_gate(noise, grid, force):
                 f"admissibility condition fails (K = {report.K:.6g} >= 1); "
                 "pass force=True to iterate anyway"
             )
-        return None
-    return report.K
+        return FALLBACK_MAX_ITER
+    if report.K <= 0.0:
+        return FALLBACK_MAX_ITER
+    if grid.width <= tol:
+        return 10
+    return int(math.ceil(math.log(tol / grid.width) / math.log(report.K))) + 20
+
+
+def _side(noise, buy_side):
+    """The tail and the zero-mass error of one side of the book."""
+    if buy_side:
+        return noise.survival, ZeroBuyProbability
+    return noise.cdf, ZeroSellProbability
 
 
 # --------------------------------------------------------------------------
@@ -134,12 +131,12 @@ def _solver_gate(noise, grid, force):
 
 def mean_given_buy(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """g(s, pi): expected value given a customer buys at price s."""
-    return float(_mean_given_buy(s, grid.values, belief.probs, noise))
+    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, True)))
 
 
 def mean_given_sell(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """h(s, pi): expected value given a customer sells at price s."""
-    return float(_mean_given_sell(s, grid.values, belief.probs, noise))
+    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, False)))
 
 
 def solve_ask(
@@ -174,22 +171,12 @@ def solve_bid(
 
 
 def _solve_side(buy_side, belief, grid, noise, tol, start, force):
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError("tol must be positive and finite")
-    k_value = _solver_gate(noise, grid, force)
-    if k_value is None:
-        max_iter = FALLBACK_MAX_ITER
-    else:
-        max_iter = _certified_max_iter(k_value, grid.width, tol)
+    max_iter = _iteration_ceiling(noise, grid, tol, force)
     if start is None:
         start = belief.mean(grid)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    if buy_side:
-        eval_one = lambda s: _mean_given_buy(s, xs, probs, noise)
-    else:
-        eval_one = lambda s: _mean_given_sell(s, xs, probs, noise)
-    return _fixed_point(eval_one, start, tol, max_iter)
+    return _picard(*_side(noise, buy_side), xs, probs, start, tol, max_iter)
 
 
 @dataclass(frozen=True)
@@ -240,15 +227,12 @@ def find_fixed_points(
     """
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    if buy_side:
-        eval_one = lambda s: _mean_given_buy(s, xs, probs, noise)
-    else:
-        eval_one = lambda s: _mean_given_sell(s, xs, probs, noise)
+    tail, no_mass = _side(noise, buy_side)
 
     def residual(s):
         try:
-            return s - eval_one(s)
-        except (ZeroBuyProbability, ZeroSellProbability):
+            return s - _conditional_mean(s, xs, probs, tail, no_mass)
+        except no_mass:
             return math.nan
 
     lo, hi = grid.x_min, grid.x_max

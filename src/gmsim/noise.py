@@ -17,9 +17,11 @@ with C the width of the value grid. check_gm_condition scans that ratio on a
 fixed grid (plus the exact supremum for the logistic family, where
 K = C / scale) and reports the certificate constants used downstream.
 
-Scalar methods use plain math calls because the simulator evaluates them one
-price at a time inside tight loops; *_grid helpers give vectorized versions
-for scans and batch statistics.
+Scalar methods use plain math calls (math.erfc for the Gaussian tail)
+because the simulator evaluates them one price at a time inside tight loops.
+The survival_grid, cdf_grid and density_grid methods give vectorized
+versions for scans and batch statistics: by default a loop over the scalar
+method, overridden by numpy closed forms for the logistic and Laplace tails.
 """
 
 from __future__ import annotations
@@ -34,105 +36,6 @@ from .core import ConditionReport
 from .errors import ConfigError, NotDifferentiable
 
 CONDITION_GRID_POINTS = 10_001
-
-# --------------------------------------------------------------------------
-# Complementary error function, Cody-style rational approximation.
-#
-# Written out here so the Gaussian tail never depends on which math library
-# happens to be installed; the three rational pieces below agree with a
-# high-precision series/continued-fraction evaluation to ~1e-15 relative
-# error (see the test suite's independent oracle).
-
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERFC_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERFC_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-_ONE_OVER_SQRT_PI = 5.6418958354775628695e-1
-_ERFC_XBIG = 26.543  # erfc underflows to 0 in double beyond this
-
-
-def erfc(x: float) -> float:
-    """Complementary error function on the whole real line."""
-    y = abs(x)
-    if y <= 0.46875:
-        z = y * y
-        xnum = _ERF_A[4] * z
-        xden = z
-        for i in range(3):
-            xnum = (xnum + _ERF_A[i]) * z
-            xden = (xden + _ERF_B[i]) * z
-        erf = x * (xnum + _ERF_A[3]) / (xden + _ERF_B[3])
-        return 1.0 - erf
-    if y <= 4.0:
-        xnum = _ERFC_C[8] * y
-        xden = y
-        for i in range(7):
-            xnum = (xnum + _ERFC_C[i]) * y
-            xden = (xden + _ERFC_D[i]) * y
-        result = (xnum + _ERFC_C[7]) / (xden + _ERFC_D[7])
-    elif y < _ERFC_XBIG:
-        z = 1.0 / (y * y)
-        xnum = _ERFC_P[5] * z
-        xden = z
-        for i in range(4):
-            xnum = (xnum + _ERFC_P[i]) * z
-            xden = (xden + _ERFC_Q[i]) * z
-        result = z * (xnum + _ERFC_P[4]) / (xden + _ERFC_Q[4])
-        result = (_ONE_OVER_SQRT_PI - result) / y
-    else:
-        result = 0.0
-    if result != 0.0:
-        # Split exp(-y^2) to keep the argument exactly representable.
-        ysq = math.floor(y * 16.0) / 16.0
-        delta = (y - ysq) * (y + ysq)
-        result *= math.exp(-ysq * ysq) * math.exp(-delta)
-    return 2.0 - result if x < 0.0 else result
-
 
 # --------------------------------------------------------------------------
 # Families
@@ -157,6 +60,18 @@ class NoiseModel:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    # Vectorized versions for scans and batch statistics; families with a
+    # closed-form tail override survival_grid and cdf_grid.
+
+    def survival_grid(self, ys) -> np.ndarray:
+        return np.array([self.survival(v) for v in np.asarray(ys, dtype=float)])
+
+    def cdf_grid(self, ys) -> np.ndarray:
+        return np.array([self.cdf(v) for v in np.asarray(ys, dtype=float)])
+
+    def density_grid(self, ys) -> np.ndarray:
+        return np.array([self.density(v) for v in np.asarray(ys, dtype=float)])
 
     def analytic_condition_constant(self, width: float) -> float | None:
         """Exact supremum K for the admissibility ratio, where known."""
@@ -187,6 +102,14 @@ class Logistic(NoiseModel):
         e = math.exp(-abs(y) / self.scale)
         return e / (self.scale * (1.0 + e) ** 2)
 
+    def survival_grid(self, ys):
+        z = np.asarray(ys, dtype=float) / self.scale
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+    def cdf_grid(self, ys):
+        return self.survival_grid(-np.asarray(ys, dtype=float))
+
     def sample(self, rng, size):
         return rng.logistic(0.0, self.scale, size)
 
@@ -207,10 +130,10 @@ class Gaussian(NoiseModel):
             raise ConfigError("gaussian sigma must be positive and finite")
 
     def survival(self, y: float) -> float:
-        return 0.5 * erfc(y / (self.sigma * math.sqrt(2.0)))
+        return 0.5 * math.erfc(y / (self.sigma * math.sqrt(2.0)))
 
     def cdf(self, y: float) -> float:
-        return 0.5 * erfc(-y / (self.sigma * math.sqrt(2.0)))
+        return 0.5 * math.erfc(-y / (self.sigma * math.sqrt(2.0)))
 
     def density(self, y: float) -> float:
         z = y / self.sigma
@@ -240,6 +163,14 @@ class Laplace(NoiseModel):
 
     def density(self, y: float) -> float:
         return math.exp(-abs(y) / self.scale) / (2.0 * self.scale)
+
+    def survival_grid(self, ys):
+        ys = np.asarray(ys, dtype=float)
+        e = 0.5 * np.exp(-np.abs(ys) / self.scale)
+        return np.where(ys >= 0.0, e, 1.0 - e)
+
+    def cdf_grid(self, ys):
+        return self.survival_grid(-np.asarray(ys, dtype=float))
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
@@ -311,40 +242,6 @@ class NoiseTraderMix(NoiseModel):
 
 
 # --------------------------------------------------------------------------
-# Vectorized evaluation for scans and batch statistics
-
-
-def survival_grid(noise: NoiseModel, ys: np.ndarray) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    if isinstance(noise, Logistic):
-        z = ys / noise.scale
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
-    if isinstance(noise, Gaussian):
-        scaled = ys / (noise.sigma * math.sqrt(2.0))
-        return np.array([0.5 * erfc(v) for v in scaled])
-    if isinstance(noise, Laplace):
-        e = 0.5 * np.exp(-np.abs(ys) / noise.scale)
-        return np.where(ys >= 0.0, e, 1.0 - e)
-    return np.array([noise.survival(v) for v in ys])
-
-
-def cdf_grid(noise: NoiseModel, ys: np.ndarray) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    if isinstance(noise, (Logistic, Gaussian, Laplace)):
-        return survival_grid(noise, -ys)
-    return np.array([noise.cdf(v) for v in ys])
-
-
-def density_grid(noise: NoiseModel, ys: np.ndarray) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    if noise.static_only:
-        # Raise through the scalar method so the message matches.
-        noise.density(0.0)
-    return np.array([noise.density(v) for v in ys])
-
-
-# --------------------------------------------------------------------------
 # Admissibility condition
 
 
@@ -374,8 +271,8 @@ def check_gm_condition(
         raise ConfigError("condition scan needs at least 3 grid points")
 
     ys = np.linspace(-width, width, grid_points)
-    sv = survival_grid(noise, ys)
-    dens = density_grid(noise, ys)
+    sv = noise.survival_grid(ys)
+    dens = noise.density_grid(ys)
     small_tail = np.minimum(sv, 1.0 - sv)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = dens / small_tail

@@ -1,11 +1,15 @@
 """Tests for the event-driven market simulator."""
 
+import ast
+import hashlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from gmsim.beliefs import SimplexDiagnostics
+import gmsim.engine
+from gmsim.beliefs import SimplexDiagnostics, integrate_between_events, make_filter_state
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
     MarketModel,
@@ -21,9 +25,9 @@ from gmsim.engine import (
     simulate_paths,
     value_at,
 )
-from gmsim.equilibrium import solve_ask, solve_bid
-from gmsim.errors import ConfigError
-from gmsim.noise import Gaussian, Logistic, NoiseTraderMix
+from gmsim.equilibrium import solve_ask, solve_bid, solve_static_quotes
+from gmsim.errors import ConditionFailed, ConfigError
+from gmsim.noise import Gaussian, Laplace, Logistic, NoiseTraderMix, TwoPointDiscrete
 
 from oracles import expm_reference, ks_statistic
 
@@ -238,10 +242,40 @@ def test_static_noise_without_force_is_refused():
         noise=NoiseTraderMix(0.75),
         initial_belief=PRIOR,
     )
-    from gmsim.errors import ConditionFailed
-
     with pytest.raises(ConditionFailed):
         simulate_gmps_path(model, 1.0, SimConfig(), seed=0)
+
+
+def _gated_model(noise):
+    return MarketModel(grid=GRID, generator=Q, arrival_rate=4.0, noise=noise,
+                       initial_belief=PRIOR)
+
+
+GATED_CALLS = {
+    "solve_ask": lambda nz, force: solve_ask(PRIOR, GRID, nz, force=force),
+    "solve_bid": lambda nz, force: solve_bid(PRIOR, GRID, nz, force=force),
+    "solve_static_quotes": lambda nz, force: solve_static_quotes(
+        PRIOR, GRID, nz, force=force),
+    "make_filter_state": lambda nz, force: make_filter_state(
+        PRIOR, GRID, nz, force=force),
+    "integrate_between_events": lambda nz, force: integrate_between_events(
+        make_filter_state(PRIOR, GRID, nz, force=True), 0.3, 4.0, Q, GRID, nz,
+        ode_step=0.05, force=force),
+    "simulate_gmps_path": lambda nz, force: simulate_gmps_path(
+        _gated_model(nz), 1.0, SimConfig(ode_step=0.05, force=force), seed=0),
+}
+
+
+@pytest.mark.parametrize("noise", [TwoPointDiscrete(1.0, 0.5), Logistic(0.5)],
+                         ids=["two_point", "logistic_K2"])
+@pytest.mark.parametrize("name", sorted(GATED_CALLS))
+def test_every_quote_solve_shares_one_gate(name, noise):
+    """A static-only family and a failed condition (K = 2 on [0, 1]) are
+    refused by every entry point that solves quotes, and pass with force."""
+    call = GATED_CALLS[name]
+    with pytest.raises(ConditionFailed):
+        call(noise, False)
+    assert call(noise, True) is not None
 
 
 def test_event_asks_are_predictable_from_prior_belief():
@@ -412,3 +446,77 @@ def test_gaussian_noise_runs_end_to_end():
         if e.outcome is Outcome.BUY:
             mean_after = float(e.belief_after @ model.grid.values)
             assert mean_after == pytest.approx(e.ask, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# Bitwise pins: the quote/filter arithmetic must not be reordered
+
+
+def _path_digest(records) -> str:
+    """sha256 over float.hex of every event field and sample array."""
+    h = hashlib.sha256()
+
+    def put(values):
+        for v in np.ravel(values):
+            h.update(float(v).hex().encode())
+        h.update(b";")
+
+    for rec in records:
+        put(rec.value_times)
+        put([rec.buy_profit, rec.sell_profit, rec.n_buys, rec.n_sells])
+        put([rec.diagnostics.max_sum_error, rec.diagnostics.min_component])
+        for e in rec.events:
+            h.update(e.outcome.value.encode())
+            put([e.t, e.x, e.eps, e.ask, e.bid, e.profit])
+            put(e.belief_before)
+            put(e.belief_after)
+        if rec.sample_times is not None:
+            for arr in (rec.sample_times, rec.sample_asks, rec.sample_bids,
+                        rec.sample_values, rec.sample_beliefs):
+                put(arr)
+    return h.hexdigest()
+
+
+LAPLACE_MODEL3 = MarketModel(
+    grid=StateGrid([0.0, 0.5, 1.0]),
+    generator=GeneratorMatrix([[-0.7, 0.4, 0.3], [0.3, -0.6, 0.3], [0.2, 0.5, -0.7]]),
+    arrival_rate=5.0,
+    noise=Laplace(2.0),
+    initial_belief=Belief([0.4, 0.2, 0.4]),
+)
+
+
+def test_logistic_paths_are_bitwise_pinned():
+    """README scenario, offsets 0-3, sampled: digest recorded before the
+    quote/filter kernel was consolidated."""
+    recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25),
+                          seed=42, n_paths=4)
+    assert sum(len(r.events) for r in recs) > 20
+    assert _path_digest(recs) == (
+        "95f0736b338897f179ff1a6a345e5e49d6bf87a0b15e6491e2c76d5a035eddf4"
+    )
+
+
+def test_laplace_path_is_bitwise_pinned():
+    """A 3-state Laplace path with a shifted ask (the drift sees the posted
+    quote, the solves do not), without sampling."""
+    rec = simulate_gmps_path(LAPLACE_MODEL3, 3.0,
+                             SimConfig(ode_step=0.02, perturb_ask=0.02), seed=9)
+    assert rec.n_trades > 5
+    assert _path_digest([rec]) == (
+        "cc3f7ce2958b6e30a490636a843b8596aaf710910c944765ca00fb91f3ec6ad7"
+    )
+
+
+def test_engine_imports_no_private_equilibrium_names():
+    """The engine reaches the quote solver only through the filter kernel."""
+    tree = ast.parse(inspect.getsource(gmsim.engine))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rsplit(".", 1)[-1] == "equilibrium"
+        for alias in node.names
+    ]
+    assert imported
+    assert not [name for name in imported if name.startswith("_")]

@@ -15,7 +15,7 @@ from gmsim.equilibrium import (
     solve_ask,
     solve_bid,
     solve_static_quotes,
-    _fixed_point,
+    _picard,
 )
 from gmsim.errors import (
     ConditionFailed,
@@ -248,8 +248,11 @@ def test_static_quotes_bundle():
 
 
 def test_fixed_point_iteration_cap_raises():
+    """A ceiling of one step, from a start whose first step moves far more
+    than tol."""
     with pytest.raises(NoConvergence):
-        _fixed_point(lambda s: 1.0 - s, 0.2, 1e-12, 50)
+        _picard(LOGI.survival, ZeroBuyProbability, (0.0, 1.0), [0.5, 0.5],
+                0.0, 1e-12, 1)
 
 
 def test_bad_tol_rejected():

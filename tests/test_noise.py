@@ -13,13 +13,9 @@ from gmsim.noise import (
     Logistic,
     NoiseTraderMix,
     TwoPointDiscrete,
-    cdf_grid,
     check_gm_condition,
-    density_grid,
-    erfc,
     noise_from_dict,
     noise_to_dict,
-    survival_grid,
 )
 from oracles import erfc_reference, ks_statistic, normal_survival_reference
 
@@ -27,19 +23,23 @@ CONTINUOUS = [Logistic(2.0), Logistic(0.37), Gaussian(1.0), Gaussian(2.5), Lapla
 
 
 def test_erfc_matches_series_oracle():
-    """Rational erfc agrees with the 60-digit series/continued fraction."""
+    """Gaussian survival agrees with the 60-digit series/continued fraction
+    erfc at its own argument, over the same erfc arguments, |x| <= 26."""
+    g = Gaussian(1.0)
     points = [0.0, 1e-10, 0.1, 0.3, 0.46875, 0.469, 0.7, 1.0, 1.5, 2.0, 3.0,
               3.5, 3.99, 4.0, 4.5, 5.0, 8.0, 12.0, 16.0, 20.0, 25.0, 26.0]
     for x in points:
         for signed in (x, -x):
-            ref = erfc_reference(signed)
-            got = erfc(signed)
-            assert got == pytest.approx(ref, rel=1e-13), f"erfc({signed})"
+            y = signed * math.sqrt(2.0)
+            arg = y / (g.sigma * math.sqrt(2.0))
+            ref = 0.5 * erfc_reference(arg)
+            got = g.survival(y)
+            assert got == pytest.approx(ref, rel=1e-13), f"survival({y})"
 
 
 def test_erfc_extreme_tail_underflows_cleanly():
-    assert erfc(27.0) == 0.0
-    assert erfc(-27.0) == 2.0
+    assert Gaussian(1.0).survival(40.0) == 0.0
+    assert Gaussian(1.0).survival(-40.0) == 1.0
 
 
 def test_gaussian_survival_frozen_values():
@@ -74,7 +74,7 @@ def test_logistic_tail_identity_property(y, scale):
 @pytest.mark.parametrize("noise", CONTINUOUS, ids=lambda n: repr(n))
 def test_survival_monotone_nonincreasing(noise):
     ys = np.linspace(-30.0, 30.0, 301)
-    values = survival_grid(noise, ys)
+    values = noise.survival_grid(ys)
     assert np.all(np.diff(values) <= 1e-15)
     assert values[0] > 0.999
     assert values[-1] < 1e-3
@@ -139,8 +139,8 @@ def test_condition_certificate_holds_on_grid():
     for noise, width in [(Logistic(2.0), 1.0), (Gaussian(2.0), 1.0), (Laplace(1.5), 1.0)]:
         report = check_gm_condition(noise, width)
         ys = np.linspace(-width, width, report.grid_points)
-        dens = density_grid(noise, ys)
-        small = np.minimum(survival_grid(noise, ys), 1.0 - survival_grid(noise, ys))
+        dens = noise.density_grid(ys)
+        small = np.minimum(noise.survival_grid(ys), 1.0 - noise.survival_grid(ys))
         assert np.all(dens <= (report.K / width) * small * (1 + 1e-12))
 
 
@@ -226,8 +226,8 @@ def test_family_parameter_validation():
 )
 def test_grid_helpers_match_scalar(noise):
     ys = np.linspace(-12.0, 12.0, 97)
-    sv = survival_grid(noise, ys)
-    cd = cdf_grid(noise, ys)
+    sv = noise.survival_grid(ys)
+    cd = noise.cdf_grid(ys)
     for i, y in enumerate(ys):
         assert abs(sv[i] - noise.survival(float(y))) <= 5e-16
         assert abs(cd[i] - noise.cdf(float(y))) <= 5e-16
@@ -243,7 +243,7 @@ def test_sampling_matches_cdf_ks(noise):
     n = 100_000
     rng = np.random.default_rng(20240811)
     draws = np.sort(noise.sample(rng, n))
-    d = ks_statistic(draws, cdf_grid(noise, draws))
+    d = ks_statistic(draws, noise.cdf_grid(draws))
     assert d < 1.63 / math.sqrt(n), f"KS statistic {d:.5f}"
 
 

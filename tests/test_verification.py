@@ -65,7 +65,7 @@ def test_oracle_and_statistics_never_touch_the_engine_integrator():
     """The reference filter must stay an independent code path."""
     source = inspect.getsource(verification)
     for forbidden in ("integrate_between_events", "belief_drift", "_drift_raw",
-                      "_integrate_raw", "from .beliefs"):
+                      "_integrate_raw", "_FilterKernel", "from .beliefs"):
         assert forbidden not in source
 
 
