@@ -81,6 +81,7 @@ from .verification import (
     consistency_check,
     intensity_test,
     oracle_filter,
+    run_verify,
     transition_matrix,
     uniqueness_diagnostic,
     zero_profit_test,

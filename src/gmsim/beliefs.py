@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Belief, GeneratorMatrix, Quote, StateGrid
+from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_sizes
 from .equilibrium import DEFAULT_TOL, _iteration_ceiling, _picard, solve_static_quotes
 from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
@@ -206,11 +206,13 @@ class _FilterKernel:
 
 def buy_jump(belief: Belief, ask: float, grid: StateGrid, noise: NoiseModel) -> Belief:
     """Posterior after observing a buy at the ask."""
+    check_sizes(belief, grid)
     return Belief(_FilterKernel(grid, noise).jump(belief.probs, ask, True))
 
 
 def sell_jump(belief: Belief, bid: float, grid: StateGrid, noise: NoiseModel) -> Belief:
     """Posterior after observing a sell at the bid."""
+    check_sizes(belief, grid)
     return Belief(_FilterKernel(grid, noise).jump(belief.probs, bid, False))
 
 
@@ -223,8 +225,7 @@ def belief_drift(
     noise: NoiseModel,
 ) -> list[float]:
     """Right-hand side of the no-trade filter ODE at the given quotes."""
-    if q.n != belief.n or grid.n != belief.n:
-        raise ConfigError("belief, grid and generator sizes disagree")
+    check_sizes(belief, grid, q)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ConfigError("arrival rate must be nonnegative and finite")
     return _FilterKernel(grid, noise, q, lam).drift(
@@ -271,8 +272,7 @@ def integrate_between_events(
         return state
     if not (ode_step > 0.0 and math.isfinite(ode_step)):
         raise ConfigError("ode_step must be positive and finite")
-    if q.n != state.belief.n or grid.n != state.belief.n:
-        raise ConfigError("belief, grid and generator sizes disagree")
+    check_sizes(state.belief, grid, q)
     if not (lam >= 0.0 and math.isfinite(lam)):
         raise ConfigError("arrival rate must be nonnegative and finite")
     kernel = _FilterKernel(grid, noise, q, lam, fp_tol, force)

@@ -7,10 +7,15 @@ Four subcommands, all driven by a YAML scenario file:
     gmsim simulate --config scenario.yaml [--paths N] [--out DIR]
     gmsim verify --config scenario.yaml [--paths N] [--out DIR]
 
+The commands only parse their arguments, call the library, print and
+write files; what a check runs and when it passes lives in the library
+(`verify` is one call to gmsim.verification.run_verify).
+
 Exit codes: 0 success, 1 a verification or condition check failed, 2 bad
-configuration or usage, 3 numerical failure (no convergence, degenerate
-probabilities, insufficient data). All randomness flows from the scenario
-seed; rerunning a command with the same inputs rewrites identical bytes.
+configuration or usage (including a negative seed or an unwritable --out),
+3 numerical failure (no convergence, degenerate probabilities, insufficient
+data). All randomness flows from the scenario seed; rerunning a command
+with the same inputs rewrites identical bytes.
 """
 
 from __future__ import annotations
@@ -22,44 +27,17 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, load_scenario
-from .core import Belief, Quote
-from .engine import Outcome, PathRecord, simulate_gmps_path, simulate_paths
+from .config import load_scenario
+from .core import Belief
+from .engine import PathRecord, simulate_gmps_path
 from .equilibrium import (
     contraction_constants,
     find_fixed_points,
     solve_static_quotes,
 )
-from .errors import (
-    ConditionFailed,
-    ConfigError,
-    GmsimError,
-    GridMismatch,
-    InsufficientData,
-    NoConvergence,
-    NotDifferentiable,
-    ZeroBuyProbability,
-    ZeroSellProbability,
-)
+from .errors import ConfigError, GmsimError
 from .noise import check_gm_condition
-from .verification import (
-    OracleFilterConfig,
-    compare_filters,
-    consistency_check,
-    intensity_test,
-    oracle_filter,
-    zero_profit_test,
-)
-
-_NUMERICAL_ERRORS = (
-    ConditionFailed,
-    NoConvergence,
-    ZeroBuyProbability,
-    ZeroSellProbability,
-    NotDifferentiable,
-    GridMismatch,
-    InsufficientData,
-)
+from .verification import run_verify
 
 
 def _fmt(x: float) -> str:
@@ -143,8 +121,15 @@ def _event_json(offset: int, e) -> str:
     )
 
 
-def _write_outputs(out_dir: Path, records: list[PathRecord], grid) -> list[str]:
+def _make_out_dir(path: str) -> Path:
+    """Create the output directory up front, so that an unwritable one
+    fails before any simulation runs."""
+    out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_outputs(out_dir: Path, records: list[PathRecord], grid) -> list[str]:
     events_path = out_dir / "events.jsonl"
     with events_path.open("w") as fh:
         for rec in records:
@@ -187,6 +172,7 @@ def cmd_simulate(args) -> int:
     n_paths = args.paths if args.paths is not None else cfg.n_paths
     if n_paths < 1:
         raise ConfigError(f"--paths: must be at least 1, got {n_paths}")
+    out_dir = _make_out_dir(args.out)
     model = cfg.model()
     plot_dt = cfg.horizon / 400.0
     records = [
@@ -203,7 +189,6 @@ def cmd_simulate(args) -> int:
         )
         for offset in range(n_paths)
     ]
-    out_dir = Path(args.out)
     written = _write_outputs(out_dir, records, cfg.grid)
     n_trades = sum(r.n_trades for r in records)
     print(
@@ -217,151 +202,14 @@ def cmd_simulate(args) -> int:
 # verify
 
 
-def _filter_check(cfg: ScenarioConfig, model, seed: int, force: bool,
-                  perturb: float) -> dict:
-    h = 1e-3
-    horizon = min(cfg.horizon, 2.0)
-    sim = cfg.sim_config(sample_dt=h / 4, perturb_ask=perturb, force=force)
-    rec = simulate_gmps_path(model, horizon, sim, seed=seed, offset=0)
-    beliefs = {}
-    times = {}
-    for step in (h, h / 2, h / 4):
-        times[step], beliefs[step] = oracle_filter(
-            rec, model, OracleFilterConfig(h=step)
-        )
-    cmp = compare_filters(
-        rec.sample_times, rec.sample_beliefs, times[h], beliefs[h]
-    )
-    gap_coarse = float(
-        abs(beliefs[h][-1] - beliefs[h / 2][-1]).sum()
-    )
-    gap_fine = float(
-        abs(beliefs[h / 2][-1] - beliefs[h / 4][-1]).sum()
-    )
-    out = {
-        "h": h,
-        "horizon": horizon,
-        "n_trades": rec.n_trades,
-        "max_l1": cmp.max_l1,
-        "threshold": 0.01,
-        "self_gap_h": gap_coarse,
-        "self_gap_h_over_2": gap_fine,
-    }
-    if gap_fine > 1e-12:
-        ratio = gap_coarse / gap_fine
-        out["convergence_ratio"] = ratio
-        out["status"] = (
-            "pass" if cmp.max_l1 <= 0.01 and 1.5 <= ratio <= 2.5 else "fail"
-        )
-    else:
-        # no observable splitting error (e.g. no arrivals): distance alone
-        out["convergence_ratio"] = None
-        out["status"] = "pass" if cmp.max_l1 <= 0.01 else "fail"
-    return out
-
-
-def _intensity_check(cfg: ScenarioConfig, model, seed: int) -> dict:
-    grid = cfg.grid
-    w = grid.width
-    x0 = float(grid.values[0])
-    xn = float(grid.values[-1])
-    pairs = [
-        (Quote(ask=x0, bid=x0), x0),  # survival(0) symmetry point
-        (Quote(ask=xn + w / 4, bid=xn - w / 4), xn),
-        (Quote(ask=x0 + w / 2, bid=x0 - w / 4), x0),
-    ]
-    lam = model.arrival_rate
-    if lam <= 0.0:
-        raise InsufficientData("arrival rate is zero; no trades to count")
-    p_min = min(
-        min(model.noise.survival(q.ask - x), model.noise.cdf(q.bid - x))
-        for q, x in pairs
-    )
-    if p_min <= 0.0:
-        raise InsufficientData(
-            "a frozen quote leaves one side with zero trade probability"
-        )
-    horizon = 30.0 / (lam * p_min)
-    results = []
-    for k, (quote, x) in enumerate(pairs):
-        report = intensity_test(
-            model, quote, x, horizon, n_trials=150, seed=seed + k
-        )
-        results.append(
-            {
-                "ask": quote.ask,
-                "bid": quote.bid,
-                "state": x,
-                "buy_rate": report.buy.expected_rate,
-                "buy_p_value": report.buy.p_value,
-                "sell_rate": report.sell.expected_rate,
-                "sell_p_value": report.sell.p_value,
-                "passed": report.passed,
-            }
-        )
-    return {
-        "pairs": results,
-        "status": "pass" if all(r["passed"] for r in results) else "fail",
-    }
-
-
 def cmd_verify(args) -> int:
     cfg = load_scenario(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    n_paths = args.paths if args.paths is not None else cfg.n_paths
-    model = cfg.model()
-    checks: dict[str, dict] = {}
-
-    sim = cfg.sim_config(perturb_ask=args.perturb_ask, force=args.force)
-    records = simulate_paths(model, cfg.horizon, sim, seed=seed, n_paths=n_paths)
-
-    try:
-        zp = zero_profit_test(records)
-        checks["zero_profit"] = {
-            "status": "pass" if zp.passed else "fail",
-            "n_paths": zp.n_paths,
-            "n_buys": zp.n_buys,
-            "n_sells": zp.n_sells,
-            "buy_mean": zp.buy_mean,
-            "buy_se": zp.buy_se,
-            "sell_mean": zp.sell_mean,
-            "sell_se": zp.sell_se,
-            "z_buy": zp.z_buy,
-            "z_sell": zp.z_sell,
-        }
-    except InsufficientData as exc:
-        checks["zero_profit"] = {"status": "skipped", "reason": str(exc)}
-
-    cons = consistency_check(records, cfg.grid)
-    checks["consistency"] = {
-        "status": "pass" if cons.passed else "fail",
-        "n_events": cons.n_events,
-        "max_quote_gap": cons.max_quote_gap,
-        "max_sum_error": cons.max_sum_error,
-        "min_component": cons.min_component,
-        "ordering_violations": cons.ordering_violations,
-    }
-
-    checks["filter_oracle"] = _filter_check(
-        cfg, model, seed, args.force, args.perturb_ask
+    out_dir = None if args.out is None else _make_out_dir(args.out)
+    report = run_verify(
+        cfg, seed=args.seed, n_paths=args.paths, perturb_ask=args.perturb_ask,
+        force=args.force,
     )
-
-    try:
-        checks["intensity"] = _intensity_check(cfg, model, seed)
-    except InsufficientData as exc:
-        checks["intensity"] = {"status": "skipped", "reason": str(exc)}
-
-    ran = [name for name, c in checks.items() if c["status"] != "skipped"]
-    passed = all(checks[name]["status"] == "pass" for name in ran)
-    report = {
-        "seed": seed,
-        "n_paths": n_paths,
-        "perturb_ask": args.perturb_ask,
-        "checks": checks,
-        "passed": passed,
-    }
-
-    for name, c in checks.items():
+    for name, c in report["checks"].items():
         line = f"{c['status'].upper():7s} {name}"
         if name == "zero_profit" and c["status"] != "skipped":
             line += f"  z_buy={c['z_buy']:+.2f} z_sell={c['z_sell']:+.2f}"
@@ -379,15 +227,13 @@ def cmd_verify(args) -> int:
         elif c["status"] == "skipped":
             line += f"  ({c['reason']})"
         print(line)
-    print(f"overall: {'PASS' if passed else 'FAIL'}")
+    print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
 
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         (out_dir / "verify_report.json").write_text(
             json.dumps(report, indent=2) + "\n"
         )
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 # --------------------------------------------------------------------------
@@ -446,12 +292,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except GmsimError as exc:  # every other error is numerical
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GmsimError as exc:  # any future subclass defaults to numerical
+    except OSError as exc:  # an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2
 
 
 def entry() -> None:

@@ -156,8 +156,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if horizon <= 0.0:
         raise ConfigError(f"horizon: must be positive, got {horizon}")
     seed = _require_number(data, "seed", kind=int)
-    if not -(2**63) <= seed < 2**63:
-        raise ConfigError("seed: must fit in 64 bits")
+    if not 0 <= seed < 2**63:
+        raise ConfigError("seed: must fit in 64 bits and be nonnegative")
 
     extras = {}
     for key, default in _OPTIONAL.items():

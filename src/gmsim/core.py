@@ -108,6 +108,15 @@ class Belief:
         return bool(np.all(np.abs(self.probs - other.probs) <= tol))
 
 
+def check_sizes(
+    belief: Belief, grid: StateGrid, generator: GeneratorMatrix | None = None
+) -> None:
+    """Raise ConfigError unless the grid (and the generator, when given) has
+    as many states as the belief."""
+    if grid.n != belief.n or (generator is not None and generator.n != belief.n):
+        raise ConfigError("belief, grid and generator sizes disagree")
+
+
 @dataclass(frozen=True)
 class Quote:
     """Posted prices. ask >= bid always; both inside the grid range unless a

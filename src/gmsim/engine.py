@@ -139,7 +139,11 @@ class PathRecord:
 
 def path_streams(seed: int, offset: int):
     """Three independent generators (value chain, arrivals, noise draws) for
-    path `offset` of a run keyed by `seed`."""
+    path `offset` of a run keyed by `seed`. Both must be nonnegative."""
+    if seed < 0 or offset < 0:
+        raise ConfigError(
+            f"seed and offset must be nonnegative, got {seed} and {offset}"
+        )
     children = np.random.SeedSequence(entropy=(int(seed), int(offset))).spawn(3)
     return tuple(np.random.default_rng(c) for c in children)
 

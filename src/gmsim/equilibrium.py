@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Belief, ContractionConstants, StateGrid
+from .core import Belief, ContractionConstants, StateGrid, check_sizes
 from .errors import (
     ConditionFailed,
     ConfigError,
@@ -131,11 +131,13 @@ def _side(noise, buy_side):
 
 def mean_given_buy(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """g(s, pi): expected value given a customer buys at price s."""
+    check_sizes(belief, grid)
     return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, True)))
 
 
 def mean_given_sell(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """h(s, pi): expected value given a customer sells at price s."""
+    check_sizes(belief, grid)
     return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, False)))
 
 
@@ -153,7 +155,7 @@ def solve_ask(
     successive iterates agree within tol. Refuses static-only families and
     failed admissibility checks unless force=True.
     """
-    price, _ = _solve_side(True, belief, grid, noise, tol, start, force)
+    [(price, _)] = _solve(belief, grid, noise, tol, start, force, (True,))
     return price
 
 
@@ -166,17 +168,22 @@ def solve_bid(
     force: bool = False,
 ) -> float:
     """Zero-profit bid H(pi): the fixed point of s = h(s, pi)."""
-    price, _ = _solve_side(False, belief, grid, noise, tol, start, force)
+    [(price, _)] = _solve(belief, grid, noise, tol, start, force, (False,))
     return price
 
 
-def _solve_side(buy_side, belief, grid, noise, tol, start, force):
+def _solve(belief, grid, noise, tol, start, force, sides):
+    """Run the gate once, then one Picard solve per entry of sides (True for
+    the ask, False for the bid); returns their (price, iterations) pairs."""
+    check_sizes(belief, grid)
     max_iter = _iteration_ceiling(noise, grid, tol, force)
     if start is None:
         start = belief.mean(grid)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    return _picard(*_side(noise, buy_side), xs, probs, start, tol, max_iter)
+    return [
+        _picard(*_side(noise, buy), xs, probs, start, tol, max_iter) for buy in sides
+    ]
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,9 @@ def solve_static_quotes(
     tol: float = DEFAULT_TOL,
     force: bool = False,
 ) -> StaticQuotes:
-    ask, ask_iters = _solve_side(True, belief, grid, noise, tol, None, force)
-    bid, bid_iters = _solve_side(False, belief, grid, noise, tol, None, force)
+    (ask, ask_iters), (bid, bid_iters) = _solve(
+        belief, grid, noise, tol, None, force, (True, False)
+    )
     return StaticQuotes(ask=ask, bid=bid, ask_iterations=ask_iters, bid_iterations=bid_iters)
 
 
@@ -225,6 +233,7 @@ def find_fixed_points(
     a refined point is accepted only if the residual actually vanishes
     there, which discards jump discontinuities of r.
     """
+    check_sizes(belief, grid)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
     tail, no_mass = _side(noise, buy_side)

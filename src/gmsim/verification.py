@@ -12,16 +12,20 @@ The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
 quoting), trade counts against their predicted Poisson law under frozen
 quotes, and a common-random-numbers illustration of quote uniqueness.
+
+run_verify bundles the checks behind `gmsim verify`, with their pass/fail
+policy, into one report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
+from .config import ScenarioConfig
 from .core import Belief, Quote, StateGrid
 from .engine import (
     MarketModel,
@@ -32,6 +36,7 @@ from .engine import (
     path_streams,
     sample_arrival_times,
     simulate_gmps_path,
+    simulate_paths,
 )
 from .equilibrium import ContractionConstants, contraction_constants
 from .errors import ConfigError, GridMismatch, InsufficientData
@@ -539,3 +544,127 @@ def consistency_check(records: list[PathRecord], grid: StateGrid) -> Consistency
         min_component=min_component,
         ordering_violations=violations,
     )
+
+
+# --------------------------------------------------------------------------
+# The verify report
+
+
+def _entry(report) -> dict:
+    """A report dataclass as a report entry, with passed turned into status."""
+    fields = asdict(report)
+    return {"status": "pass" if fields.pop("passed") else "fail", **fields}
+
+
+def _filter_check(cfg, model, seed, perturb_ask, force) -> dict:
+    """Engine against the oracle filter on path 0, plus the oracle's own
+    first-order convergence over h, h/2, h/4 (end-point gap ratio near 2)."""
+    h = 1e-3
+    horizon = min(cfg.horizon, 2.0)
+    sim = cfg.sim_config(sample_dt=h / 4, perturb_ask=perturb_ask, force=force)
+    rec = simulate_gmps_path(model, horizon, sim, seed=seed, offset=0)
+    steps = (h, h / 2, h / 4)
+    times, beliefs = zip(
+        *(oracle_filter(rec, model, OracleFilterConfig(h=step)) for step in steps)
+    )
+    cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times[0], beliefs[0])
+    gap_coarse = float(abs(beliefs[0][-1] - beliefs[1][-1]).sum())
+    gap_fine = float(abs(beliefs[1][-1] - beliefs[2][-1]).sum())
+    # no observable splitting error (e.g. no arrivals): distance alone
+    ratio = gap_coarse / gap_fine if gap_fine > 1e-12 else None
+    passed = cmp.max_l1 <= 0.01 and (ratio is None or 1.5 <= ratio <= 2.5)
+    return {
+        "h": h,
+        "horizon": horizon,
+        "n_trades": rec.n_trades,
+        "max_l1": cmp.max_l1,
+        "threshold": 0.01,
+        "self_gap_h": gap_coarse,
+        "self_gap_h_over_2": gap_fine,
+        "convergence_ratio": ratio,
+        "status": "pass" if passed else "fail",
+    }
+
+
+def _intensity_check(model, seed) -> dict:
+    """intensity_test at three frozen (quote, state) pairs, each run long
+    enough for about 30 expected trades on its thinner side."""
+    w = model.grid.width
+    x0 = model.grid.x_min
+    xn = model.grid.x_max
+    pairs = [
+        (Quote(ask=x0, bid=x0), x0),  # survival(0) symmetry point
+        (Quote(ask=xn + w / 4, bid=xn - w / 4), xn),
+        (Quote(ask=x0 + w / 2, bid=x0 - w / 4), x0),
+    ]
+    lam = model.arrival_rate
+    if lam <= 0.0:
+        raise InsufficientData("arrival rate is zero; no trades to count")
+    p_min = min(
+        min(model.noise.survival(q.ask - x), model.noise.cdf(q.bid - x))
+        for q, x in pairs
+    )
+    if p_min <= 0.0:
+        raise InsufficientData(
+            "a frozen quote leaves one side with zero trade probability"
+        )
+    horizon = 30.0 / (lam * p_min)
+    results = []
+    for k, (quote, x) in enumerate(pairs):
+        report = intensity_test(model, quote, x, horizon, n_trials=150, seed=seed + k)
+        results.append(
+            {
+                "ask": quote.ask,
+                "bid": quote.bid,
+                "state": x,
+                "buy_rate": report.buy.expected_rate,
+                "buy_p_value": report.buy.p_value,
+                "sell_rate": report.sell.expected_rate,
+                "sell_p_value": report.sell.p_value,
+                "passed": report.passed,
+            }
+        )
+    return {
+        "pairs": results,
+        "status": "pass" if all(r["passed"] for r in results) else "fail",
+    }
+
+
+def run_verify(
+    cfg: ScenarioConfig,
+    seed: int | None = None,
+    n_paths: int | None = None,
+    perturb_ask: float = 0.0,
+    force: bool = False,
+) -> dict:
+    """Run the four checks of `gmsim verify` on one scenario.
+
+    Returns the dict that the command writes as verify_report.json. seed
+    and n_paths default to the scenario's. A check that raises
+    InsufficientData is reported as skipped, with its reason; passed is
+    true when no check failed.
+    """
+    seed = cfg.seed if seed is None else seed
+    n_paths = cfg.n_paths if n_paths is None else n_paths
+    model = cfg.model()
+    sim = cfg.sim_config(perturb_ask=perturb_ask, force=force)
+    records = simulate_paths(model, cfg.horizon, sim, seed=seed, n_paths=n_paths)
+    runs = {
+        "zero_profit": lambda: _entry(zero_profit_test(records)),
+        "consistency": lambda: _entry(consistency_check(records, cfg.grid)),
+        "filter_oracle": lambda: _filter_check(cfg, model, seed, perturb_ask, force),
+        "intensity": lambda: _intensity_check(model, seed),
+    }
+    checks = {}
+    for name, run in runs.items():
+        try:
+            checks[name] = run()
+        except InsufficientData as exc:
+            checks[name] = {"status": "skipped", "reason": str(exc)}
+    return {
+        "seed": seed,
+        "n_paths": n_paths,
+        "perturb_ask": perturb_ask,
+        "checks": checks,
+        "passed": all(c["status"] != "fail" for c in checks.values()),
+    }

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
 import yaml
 
+import gmsim.cli
+from gmsim import load_scenario, run_verify
 from gmsim.cli import main
 from gmsim.core import Belief, StateGrid
 from gmsim.equilibrium import solve_ask, solve_bid
@@ -317,3 +320,72 @@ def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):
     )
     assert code == 0
     assert list(tmp_path.glob("*/verify_report.json")) == []
+
+
+# Digests of stdout and verify_report.json for the README market at horizon
+# 1.0 with the default ode_step and 30 paths, recorded while gmsim.cli still
+# held the check orchestration that gmsim.verification.run_verify now runs.
+VERIFY_PINS = {
+    "clean": (
+        {}, [],
+        "aaf23413dcd31c27c67ad4a98ccd25f7fb7b986d8ac918b68e90ad69adfef3db",
+        "bc6a58cfe532f9981a53146cb9cc4772d5fea1947a02aafdc7ae3c770abb5048",
+    ),
+    "perturbed": (
+        {}, ["--perturb-ask", "0.15"],
+        "0e18a93ad3b1e4cb99d803eddc24acd438a49e6c13d44d614f4c7a2fc718335d",
+        "383fa2c0fc723ca6b4b5277270cb757ef704ddf336d7355a747c8624a2601f5a",
+    ),
+    "no_arrivals": (
+        {"lambda": 0.0}, [],
+        "19e6f210be0cef6d55e35c277099820ff0ada0f3bfca262e90b4ebffcb36ea12",
+        "12b78f3cb6ba79b53294fd7da2eff6fce217145ae3afe18cec3ff81931fd2fa3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_PINS)
+def test_verify_output_is_pinned(case, write_scenario, tmp_path, capsys):
+    overrides, flags, stdout_sha, report_sha = VERIFY_PINS[case]
+    cfg = write_scenario(horizon=1.0, ode_step=None, n_paths=None, **overrides)
+    out = tmp_path / "r"
+    main(["verify", "--config", cfg, "--paths", "30", "--out", str(out), *flags])
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == stdout_sha
+    report = (out / "verify_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == report_sha
+
+
+def test_run_verify_matches_the_written_report(write_scenario, tmp_path, capsys):
+    cfg = write_scenario(horizon=0.5)
+    out = tmp_path / "r"
+    main(["verify", "--config", cfg, "--seed", "7", "--paths", "8",
+          "--perturb-ask", "0.05", "--out", str(out)])
+    written = json.loads((out / "verify_report.json").read_text())
+    report = run_verify(load_scenario(cfg), seed=7, n_paths=8, perturb_ask=0.05)
+    assert report == written
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_negative_seed_exits_2(command, write_scenario, tmp_path, capsys):
+    code = main([command, "--config", write_scenario(), "--seed", "-3",
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_out_naming_a_file_exits_2_before_running(
+    command, write_scenario, tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("ran with an unwritable --out")
+
+    monkeypatch.setattr(gmsim.cli, "simulate_gmps_path", never)
+    monkeypatch.setattr(gmsim.cli, "run_verify", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main([command, "--config", write_scenario(), "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

@@ -179,6 +179,9 @@ class TestFieldErrors:
     def test_seed_too_large(self):
         self.check({"seed": 2**63}, r"^seed: must fit in 64 bits")
 
+    def test_seed_negative(self):
+        self.check({"seed": -1}, r"^seed: .*nonnegative")
+
     def test_ode_step_zero(self):
         self.check({"ode_step": 0.0}, r"^ode_step: must be positive")
 

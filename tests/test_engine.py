@@ -197,6 +197,12 @@ def test_streams_are_reproducible():
         assert np.array_equal(a.random(4), b.random(4))
 
 
+@pytest.mark.parametrize("seed, offset", [(-3, 0), (0, -1)])
+def test_streams_refuse_negative_keys(seed, offset):
+    with pytest.raises(ConfigError, match="nonnegative"):
+        path_streams(seed, offset)
+
+
 def test_silent_market_reduces_to_state_equation():
     """With no arrivals the belief must follow the plain forward equation."""
     q = GeneratorMatrix([[-0.7, 0.4, 0.3], [0.2, -0.5, 0.3], [0.1, 0.4, -0.5]])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import gmsim.equilibrium
+from gmsim.beliefs import buy_jump, sell_jump
 from gmsim.core import Belief, StateGrid
 from gmsim.equilibrium import (
     contraction_constants,
@@ -24,7 +26,14 @@ from gmsim.errors import (
     ZeroBuyProbability,
     ZeroSellProbability,
 )
-from gmsim.noise import Logistic, NoiseTraderMix, TwoPointDiscrete, check_gm_condition
+from gmsim.noise import (
+    Gaussian,
+    Laplace,
+    Logistic,
+    NoiseTraderMix,
+    TwoPointDiscrete,
+    check_gm_condition,
+)
 from oracles import bisect_root
 
 TWO_POINT_GRID = StateGrid([1.0, 3.0])
@@ -245,6 +254,56 @@ def test_static_quotes_bundle():
     assert quotes.bid == pytest.approx(solve_bid(HALF, UNIT_GRID, LOGI), abs=1e-14)
     assert quotes.ask_iterations >= 1 and quotes.bid_iterations >= 1
     assert quotes.spread > 0.0
+
+
+# Recorded (float.hex, iterations) before solve_static_quotes shared one gate
+# between its two sides.
+STATIC_PINS = [
+    (HALF, UNIT_GRID, LOGI,
+     ("0x1.205436ccadc8ap-1", "0x1.bf579266a46ebp-2", 7, 7)),
+    (Belief([0.2, 0.3, 0.5]), StateGrid([-1.0, 0.5, 2.0]), Laplace(4.0),
+     ("0x1.3eeeab35e8b40p+0", "0x1.48fc2989ecb33p-1", 9, 11)),
+    (Belief([0.1, 0.2, 0.3, 0.4]), StateGrid([0.0, 1.0, 2.0, 3.0]), Gaussian(8.0),
+     ("0x1.0ccfc6bfe1568p+1", "0x1.e6583f13530b3p+0", 7, 7)),
+]
+
+
+@pytest.mark.parametrize("belief, grid, noise, pinned", STATIC_PINS)
+def test_static_quotes_are_bitwise_pinned(belief, grid, noise, pinned):
+    q = solve_static_quotes(belief, grid, noise)
+    assert (q.ask.hex(), q.bid.hex(), q.ask_iterations, q.bid_iterations) == pinned
+
+
+def test_static_quotes_run_the_gate_once(monkeypatch):
+    calls = []
+    ceiling = gmsim.equilibrium._iteration_ceiling
+
+    def counted(*args):
+        calls.append(args)
+        return ceiling(*args)
+
+    monkeypatch.setattr(gmsim.equilibrium, "_iteration_ceiling", counted)
+    solve_static_quotes(HALF, UNIT_GRID, LOGI)
+    assert len(calls) == 1
+
+
+THREE_STATES = Belief([0.2, 0.3, 0.5])
+SIZE_MISMATCHES = {
+    "buy_jump": lambda: buy_jump(THREE_STATES, 0.5, UNIT_GRID, LOGI),
+    "sell_jump": lambda: sell_jump(THREE_STATES, 0.5, UNIT_GRID, LOGI),
+    "mean_given_buy": lambda: mean_given_buy(0.5, THREE_STATES, UNIT_GRID, LOGI),
+    "mean_given_sell": lambda: mean_given_sell(0.5, THREE_STATES, UNIT_GRID, LOGI),
+    "solve_ask": lambda: solve_ask(THREE_STATES, UNIT_GRID, LOGI),
+    "solve_bid": lambda: solve_bid(THREE_STATES, UNIT_GRID, LOGI),
+    "solve_static_quotes": lambda: solve_static_quotes(THREE_STATES, UNIT_GRID, LOGI),
+    "find_fixed_points": lambda: find_fixed_points(THREE_STATES, UNIT_GRID, LOGI),
+}
+
+
+@pytest.mark.parametrize("name", SIZE_MISMATCHES)
+def test_belief_grid_size_mismatch_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="sizes disagree"):
+        SIZE_MISMATCHES[name]()
 
 
 def test_fixed_point_iteration_cap_raises():
