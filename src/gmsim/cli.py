@@ -25,9 +25,10 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .config import load_scenario
+from .config import ScenarioConfig, load_scenario
 from .core import Belief
 from .engine import PathRecord, simulate_gmps_path
 from .equilibrium import (
@@ -121,6 +122,16 @@ def _event_json(offset: int, e) -> str:
     )
 
 
+def _with_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """The scenario with --seed and --paths applied; ScenarioConfig checks
+    them as it checks a scenario file's seed and n_paths."""
+    return replace(
+        cfg,
+        seed=cfg.seed if args.seed is None else args.seed,
+        n_paths=cfg.n_paths if args.paths is None else args.paths,
+    )
+
+
 def _make_out_dir(path: str) -> Path:
     """Create the output directory up front, so that an unwritable one
     fails before any simulation runs."""
@@ -167,11 +178,7 @@ def _write_outputs(out_dir: Path, records: list[PathRecord], grid) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_scenario(args.config)
-    seed = args.seed if args.seed is not None else cfg.seed
-    n_paths = args.paths if args.paths is not None else cfg.n_paths
-    if n_paths < 1:
-        raise ConfigError(f"--paths: must be at least 1, got {n_paths}")
+    cfg = _with_overrides(load_scenario(args.config), args)
     out_dir = _make_out_dir(args.out)
     model = cfg.model()
     plot_dt = cfg.horizon / 400.0
@@ -184,15 +191,15 @@ def cmd_simulate(args) -> int:
                 perturb_ask=args.perturb_ask,
                 force=args.force,
             ),
-            seed=seed,
+            seed=cfg.seed,
             offset=offset,
         )
-        for offset in range(n_paths)
+        for offset in range(cfg.n_paths)
     ]
     written = _write_outputs(out_dir, records, cfg.grid)
     n_trades = sum(r.n_trades for r in records)
     print(
-        f"{n_paths} path(s), {n_trades} trades, seed {seed}; "
+        f"{cfg.n_paths} path(s), {n_trades} trades, seed {cfg.seed}; "
         f"wrote {', '.join(written)} in {out_dir}"
     )
     return 0
@@ -203,12 +210,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_scenario(args.config)
+    cfg = _with_overrides(load_scenario(args.config), args)
     out_dir = None if args.out is None else _make_out_dir(args.out)
-    report = run_verify(
-        cfg, seed=args.seed, n_paths=args.paths, perturb_ask=args.perturb_ask,
-        force=args.force,
-    )
+    report = run_verify(cfg, perturb_ask=args.perturb_ask, force=args.force)
     for name, c in report["checks"].items():
         line = f"{c['status'].upper():7s} {name}"
         if name == "zero_profit" and c["status"] != "skipped":

@@ -29,14 +29,16 @@ from pathlib import Path
 
 import yaml
 
+from .beliefs import DEFAULT_ODE_STEP
 from .core import Belief, GeneratorMatrix, StateGrid
 from .engine import MarketModel, SimConfig
+from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
 from .noise import NoiseModel, noise_from_dict, noise_to_dict
 
 _REQUIRED = ("states", "generator", "lambda", "noise", "initial_belief",
              "horizon", "seed")
-_OPTIONAL = {"ode_step": 1e-3, "fp_tol": 1e-12, "n_paths": 1}
+_OPTIONAL = {"ode_step": DEFAULT_ODE_STEP, "fp_tol": DEFAULT_TOL, "n_paths": 1}
 
 
 @dataclass(frozen=True)
@@ -48,9 +50,17 @@ class ScenarioConfig:
     initial_belief: Belief
     horizon: float
     seed: int
-    ode_step: float = 1e-3
-    fp_tol: float = 1e-12
+    ode_step: float = DEFAULT_ODE_STEP
+    fp_tol: float = DEFAULT_TOL
     n_paths: int = 1
+
+    def __post_init__(self):
+        # here rather than in scenario_from_dict, so that the CLI's --seed and
+        # --paths overrides (applied with dataclasses.replace) are checked too
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError("seed: must fit in 64 bits and be nonnegative")
+        if self.n_paths < 1:
+            raise ConfigError(f"n_paths: must be at least 1, got {self.n_paths}")
 
     def model(self) -> MarketModel:
         return MarketModel(
@@ -156,8 +166,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if horizon <= 0.0:
         raise ConfigError(f"horizon: must be positive, got {horizon}")
     seed = _require_number(data, "seed", kind=int)
-    if not 0 <= seed < 2**63:
-        raise ConfigError("seed: must fit in 64 bits and be nonnegative")
 
     extras = {}
     for key, default in _OPTIONAL.items():
@@ -171,8 +179,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(f"ode_step: must be positive, got {extras['ode_step']}")
     if extras["fp_tol"] <= 0.0:
         raise ConfigError(f"fp_tol: must be positive, got {extras['fp_tol']}")
-    if extras["n_paths"] < 1:
-        raise ConfigError(f"n_paths: must be at least 1, got {extras['n_paths']}")
 
     cfg = ScenarioConfig(
         grid=grid,

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .beliefs import SimplexDiagnostics, _FilterKernel
+from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel
 from .core import Belief, GeneratorMatrix, Quote, StateGrid
 from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
@@ -68,7 +68,7 @@ class MarketModel:
 class SimConfig:
     """Numerical knobs for one simulation run."""
 
-    ode_step: float = 1e-3
+    ode_step: float = DEFAULT_ODE_STEP
     fp_tol: float = DEFAULT_TOL
     sample_dt: float | None = None
     perturb_ask: float = 0.0  # fraction of the grid width added to every ask
@@ -239,6 +239,30 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 # Path simulation
 
 
+def _stops(arrivals, sample_dt, horizon):
+    """The stops of one path in time order: (t, k) at arrival k and (t, None)
+    at a sample point or the horizon.
+
+    Without sample_dt that is the arrivals and the horizon. With it, 0 comes
+    first and each m * sample_dt in between is a sample point, unless it lies
+    within 1e-12 * max(1, |t|) of the stop t before or after it.
+    """
+    if sample_dt is not None:
+        yield 0.0, None
+    t_prev = 0.0
+    arrival_stops = [(float(tau), k) for k, tau in enumerate(arrivals)]
+    for t, k in arrival_stops + [(horizon, None)]:
+        if sample_dt is not None:
+            m = math.floor(t_prev / sample_dt) + 1
+            while m * sample_dt <= t_prev + 1e-12 * max(1.0, abs(t_prev)):
+                m += 1
+            while m * sample_dt < t - 1e-12 * max(1.0, abs(t)):
+                yield m * sample_dt, None
+                m += 1
+        yield t, k
+        t_prev = t
+
+
 def simulate_gmps_path(
     model: MarketModel,
     horizon: float,
@@ -252,8 +276,9 @@ def simulate_gmps_path(
     driven only by observed trades; quotes are re-solved fixed points of the
     pre-trade belief, optionally shifted up by config.perturb_ask * width
     (the verification negative control). With config.sample_dt set, the
-    filter state is recorded at every multiple of sample_dt and just after
-    every arrival.
+    filter state is recorded at 0, at every multiple of sample_dt, just after
+    every arrival and at the horizon; a multiple of sample_dt within
+    1e-12 * max(1, |t|) of an arrival or the horizon at t is left out.
     """
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ConfigError("horizon must be positive and finite")
@@ -269,134 +294,59 @@ def simulate_gmps_path(
     arrivals = sample_arrival_times(model.arrival_rate, horizon, arrival_rng)
     eps_draws = model.noise.sample(noise_rng, len(arrivals))
 
-    grid = model.grid
-    x_of = grid.values
-    perturb = config.perturb_ask * grid.width
-    ode_step = config.ode_step
-    diag = SimplexDiagnostics()
-
-    probs = [float(v) for v in model.initial_belief.probs]
-    mean0 = model.initial_belief.mean(grid)
-    ask, bid = kernel.quotes(probs, mean0, mean0)
-
-    sampling = config.sample_dt is not None
-    samples: list[tuple] = []
-
-    def record_sample(t):
-        x_idx = value_at(value_times, value_states, t)
-        samples.append((t, ask + perturb, bid, float(x_of[x_idx]), list(probs)))
-
-    def advance_to(t_now, t_target):
-        """Integrate the belief from t_now to t_target, stopping at sample
-        grid points along the way."""
-        nonlocal probs, ask, bid
-        if not sampling:
-            probs, ask, bid = kernel.integrate(
-                probs, t_target - t_now, ask, bid, ode_step, diag, perturb
-            )
-            return
-        dt_s = config.sample_dt
-        tol_lo = 1e-12 * max(1.0, abs(t_now))
-        tol_hi = 1e-12 * max(1.0, abs(t_target))
-        k = math.floor(t_now / dt_s) + 1
-        while k * dt_s <= t_now + tol_lo:
-            k += 1
-        t_cur = t_now
-        while True:
-            t_grid = k * dt_s
-            if t_grid >= t_target - tol_hi:
-                break
-            probs, ask, bid = kernel.integrate(
-                probs, t_grid - t_cur, ask, bid, ode_step, diag, perturb
-            )
-            t_cur = t_grid
-            record_sample(t_grid)
-            k += 1
-        probs, ask, bid = kernel.integrate(
-            probs, t_target - t_cur, ask, bid, ode_step, diag, perturb
-        )
-
-    if sampling:
-        record_sample(0.0)
-
-    events: list[EventRecord] = []
-    buy_profit = 0.0
-    sell_profit = 0.0
-    n_buys = 0
-    n_sells = 0
-    warned_degenerate = False
-    t_cur = 0.0
-
-    for k, tau in enumerate(arrivals):
-        advance_to(t_cur, float(tau))
-        t_cur = float(tau)
-        quote_ask = ask + perturb
-        quote_bid = bid
-        if quote_bid > quote_ask:
-            raise ConfigError("ask perturbation pushed the ask below the bid")
-        if quote_ask == quote_bid and not warned_degenerate:
-            log.warning("degenerate quote at t=%.6f: buy precedence applies", tau)
-            warned_degenerate = True
-        x_idx = value_at(value_times, value_states, t_cur)
-        x_val = float(x_of[x_idx])
-        eps = float(eps_draws[k])
-        valuation = x_val + eps
-        quote = Quote(ask=quote_ask, bid=quote_bid)
-        outcome = decide_trade(valuation, quote)
-        belief_before = np.array(probs)
-        profit = 0.0
-        if outcome is Outcome.BUY:
-            probs = kernel.jump(probs, quote_ask, True)
-            profit = quote_ask - x_val
-            buy_profit += profit
-            n_buys += 1
-        elif outcome is Outcome.SELL:
-            probs = kernel.jump(probs, quote_bid, False)
-            profit = quote_bid - x_val
-            sell_profit += profit
-            n_sells += 1
-        if outcome is not Outcome.NO_TRADE:
-            ask, bid = kernel.quotes(probs, ask, bid)
-        events.append(
-            EventRecord(
-                t=t_cur,
-                x=x_val,
-                eps=eps,
-                ask=quote_ask,
-                bid=quote_bid,
-                outcome=outcome,
-                belief_before=belief_before,
-                belief_after=np.array(probs),
-                profit=profit,
-            )
-        )
-        if sampling:
-            record_sample(t_cur)
-
-    advance_to(t_cur, horizon)
-    if sampling:
-        record_sample(horizon)
-
+    x_of = model.grid.values
+    perturb = config.perturb_ask * model.grid.width
     record = PathRecord(
-        horizon=horizon,
-        seed=seed,
-        offset=offset,
-        value_times=value_times,
-        value_states=value_states,
-        events=events,
-        buy_profit=buy_profit,
-        sell_profit=sell_profit,
-        n_buys=n_buys,
-        n_sells=n_sells,
-        diagnostics=diag,
+        horizon=horizon, seed=seed, offset=offset, value_times=value_times,
+        value_states=value_states, events=[], buy_profit=0.0, sell_profit=0.0,
+        n_buys=0, n_sells=0, diagnostics=SimplexDiagnostics(),
     )
-    if sampling:
-        arr = np.array([s[0] for s in samples])
-        record.sample_times = arr
-        record.sample_asks = np.array([s[1] for s in samples])
-        record.sample_bids = np.array([s[2] for s in samples])
-        record.sample_values = np.array([s[3] for s in samples])
-        record.sample_beliefs = np.array([s[4] for s in samples])
+    probs = [float(v) for v in model.initial_belief.probs]
+    mean0 = model.initial_belief.mean(model.grid)
+    ask, bid = kernel.quotes(probs, mean0, mean0)
+    warned_degenerate = False
+    rows = []
+    t_prev = 0.0
+
+    for t, k in _stops(arrivals, config.sample_dt, horizon):
+        probs, ask, bid = kernel.integrate(
+            probs, t - t_prev, ask, bid, config.ode_step, record.diagnostics, perturb
+        )
+        t_prev = t
+        x_val = float(x_of[value_at(value_times, value_states, t)])
+        if k is not None:
+            if bid > ask + perturb:
+                raise ConfigError("ask perturbation pushed the ask below the bid")
+            quote = Quote(ask=ask + perturb, bid=bid)
+            if quote.ask == quote.bid and not warned_degenerate:
+                log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
+                warned_degenerate = True
+            eps = float(eps_draws[k])
+            outcome = decide_trade(x_val + eps, quote)
+            belief_before = np.array(probs)
+            profit = 0.0
+            if outcome is Outcome.BUY:
+                probs = kernel.jump(probs, quote.ask, True)
+                profit = quote.ask - x_val
+                record.buy_profit += profit
+                record.n_buys += 1
+            elif outcome is Outcome.SELL:
+                probs = kernel.jump(probs, quote.bid, False)
+                profit = quote.bid - x_val
+                record.sell_profit += profit
+                record.n_sells += 1
+            if outcome is not Outcome.NO_TRADE:
+                ask, bid = kernel.quotes(probs, ask, bid)
+            record.events.append(EventRecord(
+                t=t, x=x_val, eps=eps, ask=quote.ask, bid=quote.bid,
+                outcome=outcome, belief_before=belief_before,
+                belief_after=np.array(probs), profit=profit,
+            ))
+        rows.append((t, ask + perturb, bid, x_val, list(probs)))
+
+    if config.sample_dt is not None:
+        (record.sample_times, record.sample_asks, record.sample_bids,
+         record.sample_values, record.sample_beliefs) = map(np.array, zip(*rows))
     return record
 
 

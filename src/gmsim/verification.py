@@ -32,15 +32,16 @@ from .engine import (
     Outcome,
     PathRecord,
     SimConfig,
+    buy_intensity,
     decide_trade,
     path_streams,
     sample_arrival_times,
+    sell_intensity,
     simulate_gmps_path,
     simulate_paths,
 )
 from .equilibrium import ContractionConstants, contraction_constants
 from .errors import ConfigError, GridMismatch, InsufficientData
-from .noise import NoiseModel
 
 
 @dataclass(frozen=True)
@@ -393,8 +394,8 @@ def intensity_test(
         raise ConfigError("n_trials must be at least 2")
     lam = model.arrival_rate
     noise = model.noise
-    mu_buy = lam * noise.survival(quote.ask - state_value) * horizon
-    mu_sell = lam * noise.cdf(quote.bid - state_value) * horizon
+    mu_buy = buy_intensity(quote, state_value, lam, noise) * horizon
+    mu_sell = sell_intensity(quote, state_value, lam, noise) * horizon
     if min(mu_buy, mu_sell) < 20.0:
         raise InsufficientData(
             "expected counts below 20 per side; the test would lack power"
@@ -441,7 +442,7 @@ def uniqueness_diagnostic(
     constants = contraction_constants(model.grid, model.noise, model.arrival_rate)
     if not 0.0 <= belief_spread <= 1.0:
         raise ConfigError("belief_spread must lie in [0, 1]")
-    base_cfg = config if config is not None else SimConfig(ode_step=1e-3)
+    base_cfg = config if config is not None else SimConfig()
     cfg = replace(base_cfg, sample_dt=sample_dt)
     n = model.grid.n
     mixed = (1.0 - belief_spread) * model.initial_belief.probs + belief_spread / n
@@ -450,21 +451,12 @@ def uniqueness_diagnostic(
     rec_a = simulate_gmps_path(model, horizon, cfg, seed=seed, offset=0)
     rec_b = simulate_gmps_path(twin, horizon, cfg, seed=seed, offset=0)
 
-    gaps = []
-    times = []
-    j = 0
-    tb = rec_b.sample_times
-    for i, t in enumerate(rec_a.sample_times):
-        while j < len(tb) and tb[j] < t - 1e-12:
-            j += 1
-        if j < len(tb) and abs(tb[j] - t) <= 1e-12:
-            gap = abs(rec_a.sample_asks[i] - rec_b.sample_asks[j]) + abs(
-                rec_a.sample_bids[i] - rec_b.sample_bids[j]
-            )
-            times.append(float(t))
-            gaps.append(float(gap))
-    times = np.array(times)
-    gaps = np.array(gaps)
+    # the twins share (seed, offset), so they stop at the same arrivals and
+    # sample at the same times
+    times = rec_a.sample_times
+    gaps = np.abs(rec_a.sample_asks - rec_b.sample_asks) + np.abs(
+        rec_a.sample_bids - rec_b.sample_bids
+    )
     mismatches = sum(
         1
         for ea, eb in zip(rec_a.events, rec_b.events)
@@ -474,8 +466,8 @@ def uniqueness_diagnostic(
         constants=constants,
         times=times,
         quote_gaps=gaps,
-        max_gap=float(gaps.max()) if len(gaps) else 0.0,
-        final_gap=float(gaps[-1]) if len(gaps) else 0.0,
+        max_gap=float(gaps.max()),
+        final_gap=float(gaps[-1]),
         n_events=len(rec_a.events),
         n_outcome_mismatches=mismatches,
     )

@@ -368,10 +368,19 @@ def test_run_verify_matches_the_written_report(write_scenario, tmp_path, capsys)
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_negative_seed_exits_2(command, write_scenario, tmp_path, capsys):
-    code = main([command, "--config", write_scenario(), "--seed", "-3",
-                 "--out", str(tmp_path / "r")])
-    assert code == 2
-    assert "nonnegative" in capsys.readouterr().err
+    """A --seed or --paths override outside what a scenario file accepts
+    exits 2 before --out is created."""
+    cfg = write_scenario()
+    out = tmp_path / "r"
+    for flags, message in (
+        (["--seed", "-3"], "nonnegative"),
+        (["--seed", str(2**63)], "nonnegative"),
+        (["--paths", "0"], "at least 1"),
+    ):
+        code = main([command, "--config", cfg, *flags, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

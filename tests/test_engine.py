@@ -368,6 +368,32 @@ def test_sample_grid_covers_run_and_respects_quotes():
     np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
 
 
+def test_sample_point_on_an_arrival_is_recorded_once():
+    """A sample point that coincides with an arrival is dropped in favour of
+    the post-arrival row, so that time appears once in sample_times."""
+    first = simulate_gmps_path(MODEL, 3.0, SimConfig(ode_step=0.02), seed=11)
+    tau = first.events[0].t
+    rec = simulate_gmps_path(
+        MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=tau), seed=11
+    )
+    assert rec.events[0].t == tau
+    (at,) = np.flatnonzero(rec.sample_times == tau)
+    assert np.array_equal(rec.sample_beliefs[at], rec.events[0].belief_after)
+    assert np.all(np.diff(rec.sample_times) > 0)
+
+
+def test_stop_schedule_merges_arrivals_samples_and_horizon():
+    arrivals = np.array([0.25 + 1e-14, 0.6])
+    assert list(gmsim.engine._stops(arrivals, None, 1.0)) == [
+        (0.25 + 1e-14, 0), (0.6, 1), (1.0, None)
+    ]
+    # 0.25 sits within 1e-12 of the first arrival and 4 * 0.25 on the horizon
+    assert list(gmsim.engine._stops(arrivals, 0.25, 1.0)) == [
+        (0.0, None), (0.25 + 1e-14, 0), (0.5, None), (0.6, 1), (0.75, None),
+        (1.0, None),
+    ]
+
+
 def test_sampled_values_follow_the_chain():
     cfg = SimConfig(ode_step=0.02, sample_dt=0.25)
     rec = simulate_gmps_path(MODEL, 3.0, cfg, seed=37)
@@ -511,6 +537,32 @@ def test_laplace_path_is_bitwise_pinned():
     assert rec.n_trades > 5
     assert _path_digest([rec]) == (
         "cc3f7ce2958b6e30a490636a843b8596aaf710910c944765ca00fb91f3ec6ad7"
+    )
+
+
+def test_dense_sampled_paths_are_bitwise_pinned():
+    """README scenario, offsets 0-3, sampled every 1/30: many sample points
+    fall close to arrivals, and 90/30 lands on the horizon and is dropped.
+    Digest recorded before the stop loop was flattened."""
+    recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30),
+                          seed=42, n_paths=4)
+    assert sum(len(r.events) for r in recs) > 40
+    assert _path_digest(recs) == (
+        "f799629434a323c15423c6651a368743001b7d2d69ea15fe762720f86c5006c4"
+    )
+
+
+def test_silent_sampled_paths_are_bitwise_pinned():
+    """The README market with lambda = 0, sampled at 0.25: no arrivals, so
+    every stop is a sample point on the uninformative integrate path."""
+    model = MarketModel(
+        grid=GRID, generator=Q, arrival_rate=0.0, noise=NOISE, initial_belief=PRIOR
+    )
+    recs = simulate_paths(model, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25),
+                          seed=42, n_paths=4)
+    assert all(not r.events and len(r.sample_times) == 13 for r in recs)
+    assert _path_digest(recs) == (
+        "f7cd3cc94ef7c77ddda6be872c71af791e30c7876fd9826297fbe8a499e62283"
     )
 
 
