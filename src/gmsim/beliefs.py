@@ -18,9 +18,11 @@ the vector renormalized; the pre-clamp deviations are tracked so a caller
 can prove they stayed at roundoff scale.
 
 All of this arithmetic lives in one private per-model kernel: the public
-functions here build it once per call, the engine once per path. Building
-it runs the admissibility gate once, and its quote solves go through the
-equilibrium module's single Picard loop.
+functions here build it once per call, the engine once per path or batch.
+Building it runs the admissibility gate once, and its quote solves go
+through the equilibrium module's single Picard loop. Its *_rows methods do
+the same arithmetic on many beliefs at once, one numpy row each, in the
+same operation order, so a row equals the scalar result bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_sizes
-from .equilibrium import DEFAULT_TOL, _iteration_ceiling, _picard, solve_static_quotes
+from .equilibrium import (
+    DEFAULT_TOL,
+    _iteration_ceiling,
+    _picard,
+    _picard_rows,
+    solve_static_quotes,
+)
 from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
@@ -87,14 +97,18 @@ class _FilterKernel:
             self.max_iter = _iteration_ceiling(noise, grid, fp_tol, force)
         self.fp_tol = fp_tol
         self.xs = tuple(float(v) for v in grid.values)
+        self.xs_row = np.array(self.xs)
         if generator is not None:
             rates, n = generator.rates, generator.n
             self.q_cols = tuple(
                 tuple(float(rates[j, i]) for j in range(n)) for i in range(n)
             )
+            self.q_rows = np.array(rates, dtype=float)
         self.lam = lam
         self.survival = noise.survival
         self.cdf = noise.cdf
+        self.survival_grid = noise.survival_grid
+        self.cdf_grid = noise.cdf_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
@@ -198,6 +212,73 @@ class _FilterKernel:
         if not informative:
             ask, bid = quotes(p, ask, bid)
         return p, ask, bid
+
+    # The same arithmetic on a batch: probs is an (rows, n) array, ask, bid
+    # and h are arrays with one entry per row.
+
+    def quotes_rows(self, probs, ask, bid):
+        """quotes() for every row."""
+        xs, tol, max_iter = self.xs_row, self.fp_tol, self.max_iter
+        ask = _picard_rows(self.survival_grid, ZeroBuyProbability, xs, probs, ask, tol, max_iter)
+        bid = _picard_rows(self.cdf_grid, ZeroSellProbability, xs, probs, bid, tol, max_iter)
+        return ask, bid
+
+    def drift_rows(self, probs, ask, bid):
+        """drift() for every row. Sums run over the states in order; a
+        zero-probability state adds 0.0 where drift() skips it."""
+        kol = np.zeros_like(probs)
+        for j, rates_j in enumerate(self.q_rows):
+            kol += probs[:, j, None] * rates_j
+        if not self.lam > 0.0:
+            return kol
+        xs = self.xs_row
+        a = self.cdf_grid(bid[:, None] - xs) + self.survival_grid(ask[:, None] - xs)
+        a_bar = np.zeros(len(probs))
+        for i in range(len(xs)):
+            a_bar += probs[:, i] * a[:, i]
+        return self.lam * probs * (a_bar[:, None] - a) + kol
+
+    def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
+        """One RK4 step of integrate() for every row, row r with step h[r],
+        including the clamp and renormalisation and, with arrivals, the
+        quotes at the new belief. Returns (probs, ask, bid, sum_error, low):
+        the last two are what integrate() hands SimplexDiagnostics.absorb."""
+        drift, quotes = self.drift_rows, self.quotes_rows
+        informative = self.lam > 0.0
+        half = (0.5 * h)[:, None]
+        k1 = drift(probs, ask + ask_shift, bid)
+
+        stage = probs + half * k1
+        if informative:
+            ask, bid = quotes(stage, ask, bid)
+        k2 = drift(stage, ask + ask_shift, bid)
+
+        stage = probs + half * k2
+        if informative:
+            ask, bid = quotes(stage, ask, bid)
+        k3 = drift(stage, ask + ask_shift, bid)
+
+        stage = probs + h[:, None] * k3
+        if informative:
+            ask, bid = quotes(stage, ask, bid)
+        k4 = drift(stage, ask + ask_shift, bid)
+
+        p = probs + (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
+
+        total = np.zeros(len(p))
+        for i in range(p.shape[1]):
+            total += p[:, i]
+        low = p.min(axis=1)
+        sum_error = np.abs(total - 1.0)
+        for r in np.flatnonzero(low < 0.0).tolist():  # integrate()'s clamp and sum()
+            row = [v if v > 0.0 else 0.0 for v in p[r].tolist()]
+            p[r] = row
+            total[r] = sum(row)
+        p = p / total[:, None]
+
+        if informative:
+            ask, bid = quotes(p, ask, bid)
+        return p, ask, bid, sum_error, low
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .config import ScenarioConfig, load_scenario
 from .core import Belief
-from .engine import PathRecord, simulate_gmps_path
+from .engine import PathRecord, simulate_gmps_path, simulate_paths
 from .equilibrium import (
     contraction_constants,
     find_fixed_points,
@@ -181,21 +181,14 @@ def cmd_simulate(args) -> int:
     cfg = _with_overrides(load_scenario(args.config), args)
     out_dir = _make_out_dir(args.out)
     model = cfg.model()
-    plot_dt = cfg.horizon / 400.0
-    records = [
-        simulate_gmps_path(
-            model,
-            cfg.horizon,
-            cfg.sim_config(
-                sample_dt=plot_dt if offset == 0 else None,
-                perturb_ask=args.perturb_ask,
-                force=args.force,
-            ),
-            seed=cfg.seed,
-            offset=offset,
-        )
-        for offset in range(cfg.n_paths)
-    ]
+    sim = cfg.sim_config(perturb_ask=args.perturb_ask, force=args.force)
+    records = simulate_paths(model, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
+    # path 0 again, sampled for plot.csv: the same path, with its filter state
+    # recorded on the horizon/400 grid
+    records[0] = simulate_gmps_path(
+        model, cfg.horizon, replace(sim, sample_dt=cfg.horizon / 400.0),
+        seed=cfg.seed, offset=0,
+    )
     written = _write_outputs(out_dir, records, cfg.grid)
     n_trades = sum(r.n_trades for r in records)
     print(

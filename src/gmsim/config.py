@@ -31,7 +31,7 @@ import yaml
 
 from .beliefs import DEFAULT_ODE_STEP
 from .core import Belief, GeneratorMatrix, StateGrid
-from .engine import MarketModel, SimConfig
+from .engine import MarketModel, SimConfig, check_seed
 from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
 from .noise import NoiseModel, noise_from_dict, noise_to_dict
@@ -57,8 +57,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # here rather than in scenario_from_dict, so that the CLI's --seed and
         # --paths overrides (applied with dataclasses.replace) are checked too
-        if not 0 <= self.seed < 2**63:
-            raise ConfigError("seed: must fit in 64 bits and be nonnegative")
+        check_seed(self.seed)
         if self.n_paths < 1:
             raise ConfigError(f"n_paths: must be at least 1, got {self.n_paths}")
 

@@ -137,6 +137,12 @@ class PathRecord:
 # Random elements
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule of scenario files, the CLI and the library's runs."""
+    if not 0 <= seed < 2**63:
+        raise ConfigError("seed: must fit in 64 bits and be nonnegative")
+
+
 def path_streams(seed: int, offset: int):
     """Three independent generators (value chain, arrivals, noise draws) for
     path `offset` of a run keyed by `seed`. Both must be nonnegative."""
@@ -263,6 +269,117 @@ def _stops(arrivals, sample_dt, horizon):
         t_prev = t
 
 
+class _Path:
+    """One path's random elements, stop schedule, record and sample rows,
+    and the handling of its stops, shared by both engines."""
+
+    def __init__(self, model, horizon, config, seed, offset):
+        value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
+        self.value_times, self.value_states = sample_value_path(
+            model.generator, model.initial_belief, horizon, value_rng
+        )
+        arrivals = sample_arrival_times(model.arrival_rate, horizon, arrival_rng)
+        self.eps_draws = model.noise.sample(noise_rng, len(arrivals))
+        self.stops = _stops(arrivals, config.sample_dt, horizon)
+        self.sampled = config.sample_dt is not None
+        self.x_of = model.grid.values
+        self.perturb = config.perturb_ask * model.grid.width
+        self.record = PathRecord(
+            horizon=horizon, seed=seed, offset=offset, value_times=self.value_times,
+            value_states=self.value_states, events=[], buy_profit=0.0,
+            sell_profit=0.0, n_buys=0, n_sells=0, diagnostics=SimplexDiagnostics(),
+        )
+        self.events = []  # EventRecord fields, beliefs as lists
+        self.rows = []
+        self.warned = False
+        self.t_prev = 0.0
+        self.pending = None
+
+    def stop(self, kernel, t, k, probs, ask, bid):
+        """The filter state (probs, ask, bid) reached stop (t, k): handle the
+        arrival if k is one (decide, jump, re-solve, note the event),
+        append the sample row, and return the state after the stop."""
+        record, perturb = self.record, self.perturb
+        x_val = float(self.x_of[value_at(self.value_times, self.value_states, t)])
+        if k is not None:
+            if bid > ask + perturb:
+                raise ConfigError("ask perturbation pushed the ask below the bid")
+            quote = Quote(ask=ask + perturb, bid=bid)
+            if quote.ask == quote.bid and not self.warned:
+                log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
+                self.warned = True
+            eps = float(self.eps_draws[k])
+            outcome = decide_trade(x_val + eps, quote)
+            belief_before = probs
+            profit = 0.0
+            if outcome is Outcome.BUY:
+                probs = kernel.jump(probs, quote.ask, True)
+                profit = quote.ask - x_val
+                record.buy_profit += profit
+                record.n_buys += 1
+            elif outcome is Outcome.SELL:
+                probs = kernel.jump(probs, quote.bid, False)
+                profit = quote.bid - x_val
+                record.sell_profit += profit
+                record.n_sells += 1
+            if outcome is not Outcome.NO_TRADE:
+                ask, bid = kernel.quotes(probs, ask, bid)
+            self.events.append(
+                (t, x_val, eps, quote.ask, quote.bid, outcome, belief_before, probs, profit)
+            )
+        self.rows.append((t, ask + perturb, bid, x_val, list(probs)))
+        return probs, ask, bid
+
+    def walk(self, kernel, probs, ask, bid, ode_step):
+        """Handle the pending stop and every later one that lies no time
+        past it. Returns (probs, ask, bid, n_steps, h) for the segment to
+        the next stop, with the steps of _FilterKernel.integrate, or
+        n_steps = 0 after the last stop."""
+        while True:
+            if self.pending is not None:
+                t, k = self.pending
+                probs, ask, bid = self.stop(kernel, t, k, probs, ask, bid)
+                self.t_prev = t
+            self.pending = next(self.stops, None)
+            if self.pending is None:
+                return probs, ask, bid, 0, 0.0
+            dt = self.pending[0] - self.t_prev
+            if dt > 0.0:
+                n_steps = max(1, math.ceil(dt / ode_step))
+                return probs, ask, bid, n_steps, dt / n_steps
+
+    def finish(self) -> PathRecord:
+        """The record, with its events and sample columns built only now:
+        the lockstep engine finishes its paths one after another, so each
+        path's objects lie together in memory, as a solo run's do."""
+        record = self.record
+        record.events = [
+            EventRecord(t, x, eps, ask, bid, outcome, np.array(before), np.array(after),
+                        profit)
+            for t, x, eps, ask, bid, outcome, before, after, profit in self.events
+        ]
+        if self.sampled:
+            (record.sample_times, record.sample_asks, record.sample_bids,
+             record.sample_values, record.sample_beliefs) = map(np.array, zip(*self.rows))
+        return record
+
+
+def _start(model, horizon, config, seed):
+    """Check a run's horizon and seed; return the model's kernel and the
+    opening filter state (prior, and its quotes solved from the prior mean)."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ConfigError("horizon must be positive and finite")
+    check_seed(seed)
+    kernel = _FilterKernel(
+        model.grid, model.noise, model.generator, model.arrival_rate,
+        config.fp_tol, config.force,
+    )
+    probs = [float(v) for v in model.initial_belief.probs]
+    mean0 = model.initial_belief.mean(model.grid)
+    ask, bid = kernel.quotes(probs, mean0, mean0)
+    return kernel, probs, ask, bid
+
+
 def simulate_gmps_path(
     model: MarketModel,
     horizon: float,
@@ -279,75 +396,73 @@ def simulate_gmps_path(
     filter state is recorded at 0, at every multiple of sample_dt, just after
     every arrival and at the horizon; a multiple of sample_dt within
     1e-12 * max(1, |t|) of an arrival or the horizon at t is left out.
+    seed must satisfy 0 <= seed < 2**63, as in a scenario file.
     """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ConfigError("horizon must be positive and finite")
-    kernel = _FilterKernel(
-        model.grid, model.noise, model.generator, model.arrival_rate,
-        config.fp_tol, config.force,
-    )
-
-    value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
-    value_times, value_states = sample_value_path(
-        model.generator, model.initial_belief, horizon, value_rng
-    )
-    arrivals = sample_arrival_times(model.arrival_rate, horizon, arrival_rng)
-    eps_draws = model.noise.sample(noise_rng, len(arrivals))
-
-    x_of = model.grid.values
-    perturb = config.perturb_ask * model.grid.width
-    record = PathRecord(
-        horizon=horizon, seed=seed, offset=offset, value_times=value_times,
-        value_states=value_states, events=[], buy_profit=0.0, sell_profit=0.0,
-        n_buys=0, n_sells=0, diagnostics=SimplexDiagnostics(),
-    )
-    probs = [float(v) for v in model.initial_belief.probs]
-    mean0 = model.initial_belief.mean(model.grid)
-    ask, bid = kernel.quotes(probs, mean0, mean0)
-    warned_degenerate = False
-    rows = []
+    kernel, probs, ask, bid = _start(model, horizon, config, seed)
+    path = _Path(model, horizon, config, seed, offset)
     t_prev = 0.0
-
-    for t, k in _stops(arrivals, config.sample_dt, horizon):
+    for t, k in path.stops:
         probs, ask, bid = kernel.integrate(
-            probs, t - t_prev, ask, bid, config.ode_step, record.diagnostics, perturb
+            probs, t - t_prev, ask, bid, config.ode_step, path.record.diagnostics,
+            path.perturb,
         )
         t_prev = t
-        x_val = float(x_of[value_at(value_times, value_states, t)])
-        if k is not None:
-            if bid > ask + perturb:
-                raise ConfigError("ask perturbation pushed the ask below the bid")
-            quote = Quote(ask=ask + perturb, bid=bid)
-            if quote.ask == quote.bid and not warned_degenerate:
-                log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
-                warned_degenerate = True
-            eps = float(eps_draws[k])
-            outcome = decide_trade(x_val + eps, quote)
-            belief_before = np.array(probs)
-            profit = 0.0
-            if outcome is Outcome.BUY:
-                probs = kernel.jump(probs, quote.ask, True)
-                profit = quote.ask - x_val
-                record.buy_profit += profit
-                record.n_buys += 1
-            elif outcome is Outcome.SELL:
-                probs = kernel.jump(probs, quote.bid, False)
-                profit = quote.bid - x_val
-                record.sell_profit += profit
-                record.n_sells += 1
-            if outcome is not Outcome.NO_TRADE:
-                ask, bid = kernel.quotes(probs, ask, bid)
-            record.events.append(EventRecord(
-                t=t, x=x_val, eps=eps, ask=quote.ask, bid=quote.bid,
-                outcome=outcome, belief_before=belief_before,
-                belief_after=np.array(probs), profit=profit,
-            ))
-        rows.append((t, ask + perturb, bid, x_val, list(probs)))
+        probs, ask, bid = path.stop(kernel, t, k, probs, ask, bid)
+    return path.finish()
 
-    if config.sample_dt is not None:
-        (record.sample_times, record.sample_asks, record.sample_bids,
-         record.sample_values, record.sample_beliefs) = map(np.array, zip(*rows))
-    return record
+
+def _simulate_lockstep(model, horizon, config, seed, n_paths):
+    """simulate_paths with the paths advancing together.
+
+    Each unfinished path is one row of a (probs, ask, bid) array with its
+    own step h and remaining step count; a tick is one
+    _FilterKernel.step_rows over every row. A row whose segment ends hands
+    its stop to _Path.walk, exactly as simulate_gmps_path does, and takes
+    its next segment. Every path equals its solo run bit for bit. A failing
+    batch raises the first error met in tick order, where the solo runs one
+    by one raise the lowest failing offset's: the same error whenever every
+    failing path fails the same way.
+    """
+    kernel, probs, ask, bid = _start(model, horizon, config, seed)
+    ode_step = config.ode_step
+    paths = [_Path(model, horizon, config, seed, offset) for offset in range(n_paths)]
+    live = list(paths)
+    segments = [path.walk(kernel, probs, ask, bid, ode_step) for path in live]
+    probs, ask, bid, steps, h = (np.array(v) for v in zip(*segments))
+    sum_error = np.zeros(n_paths)
+    low = np.zeros(n_paths)
+    perturb = paths[0].perturb
+    while live:
+        probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+        np.fmax(sum_error, err, out=sum_error)
+        np.fmin(low, lo, out=low)
+        steps -= 1
+        ended = np.flatnonzero(steps == 0)
+        if not ended.size:
+            continue
+        if not kernel.lam > 0.0:  # integrate() solves once, after the last step
+            ask[ended], bid[ended] = kernel.quotes_rows(probs[ended], ask[ended], bid[ended])
+        for r in ended.tolist():
+            (p, a, b, steps[r], h[r]) = live[r].walk(
+                kernel, probs[r].tolist(), float(ask[r]), float(bid[r]), ode_step
+            )
+            probs[r], ask[r], bid[r] = p, a, b
+        done = steps == 0
+        if done.any():
+            for r in np.flatnonzero(done).tolist():
+                live[r].record.diagnostics.absorb(float(sum_error[r]), float(low[r]))
+            keep = ~done
+            live = [path for path, kept in zip(live, keep) if kept]
+            probs, ask, bid, steps, h, sum_error, low = (
+                v[keep] for v in (probs, ask, bid, steps, h, sum_error, low)
+            )
+    return [path.finish() for path in paths]
+
+
+# Batches of at least this many paths run the lockstep engine; below it,
+# the per-row array overhead outweighs the shared work and the paths run
+# one by one.
+LOCKSTEP_MIN_PATHS = 32
 
 
 def simulate_paths(
@@ -357,9 +472,15 @@ def simulate_paths(
     seed: int = 0,
     n_paths: int = 1,
 ) -> list[PathRecord]:
-    """Simulate n_paths independent paths, offsets 0..n_paths-1."""
+    """Simulate n_paths independent paths, offsets 0..n_paths-1.
+
+    Path k equals simulate_gmps_path(..., offset=k) bit for bit; from
+    LOCKSTEP_MIN_PATHS paths on, the batch advances in lockstep.
+    """
     if n_paths < 1:
         raise ConfigError("n_paths must be at least 1")
+    if n_paths >= LOCKSTEP_MIN_PATHS:
+        return _simulate_lockstep(model, horizon, config, seed, n_paths)
     return [
         simulate_gmps_path(model, horizon, config, seed=seed, offset=i)
         for i in range(n_paths)

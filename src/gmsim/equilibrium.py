@@ -20,14 +20,17 @@ sums raise ZeroBuyProbability / ZeroSellProbability.
 
 This module holds the package's only quote-solving path: _iteration_ceiling
 (the admissibility gate and the certified iteration ceiling) and _picard
-(one Picard loop for either side, given its tail). The public solvers here
-and the belief filter's per-model kernel both call them.
+(one Picard loop for either side, given its tail), with _picard_rows, the
+same loop over many beliefs at once for the lockstep engine. The public
+solvers here and the belief filter's per-model kernel call them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Belief, ContractionConstants, StateGrid, check_sizes
 from .errors import (
@@ -67,6 +70,13 @@ def _conditional_mean(s, xs, probs, tail, no_mass):
     return num / den
 
 
+def _no_convergence(max_iter):
+    return NoConvergence(
+        f"fixed-point iteration still moving after {max_iter} steps; "
+        "a violated admissibility precondition is the usual cause"
+    )
+
+
 def _picard(tail, no_mass, xs, probs, start, tol, max_iter):
     """Iterate s <- _conditional_mean(s) until successive values agree
     within tol.
@@ -80,10 +90,51 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter):
         if abs(s_next - s) <= tol:
             return s_next, i
         s = s_next
-    raise NoConvergence(
-        f"fixed-point iteration still moving after {max_iter} steps; "
-        "a violated admissibility precondition is the usual cause"
-    )
+    raise _no_convergence(max_iter)
+
+
+def _picard_rows(tail_grid, no_mass, xs, probs, start, tol, max_iter):
+    """_picard on every row of probs at once (one belief per row, start one
+    warm price per row), with tail_grid the side's array tail and xs the
+    grid values as an array.
+
+    A row leaves the loop when its successive values agree within tol, so
+    each row takes exactly the iterates _picard would take alone: the sums
+    run over the states in order, and a zero-probability state adds 0.0
+    where _picard skips it, which leaves the sums unchanged. Returns the
+    prices; raises no_mass or NoConvergence as _picard does, for the batch.
+    """
+    prices = np.array(start, dtype=float)
+    rows = None  # the rows still moving, when not all of them
+    s = prices
+    for _ in range(max_iter):
+        weights = probs * tail_grid(s[:, None] - xs)
+        terms = weights * xs
+        # num starts at 0.0 as in _conditional_mean, so that a sum of zeros
+        # is +0.0 and never -0.0; den may start at its first term, as a den
+        # of either zero raises
+        num = 0.0 + terms[:, 0]
+        den = weights[:, 0]
+        for i in range(1, len(xs)):
+            num = num + terms[:, i]
+            den = den + weights[:, i]
+        if (den <= 0.0).any():
+            raise no_mass(f"no trade mass at price {s[den <= 0.0][0]}")
+        s_next = num / den
+        done = np.abs(s_next - s) <= tol
+        if done.all():
+            if rows is None:
+                return s_next
+            prices[rows] = s_next
+            return prices
+        if done.any():
+            if rows is None:
+                rows = np.arange(len(s))
+            prices[rows[done]] = s_next[done]
+            moving = ~done
+            rows, s_next, probs = rows[moving], s_next[moving], probs[moving]
+        s = s_next
+    raise _no_convergence(max_iter)
 
 
 def _iteration_ceiling(noise, grid, tol, force):

@@ -19,9 +19,12 @@ K = C / scale) and reports the certificate constants used downstream.
 
 Scalar methods use plain math calls (math.erfc for the Gaussian tail)
 because the simulator evaluates them one price at a time inside tight loops.
-The survival_grid, cdf_grid and density_grid methods give vectorized
-versions for scans and batch statistics: by default a loop over the scalar
-method, overridden by numpy closed forms for the logistic and Laplace tails.
+The survival_grid, cdf_grid and density_grid methods are the array versions,
+used by scans and by the lockstep engine, and they equal the scalar methods
+bit for bit: by default a loop over the scalar method, overridden for the
+logistic and Laplace tails by numpy closed forms whose exponentials are
+taken element by element with math.exp (np.exp rounds differently from
+the C library on a few percent of inputs).
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ CONDITION_GRID_POINTS = 10_001
 
 # --------------------------------------------------------------------------
 # Families
+
+
+def _elementwise(fn, ys) -> np.ndarray:
+    """fn applied to every element of ys, as an array of ys's shape."""
+    ys = np.asarray(ys, dtype=float)
+    return np.fromiter(map(fn, memoryview(ys.ravel())), float, ys.size).reshape(ys.shape)
 
 
 class NoiseModel:
@@ -61,17 +70,17 @@ class NoiseModel:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    # Vectorized versions for scans and batch statistics; families with a
-    # closed-form tail override survival_grid and cdf_grid.
+    # Array versions, bit for bit equal to the scalar methods; families with
+    # a closed-form tail override survival_grid and cdf_grid.
 
     def survival_grid(self, ys) -> np.ndarray:
-        return np.array([self.survival(v) for v in np.asarray(ys, dtype=float)])
+        return _elementwise(self.survival, ys)
 
     def cdf_grid(self, ys) -> np.ndarray:
-        return np.array([self.cdf(v) for v in np.asarray(ys, dtype=float)])
+        return _elementwise(self.cdf, ys)
 
     def density_grid(self, ys) -> np.ndarray:
-        return np.array([self.density(v) for v in np.asarray(ys, dtype=float)])
+        return _elementwise(self.density, ys)
 
     def analytic_condition_constant(self, width: float) -> float | None:
         """Exact supremum K for the admissibility ratio, where known."""
@@ -104,8 +113,8 @@ class Logistic(NoiseModel):
 
     def survival_grid(self, ys):
         z = np.asarray(ys, dtype=float) / self.scale
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+        e = _elementwise(math.exp, -np.abs(z))
+        return np.where(z >= 0.0, e, 1.0) / (1.0 + e)
 
     def cdf_grid(self, ys):
         return self.survival_grid(-np.asarray(ys, dtype=float))
@@ -166,7 +175,7 @@ class Laplace(NoiseModel):
 
     def survival_grid(self, ys):
         ys = np.asarray(ys, dtype=float)
-        e = 0.5 * np.exp(-np.abs(ys) / self.scale)
+        e = 0.5 * _elementwise(math.exp, -np.abs(ys) / self.scale)
         return np.where(ys >= 0.0, e, 1.0 - e)
 
     def cdf_grid(self, ys):

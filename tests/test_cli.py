@@ -12,6 +12,7 @@ from gmsim import load_scenario, run_verify
 from gmsim.cli import main
 from gmsim.core import Belief, StateGrid
 from gmsim.equilibrium import solve_ask, solve_bid
+from gmsim.errors import ConfigError
 from gmsim.noise import Logistic
 
 BASE = {
@@ -364,6 +365,19 @@ def test_run_verify_matches_the_written_report(write_scenario, tmp_path, capsys)
     written = json.loads((out / "verify_report.json").read_text())
     report = run_verify(load_scenario(cfg), seed=7, n_paths=8, perturb_ask=0.05)
     assert report == written
+
+
+def test_run_verify_holds_seeds_to_the_scenario_rule(write_scenario):
+    """run_verify refuses a seed a scenario file refuses, and the largest
+    scenario seed verifies although the intensity check runs seed + k."""
+    cfg = load_scenario(write_scenario(horizon=0.5, seed=2**63 - 1))
+    for seed in (2**63, 2**64 + 5):
+        with pytest.raises(ConfigError, match="must fit in 64 bits"):
+            run_verify(cfg, seed=seed, n_paths=2)
+    report = run_verify(cfg, n_paths=8)
+    assert report["seed"] == 2**63 - 1
+    assert report["checks"]["intensity"]["pairs"]
+    assert report["passed"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

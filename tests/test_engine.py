@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gmsim.engine
 from gmsim.beliefs import SimplexDiagnostics, integrate_between_events, make_filter_state
@@ -26,8 +28,21 @@ from gmsim.engine import (
     value_at,
 )
 from gmsim.equilibrium import solve_ask, solve_bid, solve_static_quotes
-from gmsim.errors import ConditionFailed, ConfigError
-from gmsim.noise import Gaussian, Laplace, Logistic, NoiseTraderMix, TwoPointDiscrete
+from gmsim.errors import (
+    ConditionFailed,
+    ConfigError,
+    GmsimError,
+    ZeroBuyProbability,
+    ZeroSellProbability,
+)
+from gmsim.noise import (
+    Gaussian,
+    Laplace,
+    Logistic,
+    NoiseTraderMix,
+    TwoPointDiscrete,
+    check_gm_condition,
+)
 
 from oracles import expm_reference, ks_statistic
 
@@ -527,6 +542,9 @@ def test_logistic_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "95f0736b338897f179ff1a6a345e5e49d6bf87a0b15e6491e2c76d5a035eddf4"
     )
+    lockstep = gmsim.engine._simulate_lockstep(
+        MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
+    assert _path_digest(lockstep) == _path_digest(recs)
 
 
 def test_laplace_path_is_bitwise_pinned():
@@ -550,6 +568,9 @@ def test_dense_sampled_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "f799629434a323c15423c6651a368743001b7d2d69ea15fe762720f86c5006c4"
     )
+    lockstep = gmsim.engine._simulate_lockstep(
+        MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30), 42, 4)
+    assert _path_digest(lockstep) == _path_digest(recs)
 
 
 def test_silent_sampled_paths_are_bitwise_pinned():
@@ -564,6 +585,115 @@ def test_silent_sampled_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "f7cd3cc94ef7c77ddda6be872c71af791e30c7876fd9826297fbe8a499e62283"
     )
+    lockstep = gmsim.engine._simulate_lockstep(
+        model, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
+    assert _path_digest(lockstep) == _path_digest(recs)
+
+
+# --------------------------------------------------------------------------
+# The lockstep engine against the scalar one
+
+
+def test_batches_from_the_threshold_run_in_lockstep(monkeypatch):
+    """simulate_paths hands a batch to the lockstep engine from
+    LOCKSTEP_MIN_PATHS paths on, and its paths equal the solo runs."""
+    runs = []
+    lockstep = gmsim.engine._simulate_lockstep
+
+    def spy(*args):
+        runs.append(args[-1])
+        return lockstep(*args)
+
+    monkeypatch.setattr(gmsim.engine, "_simulate_lockstep", spy)
+    n = gmsim.engine.LOCKSTEP_MIN_PATHS
+    cfg = SimConfig(ode_step=0.1, sample_dt=0.2)
+    below = simulate_paths(MODEL, 0.6, cfg, seed=3, n_paths=n - 1)
+    at = simulate_paths(MODEL, 0.6, cfg, seed=3, n_paths=n)
+    assert runs == [n]
+    assert [r.offset for r in at] == list(range(n))
+    assert _path_digest(at[:-1]) == _path_digest(below)
+    solo = simulate_gmps_path(MODEL, 0.6, cfg, seed=3, offset=n - 1)
+    assert _path_digest(at[-1:]) == _path_digest([solo])
+
+
+STIFF_MODEL = MarketModel(  # rates of 20 against ode_step 0.1: RK4 overshoots
+    grid=StateGrid([0.0, 0.5, 1.0]),
+    generator=GeneratorMatrix([[0.0, 20.0, 20.0], [0.0, 0.0, 20.0], [0.0, 0.0, 0.0]]),
+    arrival_rate=30.0,
+    noise=Logistic(1.5),
+    initial_belief=Belief([0.5, 0.3, 0.2]),
+)
+NINE_STATE_MODEL = MarketModel(
+    grid=StateGrid(np.linspace(0.0, 1.0, 9)),
+    generator=GeneratorMatrix(np.diag([0.6] * 8, 1) + np.diag([0.6] * 8, -1)),
+    arrival_rate=8.0,
+    noise=Gaussian(1.5),
+    initial_belief=Belief([1.0 / 9] * 9),
+)
+
+
+@pytest.mark.parametrize("model, cfg", [
+    (STIFF_MODEL, SimConfig(ode_step=0.1, sample_dt=0.25)),
+    (NINE_STATE_MODEL, SimConfig(ode_step=0.01, perturb_ask=0.01)),
+], ids=["clamped_steps", "nine_states"])
+def test_lockstep_paths_equal_solo_runs(model, cfg):
+    """Steps that leave the simplex and are clamped, and more states than
+    numpy sums in order, run bit for bit as the solo runs do."""
+    solo = [simulate_gmps_path(model, 1.0, cfg, seed=5, offset=k) for k in range(4)]
+    batch = gmsim.engine._simulate_lockstep(model, 1.0, cfg, 5, 4)
+    assert _path_digest(batch) == _path_digest(solo)
+    if model is STIFF_MODEL:
+        assert min(r.diagnostics.min_component for r in solo) < 0.0
+
+
+def _two_point_model(grid, q, noise):
+    return MarketModel(grid=grid, generator=q, arrival_rate=4.0, noise=noise,
+                       initial_belief=Belief([1.0 / grid.n] * grid.n))
+
+
+FAILING_BATCHES = {  # model, config, horizon, seed, the one error of every failing path
+    # a forced static-only family leaves a side with no trade mass after a trade
+    "two_point_2_states": (
+        _two_point_model(GRID, Q, TwoPointDiscrete(0.3, 0.5)),
+        SimConfig(ode_step=0.05, force=True), 0.1, 9, ZeroSellProbability),
+    "two_point_3_states": (
+        _two_point_model(StateGrid([0.0, 0.5, 1.0]), GeneratorMatrix.zero(3),
+                         TwoPointDiscrete(0.3, 0.3)),
+        SimConfig(ode_step=0.05, force=True), 0.1, 3, ZeroBuyProbability),
+    # too coarse a step: an RK4 stage leaves the simplex so far that its bid
+    # solve finds no sell mass
+    "stiff_stage": (STIFF_MODEL, SimConfig(ode_step=0.2), 1.0, 3, ZeroSellProbability),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_BATCHES))
+def test_failing_batch_raises_like_the_scalar_engine(name):
+    """Every path that fails solo fails with the same error, so the batch
+    must raise it whichever failure the lockstep engine meets first."""
+    model, cfg, horizon, seed, error = FAILING_BATCHES[name]
+    n = gmsim.engine.LOCKSTEP_MIN_PATHS
+    failures = set()
+    for offset in range(n):
+        try:
+            simulate_gmps_path(model, horizon, cfg, seed=seed, offset=offset)
+        except GmsimError as exc:
+            failures.add(type(exc))
+    assert failures == {error}
+    with pytest.raises(error):
+        simulate_paths(model, horizon, cfg, seed=seed, n_paths=n)
+
+
+@pytest.mark.parametrize("n_paths", [1, 40])
+def test_runs_refuse_seeds_a_scenario_refuses(n_paths):
+    """Both engines hold library callers to the scenario file's seed rule."""
+    for seed in (2**64 + 5, 2**63, -1):
+        with pytest.raises(ConfigError, match="must fit in 64 bits"):
+            simulate_paths(MODEL, 0.5, SimConfig(), seed=seed, n_paths=n_paths)
+        with pytest.raises(ConfigError, match="must fit in 64 bits"):
+            simulate_gmps_path(MODEL, 0.5, SimConfig(), seed=seed)
+    top = simulate_paths(MODEL, 0.2, SimConfig(ode_step=0.1), seed=2**63 - 1,
+                         n_paths=n_paths)
+    assert top[0].seed == 2**63 - 1
 
 
 def test_engine_imports_no_private_equilibrium_names():
@@ -578,3 +708,61 @@ def test_engine_imports_no_private_equilibrium_names():
     ]
     assert imported
     assert not [name for name in imported if name.startswith("_")]
+
+
+@st.composite
+def admissible_runs(draw):
+    """A random admissible market, run and batch: 2-6 states, a generator
+    whose rows may be absorbing, a continuous family scaled to pass the
+    condition, and arrival rates none, small or large."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    xs = [0.0]
+    for g in gaps:
+        xs.append(xs[-1] + g)
+    grid = StateGrid(xs)
+    rates = []
+    for i in range(n):
+        absorbing = draw(st.booleans())
+        rates.append([
+            0.0 if absorbing or j == i else draw(st.sampled_from([0.0, 0.2, 1.0, 3.0]))
+            for j in range(n)
+        ])
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    assume(sum(weights) > 0.1)
+    family = draw(st.sampled_from([Logistic, Laplace, Gaussian]))
+    noise = family(draw(st.floats(1.1, 4.0)) * grid.width)
+    assume(check_gm_condition(noise, grid.width).passes)
+    model = MarketModel(
+        grid=grid, generator=GeneratorMatrix(rates),
+        arrival_rate=draw(st.sampled_from([0.0, 0.5, 12.0])), noise=noise,
+        initial_belief=Belief(weights),
+    )
+    cfg = SimConfig(
+        ode_step=draw(st.sampled_from([0.02, 0.05, 0.1])),
+        sample_dt=draw(st.one_of(st.none(), st.floats(0.03, 0.5))),
+        perturb_ask=draw(st.sampled_from([0.0, 0.01])),
+    )
+    horizon = draw(st.floats(0.1, 1.0))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return model, horizon, cfg, seed
+
+
+@settings(max_examples=40)
+@given(admissible_runs())
+def test_lockstep_paths_equal_solo_runs_on_random_markets(run):
+    model, horizon, cfg, seed = run
+    solo = [simulate_gmps_path(model, horizon, cfg, seed=seed, offset=k) for k in range(3)]
+    batch = gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)
+    assert _path_digest(batch) == _path_digest(solo)
+    xs = model.grid.values
+    for rec in batch:
+        beliefs = [e.belief_after for e in rec.events]
+        if rec.sample_times is not None:
+            beliefs += list(rec.sample_beliefs)
+            means = rec.sample_beliefs @ xs
+            assert np.all(rec.sample_bids <= means + 1e-9)
+            assert np.all(means <= rec.sample_asks + 1e-9)
+        for b in beliefs:
+            assert np.all(b >= 0.0)
+            assert abs(b.sum() - 1.0) <= 1e-12

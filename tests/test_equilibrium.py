@@ -314,6 +314,40 @@ def test_fixed_point_iteration_cap_raises():
                 0.0, 1e-12, 1)
 
 
+@pytest.mark.parametrize("noise", [Logistic(2.0), Laplace(1.5), Gaussian(1.3)],
+                         ids=["logistic", "laplace", "gaussian"])
+def test_row_picard_equals_scalar_picard_per_row(noise):
+    """Each row takes _picard's iterates: same price, bit for bit, from rows
+    that converge after different counts, with zero and roundoff-negative
+    entries among them."""
+    xs = np.array([0.0, 0.25, 1.0])
+    probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
+                      [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3]])
+    start = np.array([0.5, 0.9, 0.0, 0.4, 1.0])
+    for tail_grid, tail, no_mass in (
+        (noise.survival_grid, noise.survival, ZeroBuyProbability),
+        (noise.cdf_grid, noise.cdf, ZeroSellProbability),
+    ):
+        rows = gmsim.equilibrium._picard_rows(tail_grid, no_mass, xs, probs, start,
+                                              1e-12, 200)
+        for r in range(len(probs)):
+            price, _ = _picard(tail, no_mass, xs.tolist(), probs[r].tolist(),
+                               float(start[r]), 1e-12, 200)
+            assert float(rows[r]).hex() == price.hex()
+
+
+def test_row_picard_raises_the_scalar_errors():
+    xs = np.array([0.0, 1.0])
+    probs = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(NoConvergence):
+        gmsim.equilibrium._picard_rows(LOGI.survival_grid, ZeroBuyProbability, xs,
+                                       probs, np.array([0.0, 0.0]), 1e-12, 1)
+    lattice = TwoPointDiscrete(0.3, 0.5)  # no buyer above x + 0.3
+    with pytest.raises(ZeroBuyProbability):
+        gmsim.equilibrium._picard_rows(lattice.survival_grid, ZeroBuyProbability, xs,
+                                       probs, np.array([0.5, 0.5]), 1e-12, 50)
+
+
 def test_bad_tol_rejected():
     with pytest.raises(ConfigError):
         solve_ask(HALF, UNIT_GRID, LOGI, tol=0.0)
