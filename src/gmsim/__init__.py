@@ -16,7 +16,14 @@ from .beliefs import (
     make_filter_state,
     sell_jump,
 )
-from .config import ScenarioConfig, load_scenario, save_scenario, scenario_from_dict
+from .config import (
+    ScenarioConfig,
+    load_scenario,
+    noise_from_dict,
+    noise_to_dict,
+    save_scenario,
+    scenario_from_dict,
+)
 from .core import (
     Belief,
     ConditionReport,
@@ -68,8 +75,6 @@ from .noise import (
     NoiseTraderMix,
     TwoPointDiscrete,
     check_gm_condition,
-    noise_from_dict,
-    noise_to_dict,
 )
 from .verification import (
     FilterComparison,

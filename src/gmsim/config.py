@@ -19,12 +19,17 @@ Generator diagonals may be written as zeros (they are derived from the row
 sums) or spelled out, in which case each row must sum to zero. Error
 messages name the offending field. load/save round-trips reproduce the
 scenario exactly.
+
+This module is the only one that knows the file format: the keys, the noise
+families' names, and how a value is parsed. The values' rules live in
+ScenarioConfig, so a scenario built in code or by dataclasses.replace meets
+the same rules and messages as a file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -34,15 +39,24 @@ from .core import Belief, GeneratorMatrix, StateGrid
 from .engine import MarketModel, SimConfig, check_seed
 from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
-from .noise import NoiseModel, noise_from_dict, noise_to_dict
+from .noise import Gaussian, Laplace, Logistic, NoiseModel, NoiseTraderMix, TwoPointDiscrete
 
-_REQUIRED = ("states", "generator", "lambda", "noise", "initial_belief",
-             "horizon", "seed")
-_OPTIONAL = {"ode_step": DEFAULT_ODE_STEP, "fp_tol": DEFAULT_TOL, "n_paths": 1}
+# The file's noise families; a family's fields are its dataclass's fields.
+_FAMILIES = {
+    "logistic": Logistic,
+    "gaussian": Gaussian,
+    "laplace": Laplace,
+    "two_point": TwoPointDiscrete,
+    "noise_trader": NoiseTraderMix,
+}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario. Its rules are checked here, however it is built (from a
+    file, in code, or by dataclasses.replace, as the CLI's --seed and
+    --paths overrides are), with messages that name the file's keys."""
+
     grid: StateGrid
     generator: GeneratorMatrix
     arrival_rate: float
@@ -55,11 +69,20 @@ class ScenarioConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        # here rather than in scenario_from_dict, so that the CLI's --seed and
-        # --paths overrides (applied with dataclasses.replace) are checked too
+        for key, value in (("lambda", self.arrival_rate), ("horizon", self.horizon),
+                           ("ode_step", self.ode_step), ("fp_tol", self.fp_tol)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
+        if self.arrival_rate < 0.0:
+            raise ConfigError(f"lambda: must be nonnegative, got {self.arrival_rate}")
+        for key, value in (("horizon", self.horizon), ("ode_step", self.ode_step),
+                           ("fp_tol", self.fp_tol)):
+            if value <= 0.0:
+                raise ConfigError(f"{key}: must be positive, got {value}")
         check_seed(self.seed)
         if self.n_paths < 1:
             raise ConfigError(f"n_paths: must be at least 1, got {self.n_paths}")
+        self.model()  # the sizes, with MarketModel's messages
 
     def model(self) -> MarketModel:
         return MarketModel(
@@ -85,114 +108,99 @@ class ScenarioConfig:
         )
 
 
-def _require_number(data, key, kind=float):
-    value = data[key]
+_REQUIRED = ("states", "generator", "lambda", "noise", "initial_belief",
+             "horizon", "seed")
+# the optional keys are the fields with a default, which is the key's default
+_OPTIONAL = tuple(f.name for f in fields(ScenarioConfig) if f.default is not MISSING)
+
+
+def _number(value, key, kind=float):
+    """value as a float, or as an int with kind=int; a ConfigError naming
+    key unless it is a number, and an integral one for kind=int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
-    if kind is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        return int(value)
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{key}: must be finite, got {value!r}")
-    return out
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return kind(value)
 
 
-def _require_vector(data, key):
-    value = data[key]
+def _numbers(value, key):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key}: expected a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a scenario from plain nested data."""
-    if not isinstance(data, dict):
-        raise ConfigError("scenario: expected a mapping at the top level")
-    known = set(_REQUIRED) | set(_OPTIONAL)
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown key")
-    for key in _REQUIRED:
-        if key not in data:
-            raise ConfigError(f"{key}: required key is missing")
-
-    try:
-        grid = StateGrid(_require_vector(data, "states"))
-    except ConfigError as exc:
-        msg = str(exc)
-        raise ConfigError(msg if msg.startswith("states") else f"states: {msg}")
-
-    rows = data["generator"]
+def _rows(rows):
     if not isinstance(rows, (list, tuple)):
         raise ConfigError("generator: expected a list of rows")
     matrix = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != len(rows):
             raise ConfigError(f"generator[{i}]: expected a row of {len(rows)} rates")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"generator[{i}][{j}]: expected a number")
-        matrix.append([float(v) for v in row])
+        matrix.append([_number(v, f"generator[{i}][{j}]") for j, v in enumerate(row)])
+    return matrix
+
+
+def _keyed(key, build, *args, **kwargs):
+    """build(*args, **kwargs), with key prefixed to its ConfigError."""
     try:
-        generator = GeneratorMatrix(matrix)
+        return build(*args, **kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"generator: {exc}")
+        raise ConfigError(f"{key}: {exc}") from None
 
-    lam = _require_number(data, "lambda")
-    if lam < 0.0:
-        raise ConfigError(f"lambda: must be nonnegative, got {lam}")
 
-    if not isinstance(data["noise"], dict):
+def noise_from_dict(spec: dict) -> NoiseModel:
+    """Build a family from a config mapping like {"family": "logistic",
+    "scale": 2.0}. Unknown families and stray or missing fields are
+    ConfigErrors naming the offending key."""
+    if not isinstance(spec, dict):
         raise ConfigError("noise: expected a mapping with a 'family' key")
-    noise = noise_from_dict(data["noise"])
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
+        raise ConfigError(f"noise.family: expected one of {known}, got {family!r}")
+    names = [f.name for f in fields(_FAMILIES[family])]
+    missing = [name for name in names if name not in spec]
+    if missing:
+        raise ConfigError(f"noise.{missing[0]}: required for family {family!r}")
+    extra = [key for key in spec if key != "family" and key not in names]
+    if extra:
+        raise ConfigError(f"noise.{extra[0]}: unknown field for family {family!r}")
+    values = {name: _number(spec[name], f"noise.{name}") for name in names}
+    return _keyed("noise", _FAMILIES[family], **values)
 
-    try:
-        belief = Belief(_require_vector(data, "initial_belief"))
-    except ConfigError as exc:
-        msg = str(exc)
-        raise ConfigError(
-            msg if msg.startswith("initial_belief") else f"initial_belief: {msg}"
-        )
 
-    horizon = _require_number(data, "horizon")
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon: must be positive, got {horizon}")
-    seed = _require_number(data, "seed", kind=int)
+def noise_to_dict(noise: NoiseModel) -> dict:
+    for family, cls in _FAMILIES.items():
+        if type(noise) is cls:
+            return {"family": family, **asdict(noise)}
+    raise ConfigError(f"unknown noise family {type(noise).__name__}")
 
-    extras = {}
-    for key, default in _OPTIONAL.items():
-        if key in data:
-            extras[key] = _require_number(
-                data, key, kind=int if key == "n_paths" else float
-            )
-        else:
-            extras[key] = default
-    if extras["ode_step"] <= 0.0:
-        raise ConfigError(f"ode_step: must be positive, got {extras['ode_step']}")
-    if extras["fp_tol"] <= 0.0:
-        raise ConfigError(f"fp_tol: must be positive, got {extras['fp_tol']}")
 
-    cfg = ScenarioConfig(
-        grid=grid,
-        generator=generator,
-        arrival_rate=lam,
-        noise=noise,
-        initial_belief=belief,
-        horizon=horizon,
-        seed=seed,
-        ode_step=extras["ode_step"],
-        fp_tol=extras["fp_tol"],
-        n_paths=extras["n_paths"],
+def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Build a scenario from plain nested data. Only the keys and the types
+    are checked here; ScenarioConfig checks the values."""
+    if not isinstance(data, dict):
+        raise ConfigError("scenario: expected a mapping at the top level")
+    for key in data:
+        if key not in _REQUIRED and key not in _OPTIONAL:
+            raise ConfigError(f"{key}: unknown key")
+    for key in _REQUIRED:
+        if key not in data:
+            raise ConfigError(f"{key}: required key is missing")
+    return ScenarioConfig(
+        grid=_keyed("states", StateGrid, _numbers(data["states"], "states")),
+        generator=_keyed("generator", GeneratorMatrix, _rows(data["generator"])),
+        arrival_rate=_number(data["lambda"], "lambda"),
+        noise=noise_from_dict(data["noise"]),
+        initial_belief=_keyed(
+            "initial_belief", Belief, _numbers(data["initial_belief"], "initial_belief")
+        ),
+        horizon=_number(data["horizon"], "horizon"),
+        seed=_number(data["seed"], "seed", int),
+        **{key: _number(data[key], key, int if key == "n_paths" else float)
+           for key in _OPTIONAL if key in data},
     )
-    cfg.model()  # cross-field validation (sizes) with MarketModel's messages
-    return cfg
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

@@ -29,7 +29,7 @@ import numpy as np
 from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel
 from .core import Belief, GeneratorMatrix, Quote, StateGrid
 from .equilibrium import DEFAULT_TOL
-from .errors import ConfigError
+from .errors import ConditionFailed, ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
 log = logging.getLogger(__name__)
@@ -303,6 +303,10 @@ class _Path:
         x_val = float(self.x_of[value_at(self.value_times, self.value_states, t)])
         if k is not None:
             if bid > ask + perturb:
+                if bid > ask:  # crossed as solved, whatever the perturbation
+                    raise ConditionFailed(
+                        f"crossed quotes at t={t}: the solved ask {ask} is below the bid {bid}"
+                    )
                 raise ConfigError("ask perturbation pushed the ask below the bid")
             quote = Quote(ask=ask + perturb, bid=bid)
             if quote.ask == quote.bid and not self.warned:
@@ -364,6 +368,23 @@ class _Path:
         return record
 
 
+# RK4 is stable on the negative real axis for h * rate up to about this
+RK4_STABILITY_LIMIT = 2.785
+
+
+def _blame_the_step(exc, model, ode_step):
+    """For a zero-mass error met while integrating: raise its type again,
+    naming the step, when ode_step times the largest exit rate of the value
+    chain is beyond RK4's stability limit; otherwise return."""
+    rate = float(-model.generator.rates.diagonal().min())
+    if ode_step * rate > RK4_STABILITY_LIMIT:
+        raise type(exc)(
+            f"{exc}: ode_step {ode_step} times the largest exit rate {rate:g} is "
+            f"{ode_step * rate:g}, beyond RK4's stability limit {RK4_STABILITY_LIMIT}; "
+            f"the largest stable step is {RK4_STABILITY_LIMIT / rate:.4g}"
+        ) from exc
+
+
 def _start(model, horizon, config, seed):
     """Check a run's horizon and seed; return the model's kernel and the
     opening filter state (prior, and its quotes solved from the prior mean)."""
@@ -402,10 +423,14 @@ def simulate_gmps_path(
     path = _Path(model, horizon, config, seed, offset)
     t_prev = 0.0
     for t, k in path.stops:
-        probs, ask, bid = kernel.integrate(
-            probs, t - t_prev, ask, bid, config.ode_step, path.record.diagnostics,
-            path.perturb,
-        )
+        try:
+            probs, ask, bid = kernel.integrate(
+                probs, t - t_prev, ask, bid, config.ode_step, path.record.diagnostics,
+                path.perturb,
+            )
+        except (ZeroBuyProbability, ZeroSellProbability) as exc:
+            _blame_the_step(exc, model, config.ode_step)
+            raise
         t_prev = t
         probs, ask, bid = path.stop(kernel, t, k, probs, ask, bid)
     return path.finish()
@@ -433,15 +458,21 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     low = np.zeros(n_paths)
     perturb = paths[0].perturb
     while live:
-        probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+        try:
+            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+            steps -= 1
+            ended = np.flatnonzero(steps == 0)
+            if ended.size and not kernel.lam > 0.0:  # integrate() solves once, at the end
+                ask[ended], bid[ended] = kernel.quotes_rows(
+                    probs[ended], ask[ended], bid[ended]
+                )
+        except (ZeroBuyProbability, ZeroSellProbability) as exc:
+            _blame_the_step(exc, model, ode_step)
+            raise
         np.fmax(sum_error, err, out=sum_error)
         np.fmin(low, lo, out=low)
-        steps -= 1
-        ended = np.flatnonzero(steps == 0)
         if not ended.size:
             continue
-        if not kernel.lam > 0.0:  # integrate() solves once, after the last step
-            ask[ended], bid[ended] = kernel.quotes_rows(probs[ended], ask[ended], bid[ended])
         for r in ended.tolist():
             (p, a, b, steps[r], h[r]) = live[r].walk(
                 kernel, probs[r].tolist(), float(ask[r]), float(bid[r]), ode_step

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ConditionReport
-from .errors import ConfigError, NotDifferentiable
+from .errors import ConfigError, GmsimError, NotDifferentiable
 
 CONDITION_GRID_POINTS = 10_001
 
@@ -297,7 +297,7 @@ def check_gm_condition(
     floor = (1.0 - k_value) * phi_zero if k_value < 1.0 else 0.0
     passes = k_value < 1.0 and 0.0 < phi_zero < 1.0
     if passes and phi_c < floor:
-        raise RuntimeError(
+        raise GmsimError(
             "internal inconsistency: Phi(C) fell below (1-K) * Phi(0)"
         )
     return ConditionReport(
@@ -309,51 +309,3 @@ def check_gm_condition(
         passes=passes,
         grid_points=grid_points,
     )
-
-
-# --------------------------------------------------------------------------
-# Config plumbing
-
-_FAMILIES = {
-    "logistic": (Logistic, ("scale",)),
-    "gaussian": (Gaussian, ("sigma",)),
-    "laplace": (Laplace, ("scale",)),
-    "two_point": (TwoPointDiscrete, ("value", "prob")),
-    "noise_trader": (NoiseTraderMix, ("buy_prob",)),
-}
-
-
-def noise_from_dict(spec: dict) -> NoiseModel:
-    """Build a family from a config mapping like {"family": "logistic",
-    "scale": 2.0}. Unknown families and stray or missing fields are
-    ConfigErrors naming the offending key."""
-    if not isinstance(spec, dict):
-        raise ConfigError("noise: expected a mapping with a 'family' key")
-    work = dict(spec)
-    family = work.pop("family", None)
-    if family not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ConfigError(f"noise.family: expected one of {known}, got {family!r}")
-    cls, fields = _FAMILIES[family]
-    missing = [f for f in fields if f not in work]
-    if missing:
-        raise ConfigError(f"noise.{missing[0]}: required for family {family!r}")
-    extra = [k for k in work if k not in fields]
-    if extra:
-        raise ConfigError(f"noise.{extra[0]}: unknown field for family {family!r}")
-    kwargs = {}
-    for name in fields:
-        value = work[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"noise.{name}: expected a number")
-        kwargs[name] = float(value)
-    return cls(**kwargs)
-
-
-def noise_to_dict(noise: NoiseModel) -> dict:
-    for name, (cls, fields) in _FAMILIES.items():
-        if type(noise) is cls:
-            out = {"family": name}
-            out.update({f: getattr(noise, f) for f in fields})
-            return out
-    raise ConfigError(f"unknown noise family {type(noise).__name__}")

@@ -260,6 +260,17 @@ def test_simulate_uncertified_family_exits_3(write_scenario, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_crossed_quotes_exit_3(write_scenario, tmp_path, capsys):
+    """A forced two-point market whose solved bid exceeds its ask is a
+    numerical failure, not bad configuration."""
+    cfg = write_scenario(
+        noise={"family": "two_point", "value": 0.55, "prob": 0.7},
+        ode_step=0.05, seed=3, horizon=1.0, n_paths=1,
+    )
+    assert run_simulate(cfg, tmp_path / "r", "--force") == 3
+    assert "error: crossed quotes at t=" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # verify
 

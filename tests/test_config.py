@@ -1,6 +1,8 @@
 """Scenario files: parsing, validation messages, and round-trips."""
 
 import math
+import re
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -12,6 +14,7 @@ from gmsim.config import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from gmsim.core import Belief
 from gmsim.errors import ConfigError
 from gmsim.noise import Gaussian, Logistic
 
@@ -153,6 +156,14 @@ class TestFieldErrors:
         self.check({"noise": {"family": "cauchy", "scale": 1.0}},
                    r"noise\.family")
 
+    def test_noise_family_not_a_name(self):
+        self.check({"noise": {"family": ["logistic"], "scale": 1.0}},
+                   r"^noise\.family: expected one of")
+
+    def test_noise_family_value_out_of_range(self):
+        self.check({"noise": {"family": "logistic", "scale": -1.0}},
+                   r"^noise: logistic scale must be positive")
+
     def test_noise_missing_field(self):
         self.check({"noise": {"family": "logistic"}}, r"noise\.scale: required")
 
@@ -204,6 +215,37 @@ def test_cross_field_size_mismatch_is_caught():
     data["generator"] = [[0.0, 1.0], [1.0, 0.0]]
     with pytest.raises(ConfigError, match=r"generator\[0\]|2x2"):
         scenario_from_dict(data)
+
+
+BAD_VALUES = {  # scenario file key: (ScenarioConfig field, value, the file's message)
+    "horizon": ("horizon", -1.0, "horizon: must be positive, got -1.0"),
+    "ode_step": ("ode_step", 0.0, "ode_step: must be positive, got 0.0"),
+    "fp_tol": ("fp_tol", -1e-12, "fp_tol: must be positive, got -1e-12"),
+    "lambda": ("arrival_rate", -1.0, "lambda: must be nonnegative, got -1.0"),
+    "initial_belief": (
+        "initial_belief", [0.4, 0.2, 0.4], "initial belief length does not match the grid"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_scenario_built_in_code_meets_the_file_rules(key):
+    """A ScenarioConfig built directly or by dataclasses.replace is refused
+    with the message a scenario file with the same value gets."""
+    field, value, message = BAD_VALUES[key]
+    data = base_data() | {"states": [0.0, 1.0], "generator": [[0.0, 0.5], [0.8, 0.0]],
+                          "initial_belief": [0.5, 0.5]}
+    with pytest.raises(ConfigError) as from_file:
+        scenario_from_dict(data | {key: value})
+    assert str(from_file.value) == message
+    cfg = scenario_from_dict(data)
+    if key == "initial_belief":
+        value = Belief(value)
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)} | {field: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**values)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(cfg, **{field: value})
 
 
 def test_seed_accepts_integral_float():

@@ -663,6 +663,10 @@ FAILING_BATCHES = {  # model, config, horizon, seed, the one error of every fail
     # too coarse a step: an RK4 stage leaves the simplex so far that its bid
     # solve finds no sell mass
     "stiff_stage": (STIFF_MODEL, SimConfig(ode_step=0.2), 1.0, 3, ZeroSellProbability),
+    # a forced static-only family whose solved bid exceeds its ask
+    "crossed_quotes": (
+        _two_point_model(GRID, Q, TwoPointDiscrete(0.55, 0.7)),
+        SimConfig(ode_step=0.05, force=True), 0.3, 3, ConditionFailed),
 }
 
 
@@ -681,6 +685,37 @@ def test_failing_batch_raises_like_the_scalar_engine(name):
     assert failures == {error}
     with pytest.raises(error):
         simulate_paths(model, horizon, cfg, seed=seed, n_paths=n)
+
+
+def test_crossed_quotes_are_a_numerical_failure():
+    """Crossed solved quotes name t, the ask and the bid; only a crossing
+    that a perturbation causes is blamed on the perturbation."""
+    model = FAILING_BATCHES["crossed_quotes"][0]
+    cfg = SimConfig(ode_step=0.05, force=True)
+    crossed = r"^crossed quotes at t=0\.0197\d*: the solved ask 0\.497\d* is below the bid 0\.497"
+    with pytest.raises(ConditionFailed, match=crossed):
+        simulate_gmps_path(model, 1.0, cfg, seed=3)
+    with pytest.raises(ConditionFailed, match=crossed):
+        simulate_paths(model, 1.0, cfg, seed=3, n_paths=gmsim.engine.LOCKSTEP_MIN_PATHS)
+    with pytest.raises(ConfigError, match="ask perturbation pushed the ask below the bid"):
+        simulate_gmps_path(MODEL, 1.0, SimConfig(ode_step=0.05, perturb_ask=-0.5), seed=3)
+
+
+def test_too_coarse_a_step_is_named():
+    """A zero-mass error met while integrating with ode_step beyond RK4's
+    stability limit for the chain's rates names the step, in both engines;
+    a zero-mass error after a trade keeps its message."""
+    stiff = FAILING_BATCHES["stiff_stage"][1]
+    named = (r"^no trade mass at price [-.\d]+: ode_step 0\.2 times the largest exit "
+             r"rate 40 is 8, beyond RK4's stability limit 2\.785; the largest stable "
+             r"step is 0\.06963$")
+    with pytest.raises(ZeroSellProbability, match=named):
+        simulate_paths(STIFF_MODEL, 1.0, stiff, seed=3, n_paths=gmsim.engine.LOCKSTEP_MIN_PATHS)
+    with pytest.raises(ZeroSellProbability, match=named):
+        simulate_paths(STIFF_MODEL, 1.0, stiff, seed=3, n_paths=gmsim.engine.LOCKSTEP_MIN_PATHS - 1)
+    model, cfg, horizon, seed, error = FAILING_BATCHES["two_point_2_states"]
+    with pytest.raises(error, match=r"^no trade mass at price [-.\de]+$"):
+        simulate_paths(model, horizon, cfg, seed=seed, n_paths=gmsim.engine.LOCKSTEP_MIN_PATHS)
 
 
 @pytest.mark.parametrize("n_paths", [1, 40])
@@ -712,10 +747,10 @@ def test_engine_imports_no_private_equilibrium_names():
 
 @st.composite
 def admissible_runs(draw):
-    """A random admissible market, run and batch: 2-6 states, a generator
+    """A random admissible market, run and batch: 2-8 states, a generator
     whose rows may be absorbing, a continuous family scaled to pass the
     condition, and arrival rates none, small or large."""
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 8))
     gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
     xs = [0.0]
     for g in gaps:
@@ -754,9 +789,15 @@ def test_lockstep_paths_equal_solo_runs_on_random_markets(run):
     model, horizon, cfg, seed = run
     solo = [simulate_gmps_path(model, horizon, cfg, seed=seed, offset=k) for k in range(3)]
     batch = gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)
-    assert _path_digest(batch) == _path_digest(solo)
+    digest = _path_digest(batch)
+    assert digest == _path_digest(solo)
+    assert _path_digest(gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)) == digest
     xs = model.grid.values
     for rec in batch:
+        for e in rec.events:  # a trade executes at the post-trade mean
+            if e.outcome is Outcome.SELL or (e.outcome is Outcome.BUY and not cfg.perturb_ask):
+                price = e.ask if e.outcome is Outcome.BUY else e.bid
+                assert abs(float(e.belief_after @ xs) - price) <= 1e-8
         beliefs = [e.belief_after for e in rec.events]
         if rec.sample_times is not None:
             beliefs += list(rec.sample_beliefs)

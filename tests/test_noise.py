@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmsim.errors import ConfigError, NotDifferentiable
+from gmsim.config import noise_from_dict, noise_to_dict
+from gmsim.errors import ConfigError, GmsimError, NotDifferentiable
 from gmsim.noise import (
     Gaussian,
     Laplace,
@@ -14,8 +15,6 @@ from gmsim.noise import (
     NoiseTraderMix,
     TwoPointDiscrete,
     check_gm_condition,
-    noise_from_dict,
-    noise_to_dict,
 )
 from oracles import erfc_reference, ks_statistic, normal_survival_reference
 
@@ -171,6 +170,24 @@ def test_condition_refuses_static_families():
         check_gm_condition(TwoPointDiscrete(1.0, 0.5), 1.0)
     with pytest.raises(NotDifferentiable):
         check_gm_condition(NoiseTraderMix(0.5), 1.0)
+
+
+class _ZeroDensityLogistic(Logistic):
+    """A logistic tail with an inconsistent density and condition constant."""
+
+    def density(self, y):
+        return 0.0
+
+    def analytic_condition_constant(self, width):
+        return 0.01
+
+
+def test_condition_inconsistency_is_a_gmsim_error():
+    """A family whose claimed K disagrees with its tails fails as gmsim's
+    own error (the CLI's exit 3), not as a bare RuntimeError."""
+    noise = _ZeroDensityLogistic(2.0)
+    with pytest.raises(GmsimError, match=r"Phi\(C\) fell below \(1-K\) \* Phi\(0\)"):
+        check_gm_condition(noise, 1.0)
 
 
 def test_static_density_raises():
