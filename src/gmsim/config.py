@@ -36,7 +36,7 @@ import yaml
 
 from .beliefs import DEFAULT_ODE_STEP
 from .core import Belief, GeneratorMatrix, StateGrid
-from .engine import MarketModel, SimConfig, check_seed
+from .engine import MarketModel, SimConfig, check_n_paths, check_seed
 from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
 from .noise import Gaussian, Laplace, Logistic, NoiseModel, NoiseTraderMix, TwoPointDiscrete
@@ -80,8 +80,7 @@ class ScenarioConfig:
             if value <= 0.0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
         check_seed(self.seed)
-        if self.n_paths < 1:
-            raise ConfigError(f"n_paths: must be at least 1, got {self.n_paths}")
+        check_n_paths(self.n_paths)
         self.model()  # the sizes, with MarketModel's messages
 
     def model(self) -> MarketModel:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,9 +139,24 @@ class PathRecord:
 
 
 def check_seed(seed: int) -> None:
-    """The seed rule of scenario files, the CLI and the library's runs."""
-    if not 0 <= seed < 2**63:
+    """The seed rule of scenario files, the CLI and the library's runs: an
+    integer (a numpy integer too, a float never) in [0, 2**63)."""
+    try:
+        in_range = 0 <= operator.index(seed) < 2**63
+    except TypeError:
+        in_range = False
+    if not in_range:
         raise ConfigError("seed: must fit in 64 bits and be nonnegative")
+
+
+def check_n_paths(n_paths: int) -> None:
+    """The path-count rule of scenario files, the CLI and simulate_paths."""
+    try:
+        n_paths = operator.index(n_paths)
+    except TypeError:
+        raise ConfigError(f"n_paths: expected an integer, got {n_paths!r}") from None
+    if n_paths < 1:
+        raise ConfigError(f"n_paths: must be at least 1, got {n_paths}")
 
 
 def path_streams(seed: int, offset: int):
@@ -508,8 +524,7 @@ def simulate_paths(
     Path k equals simulate_gmps_path(..., offset=k) bit for bit; from
     LOCKSTEP_MIN_PATHS paths on, the batch advances in lockstep.
     """
-    if n_paths < 1:
-        raise ConfigError("n_paths must be at least 1")
+    check_n_paths(n_paths)
     if n_paths >= LOCKSTEP_MIN_PATHS:
         return _simulate_lockstep(model, horizon, config, seed, n_paths)
     return [

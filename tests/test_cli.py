@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -337,16 +341,19 @@ def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):
 # Digests of stdout and verify_report.json for the README market at horizon
 # 1.0 with the default ode_step and 30 paths, recorded while gmsim.cli still
 # held the check orchestration that gmsim.verification.run_verify now runs.
+# The clean and perturbed report digests were re-recorded when the chi-square
+# p-values moved to the closed-form tail (by at most 2.3e-16 each, with
+# every verdict and stdout unchanged).
 VERIFY_PINS = {
     "clean": (
         {}, [],
         "aaf23413dcd31c27c67ad4a98ccd25f7fb7b986d8ac918b68e90ad69adfef3db",
-        "bc6a58cfe532f9981a53146cb9cc4772d5fea1947a02aafdc7ae3c770abb5048",
+        "79b5af44852b23bf7fa80e3fbd3f3e5de9c7b0ffed6ecaf887bc5f84b84ce672",
     ),
     "perturbed": (
         {}, ["--perturb-ask", "0.15"],
         "0e18a93ad3b1e4cb99d803eddc24acd438a49e6c13d44d614f4c7a2fc718335d",
-        "383fa2c0fc723ca6b4b5277270cb757ef704ddf336d7355a747c8624a2601f5a",
+        "d882e9ac1c94ece9ef1624711f410b678b5c4a5c555200af4c5035aa8ccdbf2b",
     ),
     "no_arrivals": (
         {"lambda": 0.0}, [],
@@ -423,3 +430,51 @@ def test_out_naming_a_file_exits_2_before_running(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# runtime dependencies
+
+# gmsim's main in an interpreter where importing scipy, or anything under
+# it, fails: a lazy import on any path the command takes surfaces as an error.
+WITHOUT_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from gmsim.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_python(*argv):
+    """A fresh interpreter importing the gmsim these tests import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gmsim.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+@pytest.mark.parametrize("command, verdict", [
+    (["check"], "condition: PASS"),
+    (["verify", "--paths", "8"], "overall:"),
+], ids=["check", "verify"])
+def test_commands_run_without_scipy(command, verdict, write_scenario):
+    cfg = write_scenario(horizon=0.5)
+    proc = run_python("-c", WITHOUT_SCIPY, command[0], "--config", cfg, *command[1:])
+    assert proc.returncode == 0, proc.stderr
+    assert verdict in proc.stdout
+
+
+def test_importing_gmsim_loads_no_scipy():
+    proc = run_python("-c", "import sys, gmsim, gmsim.cli; print(sorted("
+                      "m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -225,6 +226,7 @@ BAD_VALUES = {  # scenario file key: (ScenarioConfig field, value, the file's me
     "initial_belief": (
         "initial_belief", [0.4, 0.2, 0.4], "initial belief length does not match the grid"
     ),
+    "n_paths": ("n_paths", 2.5, "n_paths: expected an integer, got 2.5"),
 }
 
 
@@ -246,6 +248,16 @@ def test_scenario_built_in_code_meets_the_file_rules(key):
         ScenarioConfig(**values)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         replace(cfg, **{field: value})
+
+
+def test_seed_built_in_code_must_be_an_integer():
+    """A float seed is refused, even an integral one that a file would
+    accept; numpy integers pass."""
+    cfg = scenario_from_dict(base_data())
+    for seed in (7.9, 7.0):
+        with pytest.raises(ConfigError, match=r"^seed: must fit in 64 bits"):
+            replace(cfg, seed=seed)
+    assert replace(cfg, seed=np.int64(7), n_paths=np.int32(3)).seed == 7
 
 
 def test_seed_accepts_integral_float():

@@ -731,6 +731,20 @@ def test_runs_refuse_seeds_a_scenario_refuses(n_paths):
     assert top[0].seed == 2**63 - 1
 
 
+@pytest.mark.parametrize("n_paths", [1, 40])
+def test_runs_refuse_fractional_seeds_and_take_numpy_integers(n_paths):
+    """A float seed or path count is refused before anything runs, and a
+    numpy integer seed runs the same paths as the int."""
+    with pytest.raises(ConfigError, match="must fit in 64 bits"):
+        simulate_paths(MODEL, 0.5, SimConfig(), seed=7.9, n_paths=n_paths)
+    with pytest.raises(ConfigError, match=r"^n_paths: expected an integer, got \d+\.5$"):
+        simulate_paths(MODEL, 0.5, SimConfig(), seed=7, n_paths=n_paths + 0.5)
+    sim = SimConfig(ode_step=0.1)
+    as_int = simulate_paths(MODEL, 0.2, sim, seed=7, n_paths=n_paths)
+    as_numpy = simulate_paths(MODEL, 0.2, sim, seed=np.int64(7), n_paths=np.int64(n_paths))
+    assert _path_digest(as_numpy) == _path_digest(as_int)
+
+
 def test_engine_imports_no_private_equilibrium_names():
     """The engine reaches the quote solver only through the filter kernel."""
     tree = ast.parse(inspect.getsource(gmsim.engine))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import gmsim.verification as verification
 from gmsim.beliefs import SimplexDiagnostics
@@ -34,6 +35,7 @@ from gmsim.verification import (
     transition_matrix,
     uniqueness_diagnostic,
     zero_profit_test,
+    _chi2_sf,
     _poisson_gof,
 )
 
@@ -346,6 +348,23 @@ def test_poisson_gof_calibration():
     assert good.passed and good.df >= 5
     bad = _poisson_gof(counts, 36.0, alpha=0.01)
     assert not bad.passed
+
+
+def test_chi2_tail_matches_scipy():
+    """The tail is 1.0 at x = 0 and 1e-300, stays in [0, 1], falls as x
+    grows, and is within 1e-12 of scipy's relative to it wherever scipy's
+    tail is at least 1e-300, on df 1-60 from around the mean out to 3000."""
+    grid = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-6, 3000.0, 200)])
+    for df in range(1, 61):
+        xs = np.unique(np.concatenate([grid, np.linspace(0.25 * df, 3.0 * df, 56)]))
+        ours = np.array([_chi2_sf(float(x), df) for x in xs])
+        ref = chi2.sf(xs, df)
+        assert ours[0] == _chi2_sf(1e-300, df) == 1.0
+        assert np.all((ours >= 0.0) & (ours <= 1.0))
+        assert np.all(np.diff(ours) <= 0.0)
+        normal = ref >= 1e-300
+        assert not normal.all()  # the grid reaches past the smallest normal tail
+        assert np.all(np.abs(ours - ref)[normal] <= 1e-12 * ref[normal])
 
 
 # --------------------------------------------------------------------------
