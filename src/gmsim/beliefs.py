@@ -20,9 +20,14 @@ can prove they stayed at roundoff scale.
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
-through the equilibrium module's single Picard loop. Its *_rows methods do
-the same arithmetic on many beliefs at once, one numpy row each, in the
-same operation order, so a row equals the scalar result bit for bit.
+through the equilibrium module's Picard loops. Its *_rows methods do the
+same arithmetic on many beliefs at once, one numpy row each, in the same
+operation order, so a row equals the scalar result bit for bit. They take
+both sides of the book as one array, the ask rows stacked over the bid
+rows: a drift evaluates the tails at (ask, bid) once, the quote solve that
+follows it starts from those quotes and, without an ask shift, reuses
+those tails as its first iterate, and the two sides share one row Picard
+loop.
 """
 
 from __future__ import annotations
@@ -107,8 +112,7 @@ class _FilterKernel:
         self.lam = lam
         self.survival = noise.survival
         self.cdf = noise.cdf
-        self.survival_grid = noise.survival_grid
-        self.cdf_grid = noise.cdf_grid
+        self.side_tails_grid = noise.side_tails_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
@@ -214,54 +218,84 @@ class _FilterKernel:
         return p, ask, bid
 
     # The same arithmetic on a batch: probs is an (rows, n) array, ask, bid
-    # and h are arrays with one entry per row.
+    # and h are arrays with one entry per row. Both sides of the book go
+    # through one array as stacked rows, the ask rows first, each row with
+    # its side's tail: survival(ask - x) on an ask row, cdf(bid - x) on a
+    # bid row.
 
-    def quotes_rows(self, probs, ask, bid):
-        """quotes() for every row."""
-        xs, tol, max_iter = self.xs_row, self.fp_tol, self.max_iter
-        ask = _picard_rows(self.survival_grid, ZeroBuyProbability, xs, probs, ask, tol, max_iter)
-        bid = _picard_rows(self.cdf_grid, ZeroSellProbability, xs, probs, bid, tol, max_iter)
-        return ask, bid
+    def quotes_rows(self, probs, ask, bid, tails=None):
+        """quotes() for every row, the ask and bid rows in one Picard loop;
+        tails, when given, are the stacked tails at (ask, bid) that
+        drift_rows returns, which the first iterate then reuses."""
+        n = len(ask)
+        prices = _picard_rows(
+            self.side_tails_grid, self.xs_row, np.concatenate((probs, probs)),
+            _signs(n, n), np.concatenate((ask, bid)), self.fp_tol, self.max_iter, tails,
+        )
+        return prices[:n], prices[n:]
+
+    def jump_rows(self, probs, price, buy):
+        """jump() for every row: row r a buy at price[r] where buy[r] is
+        true, a sell at price[r] otherwise."""
+        sign = np.where(buy, 1.0, -1.0)[:, None]
+        weights = probs * self.side_tails_grid(price[:, None] - self.xs_row, sign)
+        total = 0.0 + weights[:, 0]
+        for i in range(1, weights.shape[1]):
+            total = total + weights[:, i]
+        empty = np.flatnonzero(total <= 0.0)
+        if empty.size:
+            r = empty[0]
+            if buy[r]:
+                raise ZeroBuyProbability(f"buy at {price[r]} has zero probability")
+            raise ZeroSellProbability(f"sell at {price[r]} has zero probability")
+        return weights / total[:, None]
 
     def drift_rows(self, probs, ask, bid):
-        """drift() for every row. Sums run over the states in order; a
-        zero-probability state adds 0.0 where drift() skips it."""
+        """drift() for every row, with the stacked tails at (ask, bid) it
+        used (None without arrivals, where the quotes do not enter). Sums
+        run over the states in order; a zero-probability state adds 0.0
+        where drift() skips it."""
         kol = np.zeros_like(probs)
         for j, rates_j in enumerate(self.q_rows):
             kol += probs[:, j, None] * rates_j
         if not self.lam > 0.0:
-            return kol
-        xs = self.xs_row
-        a = self.cdf_grid(bid[:, None] - xs) + self.survival_grid(ask[:, None] - xs)
-        a_bar = np.zeros(len(probs))
-        for i in range(len(xs)):
+            return kol, None
+        n = len(probs)
+        tails = self.side_tails_grid(np.concatenate((ask, bid))[:, None] - self.xs_row,
+                                     _signs(n, n))
+        a = tails[n:] + tails[:n]
+        a_bar = np.zeros(n)
+        for i in range(len(self.xs)):
             a_bar += probs[:, i] * a[:, i]
-        return self.lam * probs * (a_bar[:, None] - a) + kol
+        return self.lam * probs * (a_bar[:, None] - a) + kol, tails
 
     def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
         """One RK4 step of integrate() for every row, row r with step h[r],
         including the clamp and renormalisation and, with arrivals, the
         quotes at the new belief. Returns (probs, ask, bid, sum_error, low):
-        the last two are what integrate() hands SimplexDiagnostics.absorb."""
+        the last two are what integrate() hands SimplexDiagnostics.absorb.
+        Each quote solve starts from the quotes the drift before it saw, so
+        without an ask shift it reuses that drift's tails."""
         drift, quotes = self.drift_rows, self.quotes_rows
         informative = self.lam > 0.0
+        reuse = ask_shift == 0.0
         half = (0.5 * h)[:, None]
-        k1 = drift(probs, ask + ask_shift, bid)
+        k1, tails = drift(probs, ask + ask_shift, bid)
 
         stage = probs + half * k1
         if informative:
-            ask, bid = quotes(stage, ask, bid)
-        k2 = drift(stage, ask + ask_shift, bid)
+            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
+        k2, tails = drift(stage, ask + ask_shift, bid)
 
         stage = probs + half * k2
         if informative:
-            ask, bid = quotes(stage, ask, bid)
-        k3 = drift(stage, ask + ask_shift, bid)
+            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
+        k3, tails = drift(stage, ask + ask_shift, bid)
 
         stage = probs + h[:, None] * k3
         if informative:
-            ask, bid = quotes(stage, ask, bid)
-        k4 = drift(stage, ask + ask_shift, bid)
+            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
+        k4, tails = drift(stage, ask + ask_shift, bid)
 
         p = probs + (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
 
@@ -277,8 +311,13 @@ class _FilterKernel:
         p = p / total[:, None]
 
         if informative:
-            ask, bid = quotes(p, ask, bid)
+            ask, bid = quotes(p, ask, bid, tails if reuse else None)
         return p, ask, bid, sum_error, low
+
+
+def _signs(n_ask, n_bid):
+    """The sign column of n_ask ask rows stacked over n_bid bid rows."""
+    return np.repeat((1.0, -1.0), (n_ask, n_bid))[:, None]
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,15 @@ invisible). Per-trade profit is recorded as price minus value on both sides
 (ask - X for buys, bid - X for sells), the quantity that is a martingale
 increment under correct quoting; the sell side's economic P&L is its
 negation.
+
+Two engines run these rules. simulate_gmps_path runs one path with the
+scalar filter kernel and is the reference. A batch of LOCKSTEP_MIN_PATHS
+paths or more runs in lockstep: each path is one numpy row, the rows take
+their RK4 steps together, and the rows whose segment ends at an arrival
+are jumped and re-solved together, as rows. Both engines take each stop
+through the same _Path methods (decide for the arrival rules, note for the
+bookkeeping), and path k of a batch equals the solo run at offset k bit for
+bit.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,12 +171,20 @@ def check_n_paths(n_paths: int) -> None:
 
 def path_streams(seed: int, offset: int):
     """Three independent generators (value chain, arrivals, noise draws) for
-    path `offset` of a run keyed by `seed`. Both must be nonnegative."""
+    path `offset` of a run keyed by `seed`. Both must be nonnegative
+    integers (numpy integers too, a float never); seed has no upper bound,
+    as verify's intensity check keys its trials by seed + k."""
+    try:
+        seed, offset = operator.index(seed), operator.index(offset)
+    except TypeError:
+        raise ConfigError(
+            f"seed and offset must be integers, got {seed!r} and {offset!r}"
+        ) from None
     if seed < 0 or offset < 0:
         raise ConfigError(
             f"seed and offset must be nonnegative, got {seed} and {offset}"
         )
-    children = np.random.SeedSequence(entropy=(int(seed), int(offset))).spawn(3)
+    children = np.random.SeedSequence(entropy=(seed, offset)).spawn(3)
     return tuple(np.random.default_rng(c) for c in children)
 
 
@@ -285,9 +303,22 @@ def _stops(arrivals, sample_dt, horizon):
         t_prev = t
 
 
+class _Arrival(NamedTuple):
+    """An arrival as the arrival rules decide it: the posted quote, the
+    noise draw, the outcome, and the price it trades at (None for a
+    NoTrade)."""
+
+    quote: Quote
+    eps: float
+    outcome: Outcome
+    price: float | None
+
+
 class _Path:
     """One path's random elements, stop schedule, record and sample rows,
-    and the handling of its stops, shared by both engines."""
+    and the handling of its stops, shared by both engines: decide() holds
+    the arrival rules and note() the bookkeeping, and between the two the
+    engine jumps a traded belief and re-solves its quotes."""
 
     def __init__(self, model, horizon, config, seed, offset):
         value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
@@ -311,62 +342,65 @@ class _Path:
         self.t_prev = 0.0
         self.pending = None
 
-    def stop(self, kernel, t, k, probs, ask, bid):
-        """The filter state (probs, ask, bid) reached stop (t, k): handle the
-        arrival if k is one (decide, jump, re-solve, note the event),
-        append the sample row, and return the state after the stop."""
-        record, perturb = self.record, self.perturb
+    def decide(self, t, k, ask, bid):
+        """The arrival rules at stop (t, k), reached with the solved quotes
+        (ask, bid): returns the chain's value at t and, if k is an arrival,
+        its _Arrival (None at any other stop)."""
         x_val = float(self.x_of[value_at(self.value_times, self.value_states, t)])
-        if k is not None:
-            if bid > ask + perturb:
-                if bid > ask:  # crossed as solved, whatever the perturbation
-                    raise ConditionFailed(
-                        f"crossed quotes at t={t}: the solved ask {ask} is below the bid {bid}"
-                    )
-                raise ConfigError("ask perturbation pushed the ask below the bid")
-            quote = Quote(ask=ask + perturb, bid=bid)
-            if quote.ask == quote.bid and not self.warned:
-                log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
-                self.warned = True
-            eps = float(self.eps_draws[k])
-            outcome = decide_trade(x_val + eps, quote)
-            belief_before = probs
-            profit = 0.0
-            if outcome is Outcome.BUY:
-                probs = kernel.jump(probs, quote.ask, True)
-                profit = quote.ask - x_val
+        if k is None:
+            return x_val, None
+        perturb = self.perturb
+        if bid > ask + perturb:
+            if bid > ask:  # crossed as solved, whatever the perturbation
+                raise ConditionFailed(
+                    f"crossed quotes at t={t}: the solved ask {ask} is below the bid {bid}"
+                )
+            raise ConfigError("ask perturbation pushed the ask below the bid")
+        quote = Quote(ask=ask + perturb, bid=bid)
+        if quote.ask == quote.bid and not self.warned:
+            log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
+            self.warned = True
+        eps = float(self.eps_draws[k])
+        outcome = decide_trade(x_val + eps, quote)
+        price = None
+        if outcome is Outcome.BUY:
+            price = quote.ask
+        elif outcome is Outcome.SELL:
+            price = quote.bid
+        return x_val, _Arrival(quote, eps, outcome, price)
+
+    def note(self, t, x_val, arrival, before, probs, ask, bid):
+        """Book stop t after decide(): the arrival's profit and event, with
+        the beliefs before and after it, and the sample row of the state
+        (probs, ask, bid) after the stop."""
+        if arrival is not None:
+            record = self.record
+            profit = 0.0 if arrival.price is None else arrival.price - x_val
+            if arrival.outcome is Outcome.BUY:
                 record.buy_profit += profit
                 record.n_buys += 1
-            elif outcome is Outcome.SELL:
-                probs = kernel.jump(probs, quote.bid, False)
-                profit = quote.bid - x_val
+            elif arrival.outcome is Outcome.SELL:
                 record.sell_profit += profit
                 record.n_sells += 1
-            if outcome is not Outcome.NO_TRADE:
-                ask, bid = kernel.quotes(probs, ask, bid)
-            self.events.append(
-                (t, x_val, eps, quote.ask, quote.bid, outcome, belief_before, probs, profit)
-            )
-        self.rows.append((t, ask + perturb, bid, x_val, list(probs)))
-        return probs, ask, bid
+            quote = arrival.quote
+            self.events.append((t, x_val, arrival.eps, quote.ask, quote.bid,
+                                arrival.outcome, before, probs, profit))
+        self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
 
-    def walk(self, kernel, probs, ask, bid, ode_step):
-        """Handle the pending stop and every later one that lies no time
-        past it. Returns (probs, ask, bid, n_steps, h) for the segment to
-        the next stop, with the steps of _FilterKernel.integrate, or
-        n_steps = 0 after the last stop."""
-        while True:
-            if self.pending is not None:
-                t, k = self.pending
-                probs, ask, bid = self.stop(kernel, t, k, probs, ask, bid)
-                self.t_prev = t
-            self.pending = next(self.stops, None)
-            if self.pending is None:
-                return probs, ask, bid, 0, 0.0
-            dt = self.pending[0] - self.t_prev
-            if dt > 0.0:
-                n_steps = max(1, math.ceil(dt / ode_step))
-                return probs, ask, bid, n_steps, dt / n_steps
+    def next_segment(self, ode_step):
+        """Move on to the next stop. Returns (n_steps, h) for the segment to
+        it, with the steps of _FilterKernel.integrate; n_steps = 0 when the
+        stop lies no time past the last one, and None after the last stop."""
+        if self.pending is not None:
+            self.t_prev = self.pending[0]
+        self.pending = next(self.stops, None)
+        if self.pending is None:
+            return None
+        dt = self.pending[0] - self.t_prev
+        if dt > 0.0:
+            n_steps = max(1, math.ceil(dt / ode_step))
+            return n_steps, dt / n_steps
+        return 0, 0.0
 
     def finish(self) -> PathRecord:
         """The record, with its events and sample columns built only now:
@@ -448,8 +482,51 @@ def simulate_gmps_path(
             _blame_the_step(exc, model, config.ode_step)
             raise
         t_prev = t
-        probs, ask, bid = path.stop(kernel, t, k, probs, ask, bid)
+        x_val, arrival = path.decide(t, k, ask, bid)
+        before = probs
+        if arrival is not None and arrival.price is not None:
+            probs = kernel.jump(probs, arrival.price, arrival.outcome is Outcome.BUY)
+            ask, bid = kernel.quotes(probs, ask, bid)
+        path.note(t, x_val, arrival, before, probs, ask, bid)
     return path.finish()
+
+
+def _take_stops(kernel, live, rows, probs, ask, bid):
+    """Take the pending stop of every row in rows, the rows of probs, ask
+    and bid that the paths in live hold: the arrival rules path by path,
+    then one jump_rows and one quotes_rows over the rows that traded, then
+    the bookkeeping path by path. Updates probs, ask and bid in place."""
+    paths = [live[r] for r in rows.tolist()]
+    decided = [path.decide(*path.pending, a, b)
+               for path, a, b in zip(paths, ask[rows].tolist(), bid[rows].tolist())]
+    before = probs[rows].tolist()
+    traded = [i for i, (_, arrival) in enumerate(decided)
+              if arrival is not None and arrival.price is not None]
+    if traded:
+        moved = rows[traded]
+        arrivals = [decided[i][1] for i in traded]
+        probs[moved] = kernel.jump_rows(
+            probs[moved], np.array([a.price for a in arrivals]),
+            np.array([a.outcome is Outcome.BUY for a in arrivals]),
+        )
+        ask[moved], bid[moved] = kernel.quotes_rows(probs[moved], ask[moved], bid[moved])
+    for path, (x_val, arrival), prior, posterior, a, b in zip(
+        paths, decided, before, probs[rows].tolist(), ask[rows].tolist(), bid[rows].tolist()
+    ):
+        path.note(path.pending[0], x_val, arrival, prior, posterior, a, b)
+
+
+def _next_segments(live, rows, steps, h, ode_step):
+    """Set steps and h of every row in rows to its path's next segment,
+    steps 0 after the last stop. Returns the rows whose next stop lies no
+    time ahead, which are due at once."""
+    due = []
+    for r in rows.tolist():
+        segment = live[r].next_segment(ode_step)
+        steps[r], h[r] = (0, 0.0) if segment is None else segment
+        if segment is not None and segment[0] == 0:
+            due.append(r)
+    return np.array(due, dtype=np.int64)
 
 
 def _simulate_lockstep(model, horizon, config, seed, n_paths):
@@ -457,43 +534,30 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
 
     Each unfinished path is one row of a (probs, ask, bid) array with its
     own step h and remaining step count; a tick is one
-    _FilterKernel.step_rows over every row. A row whose segment ends hands
-    its stop to _Path.walk, exactly as simulate_gmps_path does, and takes
-    its next segment. Every path equals its solo run bit for bit. A failing
-    batch raises the first error met in tick order, where the solo runs one
-    by one raise the lowest failing offset's: the same error whenever every
-    failing path fails the same way.
+    _FilterKernel.step_rows over every row. The rows whose segment ends
+    take their stops together, as rows (_take_stops), and then their next
+    segments. Every path equals its solo run bit for bit. A failing batch
+    raises an error that one of its failing paths raises solo, where the
+    solo runs one by one raise the lowest failing offset's: the same error
+    whenever every failing path fails the same way.
     """
-    kernel, probs, ask, bid = _start(model, horizon, config, seed)
+    kernel, probs0, ask0, bid0 = _start(model, horizon, config, seed)
     ode_step = config.ode_step
     paths = [_Path(model, horizon, config, seed, offset) for offset in range(n_paths)]
     live = list(paths)
-    segments = [path.walk(kernel, probs, ask, bid, ode_step) for path in live]
-    probs, ask, bid, steps, h = (np.array(v) for v in zip(*segments))
+    probs = np.array([probs0] * n_paths)
+    ask = np.full(n_paths, ask0)
+    bid = np.full(n_paths, bid0)
+    steps = np.zeros(n_paths, dtype=np.int64)
+    h = np.zeros(n_paths)
     sum_error = np.zeros(n_paths)
     low = np.zeros(n_paths)
     perturb = paths[0].perturb
-    while live:
-        try:
-            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
-            steps -= 1
-            ended = np.flatnonzero(steps == 0)
-            if ended.size and not kernel.lam > 0.0:  # integrate() solves once, at the end
-                ask[ended], bid[ended] = kernel.quotes_rows(
-                    probs[ended], ask[ended], bid[ended]
-                )
-        except (ZeroBuyProbability, ZeroSellProbability) as exc:
-            _blame_the_step(exc, model, ode_step)
-            raise
-        np.fmax(sum_error, err, out=sum_error)
-        np.fmin(low, lo, out=low)
-        if not ended.size:
-            continue
-        for r in ended.tolist():
-            (p, a, b, steps[r], h[r]) = live[r].walk(
-                kernel, probs[r].tolist(), float(ask[r]), float(bid[r]), ode_step
-            )
-            probs[r], ask[r], bid[r] = p, a, b
+    due = _next_segments(live, np.arange(n_paths), steps, h, ode_step)
+    while True:
+        while due.size:
+            _take_stops(kernel, live, due, probs, ask, bid)
+            due = _next_segments(live, due, steps, h, ode_step)
         done = steps == 0
         if done.any():
             for r in np.flatnonzero(done).tolist():
@@ -503,7 +567,19 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
             probs, ask, bid, steps, h, sum_error, low = (
                 v[keep] for v in (probs, ask, bid, steps, h, sum_error, low)
             )
-    return [path.finish() for path in paths]
+        if not live:
+            return [path.finish() for path in paths]
+        try:
+            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+            steps -= 1
+            due = np.flatnonzero(steps == 0)
+            if due.size and not kernel.lam > 0.0:  # integrate() solves once, at the end
+                ask[due], bid[due] = kernel.quotes_rows(probs[due], ask[due], bid[due])
+        except (ZeroBuyProbability, ZeroSellProbability) as exc:
+            _blame_the_step(exc, model, ode_step)
+            raise
+        np.fmax(sum_error, err, out=sum_error)
+        np.fmin(low, lo, out=low)
 
 
 # Batches of at least this many paths run the lockstep engine; below it,

@@ -21,8 +21,9 @@ sums raise ZeroBuyProbability / ZeroSellProbability.
 This module holds the package's only quote-solving path: _iteration_ceiling
 (the admissibility gate and the certified iteration ceiling) and _picard
 (one Picard loop for either side, given its tail), with _picard_rows, the
-same loop over many beliefs at once for the lockstep engine. The public
-solvers here and the belief filter's per-model kernel call them.
+same loop over many beliefs and both sides at once for the lockstep engine:
+the ask rows and the bid rows stacked, each row with its side's tail. The
+public solvers here and the belief filter's per-model kernel call them.
 """
 
 from __future__ import annotations
@@ -93,22 +94,30 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter):
     raise _no_convergence(max_iter)
 
 
-def _picard_rows(tail_grid, no_mass, xs, probs, start, tol, max_iter):
-    """_picard on every row of probs at once (one belief per row, start one
-    warm price per row), with tail_grid the side's array tail and xs the
-    grid values as an array.
+def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None):
+    """_picard on every row of probs at once, for both sides of the book:
+    one belief and one warm price per row, sign a column that is +1 on the
+    ask rows (the survival tail, ZeroBuyProbability) and -1 on the bid rows
+    (the cdf, ZeroSellProbability), tails the noise's side_tails_grid and xs
+    the grid values as an array. first, when given, is the tails at start,
+    which the first iterate then uses instead of evaluating them.
 
     A row leaves the loop when its successive values agree within tol, so
     each row takes exactly the iterates _picard would take alone: the sums
     run over the states in order, and a zero-probability state adds 0.0
     where _picard skips it, which leaves the sums unchanged. Returns the
-    prices; raises no_mass or NoConvergence as _picard does, for the batch.
+    prices. Raises what solving all ask rows and then all bid rows would:
+    an ask row's ZeroBuyProbability or NoConvergence first, and a bid row's
+    ZeroSellProbability or NoConvergence only once every ask row has
+    converged.
     """
     prices = np.array(start, dtype=float)
     rows = None  # the rows still moving, when not all of them
     s = prices
+    bid_error = None  # a bid row's zero mass, held until the ask rows finish
     for _ in range(max_iter):
-        weights = probs * tail_grid(s[:, None] - xs)
+        weights = probs * (tails(s[:, None] - xs, sign) if first is None else first)
+        first = None
         terms = weights * xs
         # num starts at 0.0 as in _conditional_mean, so that a sum of zeros
         # is +0.0 and never -0.0; den may start at its first term, as a den
@@ -118,11 +127,24 @@ def _picard_rows(tail_grid, no_mass, xs, probs, start, tol, max_iter):
         for i in range(1, len(xs)):
             num = num + terms[:, i]
             den = den + weights[:, i]
-        if (den <= 0.0).any():
-            raise no_mass(f"no trade mass at price {s[den <= 0.0][0]}")
+        empty = den <= 0.0
+        if empty.any():
+            ask_rows = sign[:, 0] > 0
+            if (empty & ask_rows).any():
+                raise ZeroBuyProbability(f"no trade mass at price {s[empty & ask_rows][0]}")
+            if bid_error is None:
+                bid_error = ZeroSellProbability(f"no trade mass at price {s[empty][0]}")
+            if rows is None:
+                rows = np.arange(len(s))
+            # the bid rows' prices no longer matter; the ask rows go on
+            rows, s, num, den, probs, sign = (
+                v[ask_rows] for v in (rows, s, num, den, probs, sign)
+            )
         s_next = num / den
         done = np.abs(s_next - s) <= tol
         if done.all():
+            if bid_error is not None:
+                raise bid_error
             if rows is None:
                 return s_next
             prices[rows] = s_next
@@ -132,7 +154,7 @@ def _picard_rows(tail_grid, no_mass, xs, probs, start, tol, max_iter):
                 rows = np.arange(len(s))
             prices[rows[done]] = s_next[done]
             moving = ~done
-            rows, s_next, probs = rows[moving], s_next[moving], probs[moving]
+            rows, s_next, probs, sign = (v[moving] for v in (rows, s_next, probs, sign))
         s = s_next
     raise _no_convergence(max_iter)
 

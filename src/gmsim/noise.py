@@ -24,7 +24,11 @@ used by scans and by the lockstep engine, and they equal the scalar methods
 bit for bit: by default a loop over the scalar method, overridden for the
 logistic and Laplace tails by numpy closed forms whose exponentials are
 taken element by element with math.exp (np.exp rounds differently from
-the C library on a few percent of inputs).
+the C library on a few percent of inputs). side_tails_grid gives both sides
+of the book in one array, survival on the ask rows and cdf on the bid rows,
+so that the lockstep engine evaluates each tail once per price; the
+families whose cdf(y) is survival(-y) bit for bit (logistic, Gaussian,
+Laplace) take it as one survival evaluation of the signed prices.
 """
 
 from __future__ import annotations
@@ -82,6 +86,11 @@ class NoiseModel:
     def density_grid(self, ys) -> np.ndarray:
         return _elementwise(self.density, ys)
 
+    def side_tails_grid(self, ys, sign) -> np.ndarray:
+        """survival on the rows of ys whose sign is +1, cdf on those whose
+        sign is -1 (sign broadcasts against ys, one entry per row)."""
+        return np.where(sign > 0, self.survival_grid(ys), self.cdf_grid(ys))
+
     def analytic_condition_constant(self, width: float) -> float | None:
         """Exact supremum K for the admissibility ratio, where known."""
         return None
@@ -119,6 +128,9 @@ class Logistic(NoiseModel):
     def cdf_grid(self, ys):
         return self.survival_grid(-np.asarray(ys, dtype=float))
 
+    def side_tails_grid(self, ys, sign):
+        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
+
     def sample(self, rng, size):
         return rng.logistic(0.0, self.scale, size)
 
@@ -147,6 +159,9 @@ class Gaussian(NoiseModel):
     def density(self, y: float) -> float:
         z = y / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+
+    def side_tails_grid(self, ys, sign):
+        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
 
     def sample(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
@@ -180,6 +195,9 @@ class Laplace(NoiseModel):
 
     def cdf_grid(self, ys):
         return self.survival_grid(-np.asarray(ys, dtype=float))
+
+    def side_tails_grid(self, ys, sign):
+        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)

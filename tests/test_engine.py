@@ -218,6 +218,21 @@ def test_streams_refuse_negative_keys(seed, offset):
         path_streams(seed, offset)
 
 
+@pytest.mark.parametrize("seed, offset", [(7.9, 0), (7, 1.5), (7.0, 0)])
+def test_streams_refuse_fractional_keys(seed, offset):
+    """A float key is refused, not truncated to another path's streams."""
+    with pytest.raises(ConfigError, match="must be integers"):
+        path_streams(seed, offset)
+
+
+def test_streams_take_numpy_integers_and_seeds_past_63_bits():
+    """numpy integers key the same streams as ints, and a seed past
+    2**63 - 1, which verify's intensity check may pass, still runs."""
+    for a, b in zip(path_streams(np.int64(7), np.int32(3)), path_streams(7, 3)):
+        assert np.array_equal(a.random(4), b.random(4))
+    assert len(path_streams(2**63 + 4, 0)) == 3
+
+
 def test_silent_market_reduces_to_state_equation():
     """With no arrivals the belief must follow the plain forward equation."""
     q = GeneratorMatrix([[-0.7, 0.4, 0.3], [0.2, -0.5, 0.3], [0.1, 0.4, -0.5]])
@@ -743,6 +758,36 @@ def test_runs_refuse_fractional_seeds_and_take_numpy_integers(n_paths):
     as_int = simulate_paths(MODEL, 0.2, sim, seed=7, n_paths=n_paths)
     as_numpy = simulate_paths(MODEL, 0.2, sim, seed=np.int64(7), n_paths=np.int64(n_paths))
     assert _path_digest(as_numpy) == _path_digest(as_int)
+
+
+def test_lockstep_arrivals_run_as_rows(monkeypatch):
+    """Past the opening solve, a lockstep batch with trades makes no scalar
+    quote solve or jump: its arrivals are jumped and re-solved as rows."""
+    calls = []
+    kernel = gmsim.beliefs._FilterKernel
+    for name in ("quotes", "jump"):
+        scalar = getattr(kernel, name)
+
+        def spy(self, *args, _name=name, _scalar=scalar):
+            calls.append(_name)
+            return _scalar(self, *args)
+
+        monkeypatch.setattr(kernel, name, spy)
+    n = gmsim.engine.LOCKSTEP_MIN_PATHS
+    recs = simulate_paths(MODEL, 1.0, SimConfig(ode_step=0.05), seed=3, n_paths=n)
+    assert sum(r.n_trades for r in recs) > n
+    assert calls == ["quotes"]
+
+
+def test_lockstep_paths_with_a_shifted_ask_equal_solo_runs():
+    """With an ask shift the drift's tails differ from the solve's first
+    iterate and are not reused; a full batch still runs as the solo runs."""
+    cfg = SimConfig(ode_step=0.05, perturb_ask=0.01)
+    n = gmsim.engine.LOCKSTEP_MIN_PATHS
+    batch = simulate_paths(MODEL, 1.0, cfg, seed=8, n_paths=n)
+    solo = [simulate_gmps_path(MODEL, 1.0, cfg, seed=8, offset=k) for k in range(n)]
+    assert sum(r.n_trades for r in solo) > n
+    assert _path_digest(batch) == _path_digest(solo)
 
 
 def test_engine_imports_no_private_equilibrium_names():

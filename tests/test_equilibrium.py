@@ -314,38 +314,80 @@ def test_fixed_point_iteration_cap_raises():
                 0.0, 1e-12, 1)
 
 
-@pytest.mark.parametrize("noise", [Logistic(2.0), Laplace(1.5), Gaussian(1.3)],
-                         ids=["logistic", "laplace", "gaussian"])
+def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None):
+    """_picard_rows on the ask rows stacked over the bid rows."""
+    sign = np.repeat([1.0, -1.0], len(probs))[:, None]
+    prices = gmsim.equilibrium._picard_rows(
+        noise.side_tails_grid, xs, np.concatenate((probs, probs)), sign,
+        np.concatenate((ask, bid)), tol, max_iter, first,
+    )
+    return prices[:len(probs)], prices[len(probs):]
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [Logistic(2.0), Laplace(1.5), Gaussian(1.3), TwoPointDiscrete(0.6, 0.4),
+     NoiseTraderMix(0.3)],
+    ids=["logistic", "laplace", "gaussian", "two_point", "noise_trader_mix"],
+)
 def test_row_picard_equals_scalar_picard_per_row(noise):
-    """Each row takes _picard's iterates: same price, bit for bit, from rows
-    that converge after different counts, with zero and roundoff-negative
-    entries among them."""
+    """Each ask row takes _picard's survival iterates and each bid row its
+    cdf iterates: same price, bit for bit, from rows that converge after
+    different counts, with zero and roundoff-negative entries among them,
+    whether the loop evaluates the first iterate's tails or is given them.
+    Rows that fail solo (the forced lattice leaves some without trade mass)
+    are left out."""
     xs = np.array([0.0, 0.25, 1.0])
     probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
-                      [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3]])
-    start = np.array([0.5, 0.9, 0.0, 0.4, 1.0])
-    for tail_grid, tail, no_mass in (
-        (noise.survival_grid, noise.survival, ZeroBuyProbability),
-        (noise.cdf_grid, noise.cdf, ZeroSellProbability),
-    ):
-        rows = gmsim.equilibrium._picard_rows(tail_grid, no_mass, xs, probs, start,
-                                              1e-12, 200)
-        for r in range(len(probs)):
-            price, _ = _picard(tail, no_mass, xs.tolist(), probs[r].tolist(),
-                               float(start[r]), 1e-12, 200)
-            assert float(rows[r]).hex() == price.hex()
+                      [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5]])
+    ask = np.array([0.5, 0.9, 0.0, 0.4, 1.0, 0.3])
+    bid = np.array([0.4, 0.1, 0.7, 0.4, 0.0, 0.6])
+    want = []
+    for r in range(len(probs)):
+        try:
+            want.append([
+                _picard(tail, no_mass, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200)[0]
+                for tail, no_mass, s in ((noise.survival, ZeroBuyProbability, ask[r]),
+                                         (noise.cdf, ZeroSellProbability, bid[r]))
+            ])
+        except (ZeroBuyProbability, ZeroSellProbability, NoConvergence):
+            want.append(None)
+    kept = [r for r in range(len(probs)) if want[r] is not None]
+    assert len(kept) >= 3
+    probs, ask, bid = probs[kept], ask[kept], bid[kept]
+    sign = np.repeat([1.0, -1.0], len(kept))[:, None]
+    first = noise.side_tails_grid(np.concatenate((ask, bid))[:, None] - xs, sign)
+    for given in (None, first):
+        got_ask, got_bid = _both_sides(noise, xs, probs, ask, bid, 1e-12, 200, given)
+        for i, r in enumerate(kept):
+            assert [got_ask[i].hex(), got_bid[i].hex()] == [p.hex() for p in want[r]]
 
 
 def test_row_picard_raises_the_scalar_errors():
+    """Either side's zero mass and a step ceiling raise as _picard does;
+    the ask side's error wins, even when a bid row fails at an earlier
+    iteration, as if the ask rows were solved first and the bid rows
+    after them."""
     xs = np.array([0.0, 1.0])
     probs = np.array([[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(NoConvergence):
-        gmsim.equilibrium._picard_rows(LOGI.survival_grid, ZeroBuyProbability, xs,
-                                       probs, np.array([0.0, 0.0]), 1e-12, 1)
-    lattice = TwoPointDiscrete(0.3, 0.5)  # no buyer above x + 0.3
-    with pytest.raises(ZeroBuyProbability):
-        gmsim.equilibrium._picard_rows(lattice.survival_grid, ZeroBuyProbability, xs,
-                                       probs, np.array([0.5, 0.5]), 1e-12, 50)
+        _both_sides(LOGI, xs, probs, np.zeros(2), np.zeros(2), 1e-12, 1)
+    lattice = TwoPointDiscrete(0.3, 0.5)  # no buyer above x + 0.3, no seller below x - 0.3
+    with pytest.raises(ZeroBuyProbability, match=r"^no trade mass at price 0\.5$"):
+        _both_sides(lattice, xs, probs, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1e-12, 50)
+    # the bid row holding x = 1 finds no seller at 0.5 on its first iterate
+    at_one = np.array([[0.5, 0.5], [0.0, 1.0]])
+    with pytest.raises(ZeroSellProbability, match=r"^no trade mass at price 0\.5$"):
+        _both_sides(lattice, xs, at_one, np.array([0.5, 1.0]), np.array([0.5, 0.5]), 1e-12, 50)
+    # the ask side's error wins: with a ceiling of 2 the ask row from 0.0
+    # is still moving (0.0, 2/3, 1.0), after that bid row failed on step 1
+    with pytest.raises(NoConvergence):
+        _both_sides(lattice, xs, at_one, np.array([0.0, 1.0]), np.array([0.5, 0.5]), 1e-12, 2)
+    # a bid row still moving at the ceiling fails once both asks converged
+    asks, bids = _both_sides(lattice, xs, at_one, np.ones(2), np.array([0.5, 1.0]), 1e-12, 2)
+    assert asks.tolist() == [1.0, 1.0] and bids.tolist() == [0.0, 1.0]
+    with pytest.raises(NoConvergence):
+        _both_sides(lattice, xs, at_one, np.ones(2), np.array([0.5, 1.0]), 1e-12, 1)
 
 
 def test_bad_tol_rejected():

@@ -250,6 +250,25 @@ def test_grid_helpers_match_scalar(noise):
         assert float(cd[i]).hex() == noise.cdf(float(y)).hex()
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [Logistic(0.37), Gaussian(2.5), Laplace(0.8), TwoPointDiscrete(1.0, 0.3),
+     NoiseTraderMix(0.25)],
+    ids=["logistic", "gaussian", "laplace", "two_point", "noise_trader_mix"],
+)
+def test_side_tails_match_scalar_survival_and_cdf(noise):
+    """survival on the rows signed +1 and cdf on the rows signed -1, bit
+    for bit, with the lattice's steps and signed zeros among the points."""
+    ys = np.concatenate([np.linspace(-6.0, 6.0, 97), [0.0, -0.0, 1.0, -1.0]])
+    ys = np.stack([ys, ys[::-1], -ys])
+    sign = np.array([[1.0], [-1.0], [-1.0]])
+    tails = noise.side_tails_grid(ys, sign)
+    assert tails.shape == ys.shape
+    for row, side in ((0, noise.survival), (1, noise.cdf), (2, noise.cdf)):
+        for y, got in zip(ys[row].tolist(), tails[row].tolist()):
+            assert got.hex() == side(y).hex(), (row, y)
+
+
 # --------------------------------------------------------------------------
 # Sampling
 

@@ -341,6 +341,15 @@ def test_intensity_refuses_underpowered_setup():
         )
 
 
+def test_intensity_refuses_a_fractional_seed():
+    """A float seed is refused, not truncated to the integer seed's trials."""
+    with pytest.raises(ConfigError, match="must be integers"):
+        intensity_test(
+            MODEL2, Quote(ask=0.0, bid=-0.5), state_value=0.0, horizon=60.0,
+            n_trials=50, seed=7.9,
+        )
+
+
 def test_poisson_gof_calibration():
     rng = np.random.default_rng(9)
     counts = rng.poisson(30.0, size=400)
