@@ -22,12 +22,12 @@ functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
 through the equilibrium module's Picard loops. Its *_rows methods do the
 same arithmetic on many beliefs at once, one numpy row each, in the same
-operation order, so a row equals the scalar result bit for bit. They take
-both sides of the book as one array, the ask rows stacked over the bid
-rows: a drift evaluates the tails at (ask, bid) once, the quote solve that
-follows it starts from those quotes and, without an ask shift, reuses
-those tails as its first iterate, and the two sides share one row Picard
-loop.
+operation order (each sum over the states a _column_sum), so a row equals
+the scalar result bit for bit. They take both sides of the book as one
+array, the ask rows stacked over the bid rows: a drift evaluates the tails
+at (ask, bid) once, the quote solve that follows it starts from those
+quotes and, without an ask shift, reuses those tails as its first
+iterate, and the two sides share one row Picard loop.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_sizes
 from .equilibrium import (
     DEFAULT_TOL,
+    _column_sum,
     _iteration_ceiling,
     _picard,
     _picard_rows,
@@ -81,6 +82,13 @@ class SimplexDiagnostics:
 
     def merge(self, other: "SimplexDiagnostics") -> None:
         self.absorb(other.max_sum_error, other.min_component)
+
+
+def segment(dt, ode_step):
+    """(n_steps, h) for dt > 0 of trade-free time, in both engines: the
+    fewest equal RK4 steps h = dt / n_steps no longer than ode_step."""
+    n_steps = max(1, math.ceil(dt / ode_step))
+    return n_steps, dt / n_steps
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +177,7 @@ class _FilterKernel:
         quoted); the solved and returned quotes stay unshifted."""
         if dt <= 0.0:
             return probs, ask, bid
-        n_steps = max(1, math.ceil(dt / ode_step))
-        h = dt / n_steps
+        n_steps, h = segment(dt, ode_step)
         n = len(probs)
         p = probs
         drift, quotes = self.drift, self.quotes
@@ -239,9 +246,7 @@ class _FilterKernel:
         true, a sell at price[r] otherwise."""
         sign = np.where(buy, 1.0, -1.0)[:, None]
         weights = probs * self.side_tails_grid(price[:, None] - self.xs_row, sign)
-        total = 0.0 + weights[:, 0]
-        for i in range(1, weights.shape[1]):
-            total = total + weights[:, i]
+        total = _column_sum(weights)
         empty = np.flatnonzero(total <= 0.0)
         if empty.size:
             r = empty[0]
@@ -252,21 +257,15 @@ class _FilterKernel:
 
     def drift_rows(self, probs, ask, bid):
         """drift() for every row, with the stacked tails at (ask, bid) it
-        used (None without arrivals, where the quotes do not enter). Sums
-        run over the states in order; a zero-probability state adds 0.0
-        where drift() skips it."""
-        kol = np.zeros_like(probs)
-        for j, rates_j in enumerate(self.q_rows):
-            kol += probs[:, j, None] * rates_j
+        used (None without arrivals, where the quotes do not enter)."""
+        kol = _column_sum(probs[:, :, None] * self.q_rows)
         if not self.lam > 0.0:
             return kol, None
         n = len(probs)
         tails = self.side_tails_grid(np.concatenate((ask, bid))[:, None] - self.xs_row,
                                      _signs(n, n))
         a = tails[n:] + tails[:n]
-        a_bar = np.zeros(n)
-        for i in range(len(self.xs)):
-            a_bar += probs[:, i] * a[:, i]
+        a_bar = _column_sum(probs * a)
         return self.lam * probs * (a_bar[:, None] - a) + kol, tails
 
     def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
@@ -299,9 +298,7 @@ class _FilterKernel:
 
         p = probs + (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
 
-        total = np.zeros(len(p))
-        for i in range(p.shape[1]):
-            total += p[:, i]
+        total = _column_sum(p)
         low = p.min(axis=1)
         sum_error = np.abs(total - 1.0)
         for r in np.flatnonzero(low < 0.0).tolist():  # integrate()'s clamp and sum()

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel
+from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, segment
 from .core import Belief, GeneratorMatrix, Quote, StateGrid
 from .equilibrium import DEFAULT_TOL
 from .errors import ConditionFailed, ConfigError, ZeroBuyProbability, ZeroSellProbability
@@ -371,8 +371,8 @@ class _Path:
 
     def note(self, t, x_val, arrival, before, probs, ask, bid):
         """Book stop t after decide(): the arrival's profit and event, with
-        the beliefs before and after it, and the sample row of the state
-        (probs, ask, bid) after the stop."""
+        the beliefs before and after it, and, on a sampled path, the sample
+        row of the state (probs, ask, bid) after the stop."""
         if arrival is not None:
             record = self.record
             profit = 0.0 if arrival.price is None else arrival.price - x_val
@@ -385,22 +385,20 @@ class _Path:
             quote = arrival.quote
             self.events.append((t, x_val, arrival.eps, quote.ask, quote.bid,
                                 arrival.outcome, before, probs, profit))
-        self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
+        if self.sampled:
+            self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
 
     def next_segment(self, ode_step):
-        """Move on to the next stop. Returns (n_steps, h) for the segment to
-        it, with the steps of _FilterKernel.integrate; n_steps = 0 when the
-        stop lies no time past the last one, and None after the last stop."""
+        """Move on to the next stop. Returns the segment to it, (n_steps, h)
+        as _FilterKernel.integrate steps it; n_steps = 0 when the stop lies
+        no time past the last one, and None after the last stop."""
         if self.pending is not None:
             self.t_prev = self.pending[0]
         self.pending = next(self.stops, None)
         if self.pending is None:
             return None
         dt = self.pending[0] - self.t_prev
-        if dt > 0.0:
-            n_steps = max(1, math.ceil(dt / ode_step))
-            return n_steps, dt / n_steps
-        return 0, 0.0
+        return segment(dt, ode_step) if dt > 0.0 else (0, 0.0)
 
     def finish(self) -> PathRecord:
         """The record, with its events and sample columns built only now:

@@ -24,6 +24,8 @@ This module holds the package's only quote-solving path: _iteration_ceiling
 same loop over many beliefs and both sides at once for the lockstep engine:
 the ask rows and the bid rows stacked, each row with its side's tail. The
 public solvers here and the belief filter's per-model kernel call them.
+Each sum over the states in the row code is a _column_sum, which keeps a
+row equal to the scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +96,19 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter):
     raise _no_convergence(max_iter)
 
 
+def _column_sum(m):
+    """Sum each row of m over its columns (its second axis) in state order,
+    starting from +0.0. This is the row form of the scalar loops'
+    `total = 0.0; total += v`, and it equals them bit for bit. Where a
+    scalar loop skips a zero-probability state, the row adds that state's
+    zero term, which leaves the sum unchanged: +0.0 plus -0.0 is +0.0, so a
+    sum of zeros stays +0.0, as in the scalar loop."""
+    total = 0.0 + m[:, 0]
+    for i in range(1, m.shape[1]):
+        total = total + m[:, i]
+    return total
+
+
 def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None):
     """_picard on every row of probs at once, for both sides of the book:
     one belief and one warm price per row, sign a column that is +1 on the
@@ -103,30 +118,21 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None):
     which the first iterate then uses instead of evaluating them.
 
     A row leaves the loop when its successive values agree within tol, so
-    each row takes exactly the iterates _picard would take alone: the sums
-    run over the states in order, and a zero-probability state adds 0.0
-    where _picard skips it, which leaves the sums unchanged. Returns the
-    prices. Raises what solving all ask rows and then all bid rows would:
-    an ask row's ZeroBuyProbability or NoConvergence first, and a bid row's
-    ZeroSellProbability or NoConvergence only once every ask row has
-    converged.
+    each row takes exactly the iterates _picard would take alone. Returns
+    the prices. Raises what solving all ask rows and then all bid rows
+    would: an ask row's ZeroBuyProbability or NoConvergence first, and a
+    bid row's ZeroSellProbability or NoConvergence only once every ask row
+    has converged.
     """
     prices = np.array(start, dtype=float)
-    rows = None  # the rows still moving, when not all of them
+    rows = np.arange(len(prices))  # the rows still moving
     s = prices
     bid_error = None  # a bid row's zero mass, held until the ask rows finish
     for _ in range(max_iter):
         weights = probs * (tails(s[:, None] - xs, sign) if first is None else first)
         first = None
-        terms = weights * xs
-        # num starts at 0.0 as in _conditional_mean, so that a sum of zeros
-        # is +0.0 and never -0.0; den may start at its first term, as a den
-        # of either zero raises
-        num = 0.0 + terms[:, 0]
-        den = weights[:, 0]
-        for i in range(1, len(xs)):
-            num = num + terms[:, i]
-            den = den + weights[:, i]
+        num = _column_sum(weights * xs)
+        den = _column_sum(weights)
         empty = den <= 0.0
         if empty.any():
             ask_rows = sign[:, 0] > 0
@@ -134,8 +140,6 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None):
                 raise ZeroBuyProbability(f"no trade mass at price {s[empty & ask_rows][0]}")
             if bid_error is None:
                 bid_error = ZeroSellProbability(f"no trade mass at price {s[empty][0]}")
-            if rows is None:
-                rows = np.arange(len(s))
             # the bid rows' prices no longer matter; the ask rows go on
             rows, s, num, den, probs, sign = (
                 v[ask_rows] for v in (rows, s, num, den, probs, sign)
@@ -145,13 +149,9 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None):
         if done.all():
             if bid_error is not None:
                 raise bid_error
-            if rows is None:
-                return s_next
             prices[rows] = s_next
             return prices
         if done.any():
-            if rows is None:
-                rows = np.arange(len(s))
             prices[rows[done]] = s_next[done]
             moving = ~done
             rows, s_next, probs, sign = (v[moving] for v in (rows, s_next, probs, sign))

@@ -19,16 +19,16 @@ K = C / scale) and reports the certificate constants used downstream.
 
 Scalar methods use plain math calls (math.erfc for the Gaussian tail)
 because the simulator evaluates them one price at a time inside tight loops.
-The survival_grid, cdf_grid and density_grid methods are the array versions,
-used by scans and by the lockstep engine, and they equal the scalar methods
-bit for bit: by default a loop over the scalar method, overridden for the
-logistic and Laplace tails by numpy closed forms whose exponentials are
-taken element by element with math.exp (np.exp rounds differently from
-the C library on a few percent of inputs). side_tails_grid gives both sides
-of the book in one array, survival on the ask rows and cdf on the bid rows,
-so that the lockstep engine evaluates each tail once per price; the
-families whose cdf(y) is survival(-y) bit for bit (logistic, Gaussian,
-Laplace) take it as one survival evaluation of the signed prices.
+The array API is two methods, used by scans and by the lockstep engine, and
+both equal the scalar methods bit for bit. survival_grid is by default a
+loop over survival, overridden for the logistic and Laplace tails by numpy
+closed forms whose exponentials are taken element by element with math.exp
+(np.exp rounds differently from the C library on a few percent of inputs).
+side_tails_grid gives both sides of the book in one array, survival on the
+ask rows and cdf on the bid rows, so that the lockstep engine evaluates
+each tail once per price. The symmetric families (logistic, Gaussian,
+Laplace) share a base whose cdf(y) is survival(-y) bit for bit, so their
+side_tails_grid is one survival_grid of the signed prices.
 """
 
 from __future__ import annotations
@@ -75,29 +75,34 @@ class NoiseModel:
         raise NotImplementedError
 
     # Array versions, bit for bit equal to the scalar methods; families with
-    # a closed-form tail override survival_grid and cdf_grid.
+    # a closed-form tail override survival_grid.
 
     def survival_grid(self, ys) -> np.ndarray:
         return _elementwise(self.survival, ys)
 
-    def cdf_grid(self, ys) -> np.ndarray:
-        return _elementwise(self.cdf, ys)
-
-    def density_grid(self, ys) -> np.ndarray:
-        return _elementwise(self.density, ys)
-
     def side_tails_grid(self, ys, sign) -> np.ndarray:
         """survival on the rows of ys whose sign is +1, cdf on those whose
         sign is -1 (sign broadcasts against ys, one entry per row)."""
-        return np.where(sign > 0, self.survival_grid(ys), self.cdf_grid(ys))
+        return np.where(sign > 0, self.survival_grid(ys), _elementwise(self.cdf, ys))
 
     def analytic_condition_constant(self, width: float) -> float | None:
         """Exact supremum K for the admissibility ratio, where known."""
         return None
 
 
+class _Symmetric(NoiseModel):
+    """A family with symmetric noise, whose cdf(y) is survival(-y) bit for
+    bit, so that both sides' tails are one survival of the signed prices."""
+
+    def cdf(self, y: float) -> float:
+        return self.survival(-y)
+
+    def side_tails_grid(self, ys, sign) -> np.ndarray:
+        return self.survival_grid(ys * sign)
+
+
 @dataclass(frozen=True)
-class Logistic(NoiseModel):
+class Logistic(_Symmetric):
     """Logistic noise; Phi(y) = 1 / (1 + exp(y / scale))."""
 
     scale: float
@@ -113,9 +118,6 @@ class Logistic(NoiseModel):
             return e / (1.0 + e)
         return 1.0 / (1.0 + math.exp(z))
 
-    def cdf(self, y: float) -> float:
-        return self.survival(-y)
-
     def density(self, y: float) -> float:
         e = math.exp(-abs(y) / self.scale)
         return e / (self.scale * (1.0 + e) ** 2)
@@ -124,12 +126,6 @@ class Logistic(NoiseModel):
         z = np.asarray(ys, dtype=float) / self.scale
         e = _elementwise(math.exp, -np.abs(z))
         return np.where(z >= 0.0, e, 1.0) / (1.0 + e)
-
-    def cdf_grid(self, ys):
-        return self.survival_grid(-np.asarray(ys, dtype=float))
-
-    def side_tails_grid(self, ys, sign):
-        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
 
     def sample(self, rng, size):
         return rng.logistic(0.0, self.scale, size)
@@ -141,7 +137,7 @@ class Logistic(NoiseModel):
 
 
 @dataclass(frozen=True)
-class Gaussian(NoiseModel):
+class Gaussian(_Symmetric):
     """Centered Gaussian noise with standard deviation sigma."""
 
     sigma: float
@@ -153,22 +149,19 @@ class Gaussian(NoiseModel):
     def survival(self, y: float) -> float:
         return 0.5 * math.erfc(y / (self.sigma * math.sqrt(2.0)))
 
-    def cdf(self, y: float) -> float:
+    def cdf(self, y: float) -> float:  # survival(-y), without the extra call
         return 0.5 * math.erfc(-y / (self.sigma * math.sqrt(2.0)))
 
     def density(self, y: float) -> float:
         z = y / self.sigma
         return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def side_tails_grid(self, ys, sign):
-        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
-
     def sample(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
 
 
 @dataclass(frozen=True)
-class Laplace(NoiseModel):
+class Laplace(_Symmetric):
     """Double-exponential noise; both condition ratios are exactly 1/scale."""
 
     scale: float
@@ -182,9 +175,6 @@ class Laplace(NoiseModel):
             return 0.5 * math.exp(-y / self.scale)
         return 1.0 - 0.5 * math.exp(y / self.scale)
 
-    def cdf(self, y: float) -> float:
-        return self.survival(-y)
-
     def density(self, y: float) -> float:
         return math.exp(-abs(y) / self.scale) / (2.0 * self.scale)
 
@@ -192,12 +182,6 @@ class Laplace(NoiseModel):
         ys = np.asarray(ys, dtype=float)
         e = 0.5 * _elementwise(math.exp, -np.abs(ys) / self.scale)
         return np.where(ys >= 0.0, e, 1.0 - e)
-
-    def cdf_grid(self, ys):
-        return self.survival_grid(-np.asarray(ys, dtype=float))
-
-    def side_tails_grid(self, ys, sign):
-        return self.survival_grid(ys * sign)  # cdf(y) is survival(-y)
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
@@ -299,7 +283,7 @@ def check_gm_condition(
 
     ys = np.linspace(-width, width, grid_points)
     sv = noise.survival_grid(ys)
-    dens = noise.density_grid(ys)
+    dens = _elementwise(noise.density, ys)
     small_tail = np.minimum(sv, 1.0 - sv)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = dens / small_tail

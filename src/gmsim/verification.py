@@ -23,6 +23,7 @@ policy, into one report.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -424,6 +425,10 @@ def intensity_test(
     and chi-square-tests the per-trial buy counts against
     Poisson(lambda * survival(ask - x) * horizon), dually for sells.
     """
+    try:
+        n_trials = operator.index(n_trials)
+    except TypeError:
+        raise ConfigError(f"n_trials must be an integer, got {n_trials!r}") from None
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
     lam = model.arrival_rate

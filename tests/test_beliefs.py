@@ -14,6 +14,7 @@ from gmsim.beliefs import (
     buy_jump,
     integrate_between_events,
     make_filter_state,
+    segment,
     sell_jump,
 )
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
@@ -325,6 +326,15 @@ def test_jump_integrate_sequences_stay_on_simplex():
         assert abs(probs.sum() - 1.0) <= 1e-9
     assert diag.max_sum_error <= 1e-9
     assert diag.min_component >= -1e-12
+
+
+def test_segment_takes_the_fewest_steps_within_ode_step():
+    """The one rule that both engines split a trade-free segment by."""
+    assert segment(0.75, 0.25) == (3, 0.25)  # an exact multiple
+    assert segment(0.3, 0.1) == (3, 0.3 / 3)  # a multiple in decimal only
+    assert segment(0.003, 0.02) == (1, 0.003)  # shorter than one step
+    for ode_step in (1e-3, 0.02, 0.25):
+        assert segment(1e6 * ode_step, ode_step) == (10**6, ode_step)
 
 
 def test_integrate_rejects_bad_arguments():

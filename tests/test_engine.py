@@ -779,6 +779,27 @@ def test_lockstep_arrivals_run_as_rows(monkeypatch):
     assert calls == ["quotes"]
 
 
+def test_unsampled_paths_keep_no_sample_rows(monkeypatch):
+    """Only a path with sample_dt keeps the state at each stop, in both
+    engines."""
+    kept = []
+    finish = gmsim.engine._Path.finish
+
+    def spy(self):
+        kept.append(len(self.rows))
+        return finish(self)
+
+    monkeypatch.setattr(gmsim.engine._Path, "finish", spy)
+    n = gmsim.engine.LOCKSTEP_MIN_PATHS
+    cfg = SimConfig(ode_step=0.05)
+    solo = simulate_gmps_path(MODEL, 1.0, cfg, seed=3)
+    batch = simulate_paths(MODEL, 1.0, cfg, seed=3, n_paths=n)
+    assert solo.events and sum(len(r.events) for r in batch) > n
+    assert kept == [0] * (1 + n)
+    sampled = simulate_gmps_path(MODEL, 1.0, SimConfig(ode_step=0.05, sample_dt=0.5), seed=3)
+    assert kept[-1] == len(sampled.sample_times) > 0
+
+
 def test_lockstep_paths_with_a_shifted_ask_equal_solo_runs():
     """With an ask shift the drift's tails differ from the solve's first
     iterate and are not reused; a full batch still runs as the solo runs."""

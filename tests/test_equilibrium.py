@@ -314,6 +314,26 @@ def test_fixed_point_iteration_cap_raises():
                 0.0, 1e-12, 1)
 
 
+def test_column_sum_equals_the_scalar_loop():
+    """Each row's sum equals `total = 0.0; total += v` over the row, bit for
+    bit, on 1 to 9 columns with signed zeros and roundoff-size entries,
+    a row of -0.0 (which sums to +0.0) included."""
+    rng = np.random.default_rng(91)
+    specials = np.array([0.0, -0.0, -1e-18, 1e-18])
+    for n in range(1, 10):
+        m = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-3, 4, (40, n))
+        picks = rng.random((40, n)) < 0.3
+        m[picks] = rng.choice(specials, picks.sum())
+        m[0] = -0.0
+        m[1] = np.resize(specials, n)
+        got = gmsim.equilibrium._column_sum(m)
+        for r, row in enumerate(m.tolist()):
+            total = 0.0
+            for v in row:
+                total += v
+            assert float(got[r]).hex() == total.hex(), (n, row)
+
+
 def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None):
     """_picard_rows on the ask rows stacked over the bid rows."""
     sign = np.repeat([1.0, -1.0], len(probs))[:, None]

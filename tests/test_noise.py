@@ -14,6 +14,7 @@ from gmsim.noise import (
     Logistic,
     NoiseTraderMix,
     TwoPointDiscrete,
+    _Symmetric,
     check_gm_condition,
 )
 from oracles import erfc_reference, ks_statistic, normal_survival_reference
@@ -138,7 +139,7 @@ def test_condition_certificate_holds_on_grid():
     for noise, width in [(Logistic(2.0), 1.0), (Gaussian(2.0), 1.0), (Laplace(1.5), 1.0)]:
         report = check_gm_condition(noise, width)
         ys = np.linspace(-width, width, report.grid_points)
-        dens = noise.density_grid(ys)
+        dens = np.array([noise.density(y) for y in ys.tolist()])
         small = np.minimum(noise.survival_grid(ys), 1.0 - noise.survival_grid(ys))
         assert np.all(dens <= (report.K / width) * small * (1 + 1e-12))
 
@@ -244,7 +245,7 @@ def test_family_parameter_validation():
 def test_grid_helpers_match_scalar(noise):
     ys = np.linspace(-12.0, 12.0, 97)
     sv = noise.survival_grid(ys)
-    cd = noise.cdf_grid(ys)
+    cd = noise.side_tails_grid(ys, -1.0)
     for i, y in enumerate(ys):
         assert float(sv[i]).hex() == noise.survival(float(y)).hex()
         assert float(cd[i]).hex() == noise.cdf(float(y)).hex()
@@ -269,6 +270,25 @@ def test_side_tails_match_scalar_survival_and_cdf(noise):
             assert got.hex() == side(y).hex(), (row, y)
 
 
+SYMMETRIC = [Logistic(0.37), Logistic(2.0), Gaussian(1.0), Gaussian(2.5), Laplace(0.8)]
+
+
+def test_symmetric_families_are_covered():
+    assert {type(n) for n in SYMMETRIC} == set(_Symmetric.__subclasses__())
+
+
+@pytest.mark.parametrize("noise", SYMMETRIC, ids=repr)
+def test_symmetric_cdf_is_survival_of_the_negated_price(noise):
+    """side_tails_grid takes a symmetric family's cdf(y) as survival(-y),
+    so the two must agree bit for bit, Gaussian's own erfc cdf included:
+    at signed zeros, at the smallest and largest magnitudes, and on a
+    grid."""
+    ys = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+    ys += np.linspace(-12.0, 12.0, 97).tolist()
+    for y in ys:
+        assert noise.cdf(y).hex() == noise.survival(-y).hex(), y
+
+
 # --------------------------------------------------------------------------
 # Sampling
 
@@ -279,7 +299,7 @@ def test_sampling_matches_cdf_ks(noise):
     n = 100_000
     rng = np.random.default_rng(20240811)
     draws = np.sort(noise.sample(rng, n))
-    d = ks_statistic(draws, noise.cdf_grid(draws))
+    d = ks_statistic(draws, noise.side_tails_grid(draws, -1.0))
     assert d < 1.63 / math.sqrt(n), f"KS statistic {d:.5f}"
 
 

@@ -350,6 +350,18 @@ def test_intensity_refuses_a_fractional_seed():
         )
 
 
+def test_intensity_refuses_a_fractional_trial_count():
+    """n_trials must be an integer; a numpy integer gives the int's report."""
+    quote = Quote(ask=0.0, bid=-0.5)
+    for n_trials in (50.5, 150.0):
+        with pytest.raises(ConfigError, match="^n_trials must be an integer, got"):
+            intensity_test(MODEL2, quote, state_value=0.0, horizon=60.0,
+                           n_trials=n_trials, seed=7)
+    as_int = intensity_test(MODEL2, quote, 0.0, 60.0, n_trials=150, seed=7)
+    as_numpy = intensity_test(MODEL2, quote, 0.0, 60.0, n_trials=np.int64(150), seed=7)
+    assert as_numpy == as_int
+
+
 def test_poisson_gof_calibration():
     rng = np.random.default_rng(9)
     counts = rng.poisson(30.0, size=400)
