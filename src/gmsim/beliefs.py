@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_sizes
+from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_number, check_sizes
 from .equilibrium import (
     DEFAULT_TOL,
     _column_sum,
@@ -46,7 +46,7 @@ from .equilibrium import (
     _picard_rows,
     solve_static_quotes,
 )
-from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
+from .errors import ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
 DEFAULT_ODE_STEP = 1e-3
@@ -343,8 +343,7 @@ def belief_drift(
 ) -> list[float]:
     """Right-hand side of the no-trade filter ODE at the given quotes."""
     check_sizes(belief, grid, q)
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ConfigError("arrival rate must be nonnegative and finite")
+    check_number("lam", lam, "nonnegative")
     return _FilterKernel(grid, noise, q, lam).drift(
         [float(v) for v in belief.probs], float(quote.ask), float(quote.bid)
     )
@@ -383,15 +382,12 @@ def integrate_between_events(
     terminal belief. Pass a SimplexDiagnostics to accumulate the pre-clamp
     simplex deviations across calls.
     """
-    if not (dt >= 0.0 and math.isfinite(dt)):
-        raise ConfigError("dt must be nonnegative and finite")
+    check_number("dt", dt, "nonnegative")
     if dt == 0.0:
         return state
-    if not (ode_step > 0.0 and math.isfinite(ode_step)):
-        raise ConfigError("ode_step must be positive and finite")
+    check_number("ode_step", ode_step, "positive")
     check_sizes(state.belief, grid, q)
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ConfigError("arrival rate must be nonnegative and finite")
+    check_number("lam", lam, "nonnegative")
     kernel = _FilterKernel(grid, noise, q, lam, fp_tol, force)
     diag = diagnostics if diagnostics is not None else SimplexDiagnostics()
     probs, ask, bid = kernel.integrate(

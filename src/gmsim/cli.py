@@ -247,6 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="scenario YAML file")
 
+    def add_run_flags(p):
+        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--paths", type=int, help="override n_paths")
+        p.add_argument("--force", action="store_true",
+                       help="iterate without a contraction certificate")
+        p.add_argument("--perturb-ask", type=float, default=0.0,
+                       help="shift every ask up by this fraction of the range")
+
     p_check = sub.add_parser("check", help="evaluate the admissibility condition")
     add_common(p_check)
     p_check.set_defaults(handler=cmd_check)
@@ -262,21 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate paths, write logs")
     add_common(p_sim)
-    p_sim.add_argument("--seed", type=int, help="override the scenario seed")
-    p_sim.add_argument("--paths", type=int, help="override n_paths")
+    add_run_flags(p_sim)
     p_sim.add_argument("--out", default="gmsim-out", help="output directory")
-    p_sim.add_argument("--force", action="store_true")
-    p_sim.add_argument("--perturb-ask", type=float, default=0.0,
-                       help="shift every ask up by this fraction of the range")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the verification suite")
     add_common(p_ver)
-    p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--paths", type=int)
+    add_run_flags(p_ver)
     p_ver.add_argument("--out", help="directory for verify_report.json")
-    p_ver.add_argument("--force", action="store_true")
-    p_ver.add_argument("--perturb-ask", type=float, default=0.0)
     p_ver.set_defaults(handler=cmd_verify)
 
     return parser

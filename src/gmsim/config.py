@@ -21,21 +21,23 @@ messages name the offending field. load/save round-trips reproduce the
 scenario exactly.
 
 This module is the only one that knows the file format: the keys, the noise
-families' names, and how a value is parsed. The values' rules live in
-ScenarioConfig, so a scenario built in code or by dataclasses.replace meets
-the same rules and messages as a file.
+families' names, and how a value is parsed. ScenarioConfig applies the
+values' rules, so a scenario built in code or by dataclasses.replace meets
+the same rules and messages as a file. Each rule has one home, which the
+library's entry points share: core.check_number for the real numbers (via
+SimConfig for ode_step and fp_tol), engine.check_seed and check_n_paths,
+and MarketModel for the sizes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
 
 from .beliefs import DEFAULT_ODE_STEP
-from .core import Belief, GeneratorMatrix, StateGrid
+from .core import Belief, GeneratorMatrix, StateGrid, check_number
 from .engine import MarketModel, SimConfig, check_n_paths, check_seed
 from .equilibrium import DEFAULT_TOL
 from .errors import ConfigError
@@ -69,16 +71,9 @@ class ScenarioConfig:
     n_paths: int = 1
 
     def __post_init__(self):
-        for key, value in (("lambda", self.arrival_rate), ("horizon", self.horizon),
-                           ("ode_step", self.ode_step), ("fp_tol", self.fp_tol)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key}: must be finite, got {value!r}")
-        if self.arrival_rate < 0.0:
-            raise ConfigError(f"lambda: must be nonnegative, got {self.arrival_rate}")
-        for key, value in (("horizon", self.horizon), ("ode_step", self.ode_step),
-                           ("fp_tol", self.fp_tol)):
-            if value <= 0.0:
-                raise ConfigError(f"{key}: must be positive, got {value}")
+        check_number("lambda", self.arrival_rate, "nonnegative")
+        check_number("horizon", self.horizon, "positive")
+        self.sim_config()  # ode_step and fp_tol, with SimConfig's messages
         check_seed(self.seed)
         check_n_paths(self.n_paths)
         self.model()  # the sizes, with MarketModel's messages
@@ -219,8 +214,8 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}")
     try:
         data = yaml.safe_load(text)

@@ -4,10 +4,13 @@ A StateGrid holds the support of the unobserved value process, a Belief is a
 probability vector over that support, a Quote is an (ask, bid) pair, and a
 GeneratorMatrix is the rate matrix of the value chain. All four are frozen:
 the engine threads them through tight loops and never mutates them in place.
+check_number holds the one rule of the package's rates, horizons, steps and
+tolerances: finite, and positive or nonnegative where the input needs it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,17 @@ from .errors import ConfigError
 # rather than roundoff.
 NEG_TOL = 1e-9
 ROW_SUM_TOL = 1e-9
+
+
+def check_number(name: str, value: float, sign: str | None = None) -> None:
+    """Raise ConfigError unless value is finite and, for sign "positive" or
+    "nonnegative", of that sign, with the message a scenario file's value
+    gets: "<name>: must be finite, got <value>", then "<name>: must be
+    <sign>, got <value>"."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite, got {value!r}")
+    if (sign == "positive" and value <= 0.0) or (sign == "nonnegative" and value < 0.0):
+        raise ConfigError(f"{name}: must be {sign}, got {value}")
 
 
 def _frozen_array(values) -> np.ndarray:

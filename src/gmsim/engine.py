@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, segment
-from .core import Belief, GeneratorMatrix, Quote, StateGrid
+from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_number
 from .equilibrium import DEFAULT_TOL
 from .errors import ConditionFailed, ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
@@ -71,13 +71,13 @@ class MarketModel:
             )
         if self.initial_belief.n != self.grid.n:
             raise ConfigError("initial belief length does not match the grid")
-        if not (self.arrival_rate >= 0.0 and math.isfinite(self.arrival_rate)):
-            raise ConfigError("arrival rate must be nonnegative and finite")
+        check_number("arrival_rate", self.arrival_rate, "nonnegative")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Numerical knobs for one simulation run."""
+    """Numerical knobs for one simulation run, refused with the messages a
+    scenario file's ode_step and fp_tol get."""
 
     ode_step: float = DEFAULT_ODE_STEP
     fp_tol: float = DEFAULT_TOL
@@ -86,16 +86,11 @@ class SimConfig:
     force: bool = False
 
     def __post_init__(self):
-        if not (self.ode_step > 0.0 and math.isfinite(self.ode_step)):
-            raise ConfigError("ode_step must be positive and finite")
-        if not (self.fp_tol > 0.0 and math.isfinite(self.fp_tol)):
-            raise ConfigError("fp_tol must be positive and finite")
-        if self.sample_dt is not None and not (
-            self.sample_dt > 0.0 and math.isfinite(self.sample_dt)
-        ):
-            raise ConfigError("sample_dt must be positive when given")
-        if not math.isfinite(self.perturb_ask):
-            raise ConfigError("perturb_ask must be finite")
+        check_number("ode_step", self.ode_step, "positive")
+        check_number("fp_tol", self.fp_tol, "positive")
+        if self.sample_dt is not None:
+            check_number("sample_dt", self.sample_dt, "positive")
+        check_number("perturb_ask", self.perturb_ask)
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,7 @@ def sample_value_path(
     Returns (times, states): right-continuous, times[0] = 0, states are grid
     indices. The state at t is states[searchsorted(times, t, 'right') - 1].
     """
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ConfigError("horizon must be positive and finite")
+    check_number("horizon", horizon, "positive")
     cum = np.cumsum(initial.probs)
     state = int(np.searchsorted(cum, rng.random(), side="right"))
     state = min(state, initial.n - 1)
@@ -234,8 +228,7 @@ def sample_arrival_times(
     lam: float, horizon: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Poisson arrival times on (0, horizon) via exponential gaps."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ConfigError("arrival rate must be nonnegative and finite")
+    check_number("lam", lam, "nonnegative")
     if lam == 0.0:
         return np.empty(0)
     out = []
@@ -436,8 +429,7 @@ def _blame_the_step(exc, model, ode_step):
 def _start(model, horizon, config, seed):
     """Check a run's horizon and seed; return the model's kernel and the
     opening filter state (prior, and its quotes solved from the prior mean)."""
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ConfigError("horizon must be positive and finite")
+    check_number("horizon", horizon, "positive")
     check_seed(seed)
     kernel = _FilterKernel(
         model.grid, model.noise, model.generator, model.arrival_rate,

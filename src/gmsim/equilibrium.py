@@ -35,20 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, ContractionConstants, StateGrid, check_sizes
-from .errors import (
-    ConditionFailed,
-    ConfigError,
-    NoConvergence,
-    ZeroBuyProbability,
-    ZeroSellProbability,
-)
+from .core import Belief, ContractionConstants, StateGrid, check_number, check_sizes
+from .errors import ConditionFailed, NoConvergence, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel, check_gm_condition
 
 DEFAULT_TOL = 1e-12
 # Iteration ceiling when no contraction certificate is available (forced
 # static-only runs); certified solves derive a ceiling from K instead.
 FALLBACK_MAX_ITER = 500
+# find_fixed_points: residual samples on [x_1, x_n], and the root tolerance
+# (bisection stops at ROOT_TOL / 1000, and roots within 10 * ROOT_TOL merge)
+ROOT_SCAN_POINTS = 20_001
+ROOT_TOL = 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +165,7 @@ def _iteration_ceiling(noise, grid, tol, force):
     K^n * C falls below tol, plus slack for roundoff; a forced run gets
     FALLBACK_MAX_ITER.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError("tol must be positive and finite")
+    check_number("tol", tol, "positive")
     if noise.static_only:
         if not force:
             raise ConditionFailed(
@@ -295,8 +292,6 @@ def find_fixed_points(
     grid: StateGrid,
     noise: NoiseModel,
     buy_side: bool = True,
-    scan_points: int = 20_001,
-    tol: float = 1e-10,
 ) -> list[float]:
     """All fixed points of s = g(s, pi) (or h) found by scanning [x_1, x_n].
 
@@ -318,13 +313,13 @@ def find_fixed_points(
             return math.nan
 
     lo, hi = grid.x_min, grid.x_max
-    step = (hi - lo) / (scan_points - 1)
+    step = (hi - lo) / (ROOT_SCAN_POINTS - 1)
     scale = max(1.0, abs(lo), abs(hi))
     roots: list[float] = []
 
     def push(candidate):
         for r in roots:
-            if abs(r - candidate) <= max(10 * tol, 1e-9 * scale):
+            if abs(r - candidate) <= max(10 * ROOT_TOL, 1e-9 * scale):
                 return
         roots.append(candidate)
 
@@ -332,15 +327,15 @@ def find_fixed_points(
     prev_r = residual(lo)
     if prev_r == 0.0:
         push(lo)
-    for i in range(1, scan_points):
-        s = lo + i * step if i < scan_points - 1 else hi
+    for i in range(1, ROOT_SCAN_POINTS):
+        s = lo + i * step if i < ROOT_SCAN_POINTS - 1 else hi
         r = residual(s)
         if r == 0.0:
             push(s)
         elif not (math.isnan(r) or math.isnan(prev_r)) and prev_r * r < 0.0:
             a, b = prev_s, s
             ra = prev_r
-            while b - a > 1e-3 * tol:
+            while b - a > 1e-3 * ROOT_TOL:
                 mid = 0.5 * (a + b)
                 rm = residual(mid)
                 if rm == 0.0:
@@ -353,7 +348,7 @@ def find_fixed_points(
             candidate = 0.5 * (a + b)
             # A jump discontinuity of r bisects to a point with a finite
             # residual; a genuine root leaves essentially none.
-            if abs(residual(candidate)) <= 100.0 * (1e-3 * tol) * scale + 1e-13:
+            if abs(residual(candidate)) <= 100.0 * (1e-3 * ROOT_TOL) * scale + 1e-13:
                 push(candidate)
         prev_s, prev_r = s, r
     return sorted(roots)
@@ -372,8 +367,7 @@ def contraction_constants(grid: StateGrid, noise: NoiseModel, lam: float) -> Con
     two solutions of the filter/quote system started together agree on
     [0, t_star] with t_star = (1 - K) / (2 * K1).
     """
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ConfigError("arrival rate must be nonnegative and finite")
+    check_number("lam", lam, "nonnegative")
     report = check_gm_condition(noise, grid.width)
     if not report.passes:
         raise ConditionFailed(

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConditionReport
+from .core import ConditionReport, check_number
 from .errors import ConfigError, GmsimError, NotDifferentiable
 
 CONDITION_GRID_POINTS = 10_001
@@ -257,31 +257,27 @@ class NoiseTraderMix(NoiseModel):
 
 
 @lru_cache(maxsize=None)
-def check_gm_condition(
-    noise: NoiseModel, width: float, grid_points: int = CONDITION_GRID_POINTS
-) -> ConditionReport:
+def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
     """Scan the zero-profit admissibility condition on [-width, width].
 
     Returns the certificate constants: the smallest K with
     -Phi'(y) <= (K / width) * min(Phi(y), 1 - Phi(y)) on the scan grid
     (replaced by the exact supremum for families that know it), the maximum
     density M on the same grid, and the tail values Phi(0), Phi(width).
-    The condition passes when K < 1 and 0 < Phi(0) < 1.
+    The condition passes when K < 1 and 0 < Phi(0) < 1. The scan grid has
+    CONDITION_GRID_POINTS points.
 
-    Results are cached per (noise, width, grid_points); the families are
-    frozen, so the cache key is a value key.
+    Results are cached per (noise, width); the families are frozen, so the
+    cache key is a value key.
     """
     if noise.static_only:
         raise NotDifferentiable(
             "admissibility condition needs a density; "
             f"{type(noise).__name__} is static-only"
         )
-    if not (width > 0.0 and math.isfinite(width)):
-        raise ConfigError("grid width must be positive and finite")
-    if grid_points < 3:
-        raise ConfigError("condition scan needs at least 3 grid points")
+    check_number("width", width, "positive")
 
-    ys = np.linspace(-width, width, grid_points)
+    ys = np.linspace(-width, width, CONDITION_GRID_POINTS)
     sv = noise.survival_grid(ys)
     dens = _elementwise(noise.density, ys)
     small_tail = np.minimum(sv, 1.0 - sv)
@@ -309,5 +305,5 @@ def check_gm_condition(
         phi_at_c=phi_c,
         phi_at_c_floor=floor,
         passes=passes,
-        grid_points=grid_points,
+        grid_points=CONDITION_GRID_POINTS,
     )

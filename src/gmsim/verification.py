@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import Belief, Quote, StateGrid
+from .core import Belief, Quote, StateGrid, check_number
 from .engine import (
     MarketModel,
     Outcome,
@@ -47,18 +47,20 @@ from .equilibrium import ContractionConstants, contraction_constants
 from .errors import ConfigError, GridMismatch, InsufficientData
 
 
+# Taylor terms of the reference filter's matrix exponential
+MATRIX_EXP_TERMS = 12
+# two belief paths' times match when they lie this close together
+TIME_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class OracleFilterConfig:
-    """Discretization knobs for the reference filter."""
+    """Discretization step of the reference filter."""
 
     h: float = 1e-3
-    matrix_exp_terms: int = 12
 
     def __post_init__(self):
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ConfigError("oracle step h must be positive and finite")
-        if self.matrix_exp_terms < 8:
-            raise ConfigError("matrix_exp_terms must be at least 8")
+        check_number("h", self.h, "positive")
 
 
 @dataclass(frozen=True)
@@ -133,8 +135,9 @@ class UniquenessReport:
 # Reference filter
 
 
-def transition_matrix(rates: np.ndarray, dt: float, terms: int = 12) -> np.ndarray:
-    """exp(rates * dt) by scaling and squaring of a truncated Taylor series."""
+def transition_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
+    """exp(rates * dt) by scaling and squaring of a Taylor series truncated
+    after MATRIX_EXP_TERMS terms."""
     b = np.asarray(rates, dtype=float) * dt
     norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
@@ -142,7 +145,7 @@ def transition_matrix(rates: np.ndarray, dt: float, terms: int = 12) -> np.ndarr
     n = b.shape[0]
     acc = np.eye(n)
     term = np.eye(n)
-    for k in range(1, terms + 1):
+    for k in range(1, MATRIX_EXP_TERMS + 1):
         term = term @ b / k
         acc = acc + term
     for _ in range(squarings):
@@ -206,7 +209,7 @@ def oracle_filter(
         dt = t1 - t0
         p_mat = expm_cache.get(dt)
         if p_mat is None:
-            p_mat = transition_matrix(rates, dt, cfg.matrix_exp_terms)
+            p_mat = transition_matrix(rates, dt)
             expm_cache[dt] = p_mat
         belief = belief @ p_mat
         if lam > 0.0:
@@ -244,9 +247,9 @@ def compare_filters(
     beliefs_a: np.ndarray,
     times_b: np.ndarray,
     beliefs_b: np.ndarray,
-    time_tol: float = 1e-9,
 ) -> FilterComparison:
-    """Max L1 distance between two belief paths at their shared times."""
+    """Max L1 distance between two belief paths at their shared times, the
+    times within TIME_TOL of each other."""
     beliefs_a = np.asarray(beliefs_a, dtype=float)
     beliefs_b = np.asarray(beliefs_b, dtype=float)
     if beliefs_a.ndim != 2 or beliefs_b.ndim != 2:
@@ -264,7 +267,7 @@ def compare_filters(
     for j, t in enumerate(times_b):
         best = None
         for i in (pos[j] - 1, pos[j]):
-            if 0 <= i < len(times_a) and abs(times_a[i] - t) <= time_tol:
+            if 0 <= i < len(times_a) and abs(times_a[i] - t) <= TIME_TOL:
                 best = i
                 break
         if best is None:
@@ -587,13 +590,13 @@ def _entry(report) -> dict:
     return {"status": "pass" if fields.pop("passed") else "fail", **fields}
 
 
-def _filter_check(cfg, model, seed, perturb_ask, force) -> dict:
+def _filter_check(cfg, model, perturb_ask, force) -> dict:
     """Engine against the oracle filter on path 0, plus the oracle's own
     first-order convergence over h, h/2, h/4 (end-point gap ratio near 2)."""
     h = 1e-3
     horizon = min(cfg.horizon, 2.0)
     sim = cfg.sim_config(sample_dt=h / 4, perturb_ask=perturb_ask, force=force)
-    rec = simulate_gmps_path(model, horizon, sim, seed=seed, offset=0)
+    rec = simulate_gmps_path(model, horizon, sim, seed=cfg.seed, offset=0)
     steps = (h, h / 2, h / 4)
     times, beliefs = zip(
         *(oracle_filter(rec, model, OracleFilterConfig(h=step)) for step in steps)
@@ -661,30 +664,23 @@ def _intensity_check(model, seed) -> dict:
     }
 
 
-def run_verify(
-    cfg: ScenarioConfig,
-    seed: int | None = None,
-    n_paths: int | None = None,
-    perturb_ask: float = 0.0,
-    force: bool = False,
-) -> dict:
-    """Run the four checks of `gmsim verify` on one scenario.
+def run_verify(cfg: ScenarioConfig, perturb_ask: float = 0.0, force: bool = False) -> dict:
+    """Run the four checks of `gmsim verify` on one scenario, with its seed
+    and n_paths (another seed or path count is a dataclasses.replace of
+    cfg, which checks it as a scenario file's).
 
-    Returns the dict that the command writes as verify_report.json. seed
-    and n_paths default to the scenario's. A check that raises
-    InsufficientData is reported as skipped, with its reason; passed is
-    true when no check failed.
+    Returns the dict that the command writes as verify_report.json. A check
+    that raises InsufficientData is reported as skipped, with its reason;
+    passed is true when no check failed.
     """
-    seed = cfg.seed if seed is None else seed
-    n_paths = cfg.n_paths if n_paths is None else n_paths
     model = cfg.model()
     sim = cfg.sim_config(perturb_ask=perturb_ask, force=force)
-    records = simulate_paths(model, cfg.horizon, sim, seed=seed, n_paths=n_paths)
+    records = simulate_paths(model, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
     runs = {
         "zero_profit": lambda: _entry(zero_profit_test(records)),
         "consistency": lambda: _entry(consistency_check(records, cfg.grid)),
-        "filter_oracle": lambda: _filter_check(cfg, model, seed, perturb_ask, force),
-        "intensity": lambda: _intensity_check(model, seed),
+        "filter_oracle": lambda: _filter_check(cfg, model, perturb_ask, force),
+        "intensity": lambda: _intensity_check(model, cfg.seed),
     }
     checks = {}
     for name, run in runs.items():
@@ -693,8 +689,8 @@ def run_verify(
         except InsufficientData as exc:
             checks[name] = {"status": "skipped", "reason": str(exc)}
     return {
-        "seed": seed,
-        "n_paths": n_paths,
+        "seed": cfg.seed,
+        "n_paths": cfg.n_paths,
         "perturb_ask": perturb_ask,
         "checks": checks,
         "passed": all(c["status"] != "fail" for c in checks.values()),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,14 @@ def test_check_invalid_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text("states: [0.0, 1.0\n")
     assert main(["check", "--config", str(path)]) == 2
+
+
+def test_check_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["check", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario file") and "Traceback" not in err
 
 
 def test_check_unknown_key_exits_2(write_scenario):
@@ -381,18 +390,19 @@ def test_run_verify_matches_the_written_report(write_scenario, tmp_path, capsys)
     main(["verify", "--config", cfg, "--seed", "7", "--paths", "8",
           "--perturb-ask", "0.05", "--out", str(out)])
     written = json.loads((out / "verify_report.json").read_text())
-    report = run_verify(load_scenario(cfg), seed=7, n_paths=8, perturb_ask=0.05)
+    report = run_verify(replace(load_scenario(cfg), seed=7, n_paths=8), perturb_ask=0.05)
     assert report == written
 
 
 def test_run_verify_holds_seeds_to_the_scenario_rule(write_scenario):
-    """run_verify refuses a seed a scenario file refuses, and the largest
-    scenario seed verifies although the intensity check runs seed + k."""
+    """A seed a scenario file refuses cannot reach run_verify, and the
+    largest scenario seed verifies although the intensity check runs
+    seed + k."""
     cfg = load_scenario(write_scenario(horizon=0.5, seed=2**63 - 1))
     for seed in (2**63, 2**64 + 5):
         with pytest.raises(ConfigError, match="must fit in 64 bits"):
-            run_verify(cfg, seed=seed, n_paths=2)
-    report = run_verify(cfg, n_paths=8)
+            run_verify(replace(cfg, seed=seed, n_paths=2))
+    report = run_verify(replace(cfg, n_paths=8))
     assert report["seed"] == 2**63 - 1
     assert report["checks"]["intensity"]["pairs"]
     assert report["passed"]

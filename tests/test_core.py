@@ -1,10 +1,25 @@
 """Construction and validation of the shared value types."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gmsim.beliefs import belief_drift, integrate_between_events, make_filter_state
+from gmsim.config import ScenarioConfig
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
+from gmsim.engine import (
+    MarketModel,
+    SimConfig,
+    sample_arrival_times,
+    sample_value_path,
+    simulate_gmps_path,
+)
+from gmsim.equilibrium import contraction_constants, solve_ask
 from gmsim.errors import ConfigError
+from gmsim.noise import Logistic, check_gm_condition
+from gmsim.verification import OracleFilterConfig
 
 
 def test_state_grid_basics():
@@ -82,3 +97,72 @@ def test_generator_rejects_negative_rates():
         GeneratorMatrix([[0.0, -0.1], [0.2, 0.0]])
     with pytest.raises(ConfigError):
         GeneratorMatrix([[0.0, 0.1, 0.2], [0.3, 0.0, 0.4]])
+
+
+# --------------------------------------------------------------------------
+# The rule of the real-valued inputs
+
+GRID = StateGrid([0.0, 1.0])
+Q = GeneratorMatrix([[0.0, 0.5], [0.8, 0.0]])
+NOISE = Logistic(2.0)
+PRIOR = Belief([0.5, 0.5])
+MODEL = MarketModel(grid=GRID, generator=Q, arrival_rate=4.0, noise=NOISE,
+                    initial_belief=PRIOR)
+SCENARIO = ScenarioConfig(grid=GRID, generator=Q, arrival_rate=4.0, noise=NOISE,
+                          initial_belief=PRIOR, horizon=1.0, seed=0)
+STATE = make_filter_state(PRIOR, GRID, NOISE)
+QUOTE = Quote(ask=STATE.ask, bid=STATE.bid)
+
+# Every entry point that checks a real-valued input: (id, call with the
+# value, the name the message gives, the sign the value must have).
+NUMBER_INPUTS = [
+    ("MarketModel.arrival_rate", lambda v: replace(MODEL, arrival_rate=v),
+     "arrival_rate", "nonnegative"),
+    ("SimConfig.ode_step", lambda v: SimConfig(ode_step=v), "ode_step", "positive"),
+    ("SimConfig.fp_tol", lambda v: SimConfig(fp_tol=v), "fp_tol", "positive"),
+    ("SimConfig.sample_dt", lambda v: SimConfig(sample_dt=v), "sample_dt", "positive"),
+    ("SimConfig.perturb_ask", lambda v: SimConfig(perturb_ask=v), "perturb_ask", None),
+    ("sample_value_path", lambda v: sample_value_path(Q, PRIOR, v, np.random.default_rng(0)),
+     "horizon", "positive"),
+    ("simulate_gmps_path", lambda v: simulate_gmps_path(MODEL, v), "horizon", "positive"),
+    ("sample_arrival_times", lambda v: sample_arrival_times(v, 1.0, np.random.default_rng(0)),
+     "lam", "nonnegative"),
+    ("belief_drift", lambda v: belief_drift(PRIOR, QUOTE, v, Q, GRID, NOISE),
+     "lam", "nonnegative"),
+    ("contraction_constants", lambda v: contraction_constants(GRID, NOISE, v),
+     "lam", "nonnegative"),
+    ("integrate_between_events.dt",
+     lambda v: integrate_between_events(STATE, v, 1.0, Q, GRID, NOISE), "dt", "nonnegative"),
+    ("integrate_between_events.ode_step",
+     lambda v: integrate_between_events(STATE, 0.1, 1.0, Q, GRID, NOISE, ode_step=v),
+     "ode_step", "positive"),
+    ("integrate_between_events.lam",
+     lambda v: integrate_between_events(STATE, 0.1, v, Q, GRID, NOISE), "lam", "nonnegative"),
+    ("solve_ask.tol", lambda v: solve_ask(PRIOR, GRID, NOISE, tol=v), "tol", "positive"),
+    ("OracleFilterConfig.h", lambda v: OracleFilterConfig(h=v), "h", "positive"),
+    ("check_gm_condition.width", lambda v: check_gm_condition(NOISE, v), "width", "positive"),
+    ("ScenarioConfig.lambda", lambda v: replace(SCENARIO, arrival_rate=v),
+     "lambda", "nonnegative"),
+    ("ScenarioConfig.horizon", lambda v: replace(SCENARIO, horizon=v), "horizon", "positive"),
+    ("ScenarioConfig.ode_step", lambda v: replace(SCENARIO, ode_step=v), "ode_step", "positive"),
+    ("ScenarioConfig.fp_tol", lambda v: replace(SCENARIO, fp_tol=v), "fp_tol", "positive"),
+]
+BAD_NUMBERS = {"positive": (0.0, -1.0, math.inf, math.nan),
+               "nonnegative": (-1.0, math.inf, math.nan),
+               None: (math.inf, math.nan)}
+
+
+@pytest.mark.parametrize("call, name, sign, value", [
+    pytest.param(call, name, sign, value, id=f"{entry}={value}")
+    for entry, call, name, sign in NUMBER_INPUTS for value in BAD_NUMBERS[sign]
+])
+def test_real_inputs_share_one_rule(call, name, sign, value):
+    """Each entry point refuses a bad value with the message a scenario
+    file gets for it."""
+    if math.isfinite(value):
+        message = f"{name}: must be {sign}, got {value}"
+    else:
+        message = f"{name}: must be finite, got {value!r}"
+    with pytest.raises(ConfigError) as exc:
+        call(value)
+    assert str(exc.value) == message

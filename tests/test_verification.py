@@ -66,8 +66,9 @@ MODEL3 = MarketModel(
 def test_oracle_and_statistics_never_touch_the_engine_integrator():
     """The reference filter must stay an independent code path."""
     source = inspect.getsource(verification)
-    for forbidden in ("integrate_between_events", "belief_drift", "_drift_raw",
-                      "_integrate_raw", "_FilterKernel", "from .beliefs"):
+    for forbidden in ("integrate_between_events", "belief_drift", "step_rows",
+                      "drift_rows", "quotes_rows", "jump_rows", "segment",
+                      "_FilterKernel", "from .beliefs"):
         assert forbidden not in source
 
 
@@ -180,8 +181,6 @@ def test_oracle_requires_a_fine_quote_log():
 def test_oracle_config_validation():
     with pytest.raises(ConfigError):
         OracleFilterConfig(h=0.0)
-    with pytest.raises(ConfigError):
-        OracleFilterConfig(matrix_exp_terms=4)
 
 
 def test_oracle_self_convergence_is_first_order():
