@@ -15,7 +15,11 @@ integrate_between_events advances that ODE with classical fixed-step RK4,
 re-solving both fixed points at every stage evaluation (warm-started from
 the previous stage). After each full step, negative roundoff is clamped and
 the vector renormalized; the pre-clamp deviations are tracked so a caller
-can prove they stayed at roundoff scale.
+can prove they stayed at roundoff scale. The kernel's integrate can hand
+each step's end points (beliefs, the drift at the start, quotes) to a
+callback; the engine reads its sample rows off them with hermite, RK4's
+dense output, so observing the belief between trades never changes the
+steps that move it.
 
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
@@ -89,6 +93,39 @@ def segment(dt, ode_step):
     fewest equal RK4 steps h = dt / n_steps no longer than ode_step."""
     n_steps = max(1, math.ceil(dt / ode_step))
     return n_steps, dt / n_steps
+
+
+def _onto_simplex(p):
+    """p with negative entries clamped to 0 and renormalised, with what
+    SimplexDiagnostics.absorb takes of p as it came: the distance of its
+    sum from 1 and its least entry."""
+    total = 0.0
+    low = p[0]
+    for v in p:
+        total += v
+        if v < low:
+            low = v
+    sum_error = abs(total - 1.0)
+    if low < 0.0:
+        p = [v if v > 0.0 else 0.0 for v in p]
+        total = sum(p)
+    return [v / total for v in p], sum_error, low
+
+
+def hermite(s, h, p0, k0, p1, k1):
+    """The belief at fraction s of an RK4 step of length h from p0 to p1,
+    with drifts k0 at p0 and k1 at p1: the cubic Hermite interpolant of the
+    step's end points (RK4's dense output), clamped and renormalised as a
+    step's end is."""
+    s2 = s * s
+    s3 = s2 * s
+    c1 = 3.0 * s2 - 2.0 * s3
+    c0 = 1.0 - c1
+    d0 = h * (s3 - 2.0 * s2 + s)
+    d1 = h * (s3 - s2)
+    return _onto_simplex(
+        [c0 * a + d0 * da + c1 * b + d1 * db for a, da, b, db in zip(p0, k0, p1, k1)]
+    )[0]
 
 
 # --------------------------------------------------------------------------
@@ -168,13 +205,19 @@ class _FilterKernel:
                 out[i] = kol
         return out
 
-    def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0):
+    def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0, on_step=None):
         """Advance the filter ODE by dt. probs is consumed and a new list is
         returned along with the fixed-point quotes at the terminal belief.
         ask/bid must be the fixed points at the initial belief. ask_shift is
         added to the ask inside the drift only (a maker posting
         off-equilibrium asks still conditions on the prices actually
-        quoted); the solved and returned quotes stay unshifted."""
+        quoted); the solved and returned quotes stay unshifted.
+
+        on_step, when given, is called after step j of the segment with
+        its end points, on_step(j, p0, k1, ask0, bid0, p1, ask1, bid1): the
+        beliefs at its start and end (p1 clamped and renormalised), the
+        drift k1 at p0, and the quotes solved at each end (with lam = 0,
+        both are the quotes the segment started with)."""
         if dt <= 0.0:
             return probs, ask, bid
         n_steps, h = segment(dt, ode_step)
@@ -182,7 +225,8 @@ class _FilterKernel:
         p = probs
         drift, quotes = self.drift, self.quotes
         informative = self.lam > 0.0  # with lam = 0 the quotes never enter the drift
-        for _ in range(n_steps):
+        for j in range(n_steps):
+            p0, ask0, bid0 = p, ask, bid
             k1 = drift(p, ask + ask_shift, bid)
 
             stage = [p[i] + 0.5 * h * k1[i] for i in range(n)]
@@ -206,20 +250,13 @@ class _FilterKernel:
                 for i in range(n)
             ]
 
-            total = 0.0
-            low = p[0]
-            for v in p:
-                total += v
-                if v < low:
-                    low = v
-            diag.absorb(abs(total - 1.0), low)
-            if low < 0.0:
-                p = [v if v > 0.0 else 0.0 for v in p]
-                total = sum(p)
-            p = [v / total for v in p]
+            p, sum_error, low = _onto_simplex(p)
+            diag.absorb(sum_error, low)
 
             if informative:
                 ask, bid = quotes(p, ask, bid)
+            if on_step is not None:
+                on_step(j, p0, k1, ask0, bid0, p, ask, bid)
         if not informative:
             ask, bid = quotes(p, ask, bid)
         return p, ask, bid
@@ -271,10 +308,12 @@ class _FilterKernel:
     def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
         """One RK4 step of integrate() for every row, row r with step h[r],
         including the clamp and renormalisation and, with arrivals, the
-        quotes at the new belief. Returns (probs, ask, bid, sum_error, low):
-        the last two are what integrate() hands SimplexDiagnostics.absorb.
-        Each quote solve starts from the quotes the drift before it saw, so
-        without an ask shift it reuses that drift's tails."""
+        quotes at the new belief. Returns (probs, ask, bid, sum_error, low,
+        k1): sum_error and low are what integrate() hands
+        SimplexDiagnostics.absorb, and k1 is the drift at the step's start,
+        which a sampled run's dense output needs. Each quote solve starts
+        from the quotes the drift before it saw, so without an ask shift it
+        reuses that drift's tails."""
         drift, quotes = self.drift_rows, self.quotes_rows
         informative = self.lam > 0.0
         reuse = ask_shift == 0.0
@@ -309,7 +348,7 @@ class _FilterKernel:
 
         if informative:
             ask, bid = quotes(p, ask, bid, tails if reuse else None)
-        return p, ask, bid, sum_error, low
+        return p, ask, bid, sum_error, low, k1
 
 
 def _signs(n_ask, n_bid):

@@ -140,7 +140,8 @@ def _make_out_dir(path: str) -> Path:
     return out_dir
 
 
-def _write_outputs(out_dir: Path, records: list[PathRecord], grid) -> list[str]:
+def _write_outputs(out_dir: Path, records: list[PathRecord], plot: PathRecord,
+                   grid) -> list[str]:
     events_path = out_dir / "events.jsonl"
     with events_path.open("w") as fh:
         for rec in records:
@@ -159,22 +160,18 @@ def _write_outputs(out_dir: Path, records: list[PathRecord], grid) -> list[str]:
                  repr(float(rec.buy_profit)), repr(float(rec.sell_profit))]
             )
 
-    written = [events_path.name, summary_path.name]
-    first = records[0]
-    if first.sample_times is not None:
-        plot_path = out_dir / "plot.csv"
-        means = first.sample_beliefs @ grid.values
-        with plot_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "ask", "bid", "mean", "x"])
-            for i, t in enumerate(first.sample_times):
-                writer.writerow(
-                    [repr(float(t)), repr(float(first.sample_asks[i])),
-                     repr(float(first.sample_bids[i])), repr(float(means[i])),
-                     repr(float(first.sample_values[i]))]
-                )
-        written.append(plot_path.name)
-    return written
+    plot_path = out_dir / "plot.csv"
+    means = plot.sample_beliefs @ grid.values
+    with plot_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "ask", "bid", "mean", "x"])
+        for i, t in enumerate(plot.sample_times):
+            writer.writerow(
+                [repr(float(t)), repr(float(plot.sample_asks[i])),
+                 repr(float(plot.sample_bids[i])), repr(float(means[i])),
+                 repr(float(plot.sample_values[i]))]
+            )
+    return [events_path.name, summary_path.name, plot_path.name]
 
 
 def cmd_simulate(args) -> int:
@@ -183,13 +180,13 @@ def cmd_simulate(args) -> int:
     model = cfg.model()
     sim = cfg.sim_config(perturb_ask=args.perturb_ask, force=args.force)
     records = simulate_paths(model, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
-    # path 0 again, sampled for plot.csv: the same path, with its filter state
-    # recorded on the horizon/400 grid
-    records[0] = simulate_gmps_path(
+    # path 0 again for plot.csv, its filter state sampled on the horizon/400
+    # grid; sampling does not move a path, so its events are records[0]'s
+    plot = simulate_gmps_path(
         model, cfg.horizon, replace(sim, sample_dt=cfg.horizon / 400.0),
         seed=cfg.seed, offset=0,
     )
-    written = _write_outputs(out_dir, records, cfg.grid)
+    written = _write_outputs(out_dir, records, plot, cfg.grid)
     n_trades = sum(r.n_trades for r in records)
     print(
         f"{cfg.n_paths} path(s), {n_trades} trades, seed {cfg.seed}; "

@@ -28,9 +28,10 @@ def check_number(name: str, value: float, sign: str | None = None) -> None:
     """Raise ConfigError unless value is finite and, for sign "positive" or
     "nonnegative", of that sign, with the message a scenario file's value
     gets: "<name>: must be finite, got <value>", then "<name>: must be
-    <sign>, got <value>"."""
+    <sign>, got <value>". A value that is not finite reads as a Python
+    float's does (inf, nan), a numpy scalar's too."""
     if not math.isfinite(value):
-        raise ConfigError(f"{name}: must be finite, got {value!r}")
+        raise ConfigError(f"{name}: must be finite, got {float(value)!r}")
     if (sign == "positive" and value <= 0.0) or (sign == "nonnegative" and value < 0.0):
         raise ConfigError(f"{name}: must be {sign}, got {value}")
 

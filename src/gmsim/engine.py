@@ -22,8 +22,12 @@ paths or more runs in lockstep: each path is one numpy row, the rows take
 their RK4 steps together, and the rows whose segment ends at an arrival
 are jumped and re-solved together, as rows. Both engines take each stop
 through the same _Path methods (decide for the arrival rules, note for the
-bookkeeping), and path k of a batch equals the solo run at offset k bit for
-bit.
+bookkeeping) and read each sample row off an RK4 step through _Path.sample,
+and path k of a batch equals the solo run at offset k bit for bit.
+
+The stops are the arrivals and the horizon only. A sampled run takes the
+same RK4 steps as an unsampled one and reads its sample rows off the steps'
+dense output, so sampling never moves a path's events.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, segment
+from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, hermite, segment
 from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_number
 from .equilibrium import DEFAULT_TOL
 from .errors import ConditionFailed, ConfigError, ZeroBuyProbability, ZeroSellProbability
@@ -229,6 +233,7 @@ def sample_arrival_times(
 ) -> np.ndarray:
     """Poisson arrival times on (0, horizon) via exponential gaps."""
     check_number("lam", lam, "nonnegative")
+    check_number("horizon", horizon, "positive")
     if lam == 0.0:
         return np.empty(0)
     out = []
@@ -272,28 +277,22 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 # Path simulation
 
 
-def _stops(arrivals, sample_dt, horizon):
-    """The stops of one path in time order: (t, k) at arrival k and (t, None)
-    at a sample point or the horizon.
-
-    Without sample_dt that is the arrivals and the horizon. With it, 0 comes
-    first and each m * sample_dt in between is a sample point, unless it lies
-    within 1e-12 * max(1, |t|) of the stop t before or after it.
-    """
-    if sample_dt is not None:
-        yield 0.0, None
+def _sample_times(arrivals, sample_dt, horizon):
+    """The times of a path's sample rows in time order: 0, each arrival,
+    the horizon, and each m * sample_dt in between, unless it lies within
+    1e-12 * max(1, |t|) of the arrival or horizon t before or after it."""
+    times = [0.0]
     t_prev = 0.0
-    arrival_stops = [(float(tau), k) for k, tau in enumerate(arrivals)]
-    for t, k in arrival_stops + [(horizon, None)]:
-        if sample_dt is not None:
-            m = math.floor(t_prev / sample_dt) + 1
-            while m * sample_dt <= t_prev + 1e-12 * max(1.0, abs(t_prev)):
-                m += 1
-            while m * sample_dt < t - 1e-12 * max(1.0, abs(t)):
-                yield m * sample_dt, None
-                m += 1
-        yield t, k
+    for t in [float(tau) for tau in arrivals] + [horizon]:
+        m = math.floor(t_prev / sample_dt) + 1
+        while m * sample_dt <= t_prev + 1e-12 * max(1.0, abs(t_prev)):
+            m += 1
+        while m * sample_dt < t - 1e-12 * max(1.0, abs(t)):
+            times.append(m * sample_dt)
+            m += 1
+        times.append(t)
         t_prev = t
+    return times
 
 
 class _Arrival(NamedTuple):
@@ -308,20 +307,27 @@ class _Arrival(NamedTuple):
 
 
 class _Path:
-    """One path's random elements, stop schedule, record and sample rows,
-    and the handling of its stops, shared by both engines: decide() holds
-    the arrival rules and note() the bookkeeping, and between the two the
-    engine jumps a traded belief and re-solves its quotes."""
+    """One path's random elements, stops, record and sample rows, and the
+    handling of its stops and samples, shared by both engines: decide()
+    holds the arrival rules, note() the bookkeeping, and sample() the rows
+    read off an RK4 step. Between decide() and note() the engine jumps a
+    traded belief and re-solves its quotes.
 
-    def __init__(self, model, horizon, config, seed, offset):
+    The stops are the arrivals and the horizon, so the integrator's steps
+    never depend on sample_dt. A sample row at a stop is the state after
+    it; one in between is the step's dense output (beliefs.hermite), with
+    its quotes solved there."""
+
+    def __init__(self, model, horizon, config, seed, offset, kernel, opening):
         value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
         self.value_times, self.value_states = sample_value_path(
             model.generator, model.initial_belief, horizon, value_rng
         )
         arrivals = sample_arrival_times(model.arrival_rate, horizon, arrival_rng)
         self.eps_draws = model.noise.sample(noise_rng, len(arrivals))
-        self.stops = _stops(arrivals, config.sample_dt, horizon)
-        self.sampled = config.sample_dt is not None
+        self.stops = iter([(float(tau), k) for k, tau in enumerate(arrivals)]
+                          + [(horizon, None)])
+        self.kernel = kernel
         self.x_of = model.grid.values
         self.perturb = config.perturb_ask * model.grid.width
         self.record = PathRecord(
@@ -334,12 +340,22 @@ class _Path:
         self.warned = False
         self.t_prev = 0.0
         self.pending = None
+        self.sampled = config.sample_dt is not None
+        self.plan = []  # (step, t) of the current segment's samples, last first
+        if self.sampled:
+            self.sample_times = _sample_times(arrivals, config.sample_dt, horizon)
+            self.next_sample = 1  # index into sample_times; 0 is the opening row
+            self.row(0.0, self.value(0.0), *opening)
+
+    def value(self, t):
+        """The chain's value at t."""
+        return float(self.x_of[value_at(self.value_times, self.value_states, t)])
 
     def decide(self, t, k, ask, bid):
         """The arrival rules at stop (t, k), reached with the solved quotes
         (ask, bid): returns the chain's value at t and, if k is an arrival,
-        its _Arrival (None at any other stop)."""
-        x_val = float(self.x_of[value_at(self.value_times, self.value_states, t)])
+        its _Arrival (None at the horizon)."""
+        x_val = self.value(t)
         if k is None:
             return x_val, None
         perturb = self.perturb
@@ -379,19 +395,68 @@ class _Path:
             self.events.append((t, x_val, arrival.eps, quote.ask, quote.bid,
                                 arrival.outcome, before, probs, profit))
         if self.sampled:
-            self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
+            self.row(t, x_val, probs, ask, bid)
+
+    def row(self, t, x_val, probs, ask, bid):
+        """Keep the sample row of the state (probs, ask, bid) at t; its
+        quotes are the last ones solved, where a sample solve with lam = 0
+        starts."""
+        self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
+        self.warm = ask, bid
 
     def next_segment(self, ode_step):
         """Move on to the next stop. Returns the segment to it, (n_steps, h)
         as _FilterKernel.integrate steps it; n_steps = 0 when the stop lies
-        no time past the last one, and None after the last stop."""
+        no time past the last one, and None after the last stop. On a
+        sampled path, plans the segment's samples: each goes to the step
+        it falls in."""
         if self.pending is not None:
             self.t_prev = self.pending[0]
         self.pending = next(self.stops, None)
         if self.pending is None:
             return None
-        dt = self.pending[0] - self.t_prev
-        return segment(dt, ode_step) if dt > 0.0 else (0, 0.0)
+        t_prev, t_stop = self.t_prev, self.pending[0]
+        if not t_stop > t_prev:
+            return 0, 0.0
+        self.n_steps, self.h = segment(t_stop - t_prev, ode_step)
+        if self.sampled:
+            times, i, plan = self.sample_times, self.next_sample, []
+            while times[i] < t_stop:  # the stop's own row ends the scan
+                plan.append((min(int((times[i] - t_prev) / self.h), self.n_steps - 1),
+                             times[i]))
+                i += 1
+            self.next_sample = i + 1
+            self.plan = plan[::-1]
+        return self.n_steps, self.h
+
+    def sample_at(self):
+        """The steps left in the segment as the next step with a sample in
+        it begins; 0 when no sample is left in the segment."""
+        return self.n_steps - self.plan[-1][0] if self.plan else 0
+
+    def sample(self, j, p0, k1, ask0, bid0, p1, ask1, bid1):
+        """Keep the rows of the samples in step j of the segment, given the
+        step's end points as _FilterKernel.integrate hands them on: the
+        belief from the step's dense output, and both quotes solved there,
+        warm-started on the line between the step's end quotes (with lam =
+        0, from the last quotes solved). These rows feed no
+        SimplexDiagnostics: they are not integrator steps."""
+        plan = self.plan
+        if not plan or plan[-1][0] != j:
+            return
+        kernel, h = self.kernel, self.h
+        informative = kernel.lam > 0.0
+        f1 = kernel.drift(p1, ask1 + self.perturb, bid1)
+        t0 = self.t_prev + j * h
+        while plan and plan[-1][0] == j:
+            t = plan.pop()[1]
+            s = (t - t0) / h
+            probs = hermite(s, h, p0, k1, p1, f1)
+            if informative:
+                warm = ask0 + s * (ask1 - ask0), bid0 + s * (bid1 - bid0)
+            else:
+                warm = self.warm
+            self.row(t, self.value(t), probs, *kernel.quotes(probs, *warm))
 
     def finish(self) -> PathRecord:
         """The record, with its events and sample columns built only now:
@@ -456,22 +521,26 @@ def simulate_gmps_path(
     (the verification negative control). With config.sample_dt set, the
     filter state is recorded at 0, at every multiple of sample_dt, just after
     every arrival and at the horizon; a multiple of sample_dt within
-    1e-12 * max(1, |t|) of an arrival or the horizon at t is left out.
+    1e-12 * max(1, |t|) of an arrival or the horizon at t is left out. The
+    RK4 steps run from stop to stop (the arrivals and the horizon) whether
+    or not the path is sampled, so the events equal the unsampled run's bit
+    for bit. A row between stops is read off the RK4 step around it: the
+    cubic Hermite interpolant of the step's end beliefs and drifts, clamped
+    and renormalised, with both quotes solved at that belief.
     seed must satisfy 0 <= seed < 2**63, as in a scenario file.
     """
     kernel, probs, ask, bid = _start(model, horizon, config, seed)
-    path = _Path(model, horizon, config, seed, offset)
-    t_prev = 0.0
-    for t, k in path.stops:
+    path = _Path(model, horizon, config, seed, offset, kernel, (probs, ask, bid))
+    while path.next_segment(config.ode_step) is not None:
+        t, k = path.pending
         try:
             probs, ask, bid = kernel.integrate(
-                probs, t - t_prev, ask, bid, config.ode_step, path.record.diagnostics,
-                path.perturb,
+                probs, t - path.t_prev, ask, bid, config.ode_step,
+                path.record.diagnostics, path.perturb, path.sample if path.plan else None,
             )
         except (ZeroBuyProbability, ZeroSellProbability) as exc:
             _blame_the_step(exc, model, config.ode_step)
             raise
-        t_prev = t
         x_val, arrival = path.decide(t, k, ask, bid)
         before = probs
         if arrival is not None and arrival.price is not None:
@@ -506,17 +575,34 @@ def _take_stops(kernel, live, rows, probs, ask, bid):
         path.note(path.pending[0], x_val, arrival, prior, posterior, a, b)
 
 
-def _next_segments(live, rows, steps, h, ode_step):
+def _next_segments(live, rows, steps, h, sample_at, ode_step):
     """Set steps and h of every row in rows to its path's next segment,
-    steps 0 after the last stop. Returns the rows whose next stop lies no
-    time ahead, which are due at once."""
+    steps 0 after the last stop, and, on a sampled run, sample_at to the
+    steps left as the segment's first sampled step begins. Returns the rows
+    whose next stop lies no time ahead, which are due at once."""
     due = []
     for r in rows.tolist():
-        segment = live[r].next_segment(ode_step)
+        path = live[r]
+        segment = path.next_segment(ode_step)
         steps[r], h[r] = (0, 0.0) if segment is None else segment
         if segment is not None and segment[0] == 0:
             due.append(r)
+        if sample_at is not None:
+            sample_at[r] = path.sample_at()
     return np.array(due, dtype=np.int64)
+
+
+def _take_samples(live, rows, steps, start, k1, probs, ask, bid, sample_at):
+    """Hand the step that every row in rows just took, from start (its
+    beliefs, asks and bids as lists) with drift k1 to the rows of probs,
+    ask and bid, to its path's sample(), and move sample_at on."""
+    for r, left, p0, a0, b0, k, p1, a1, b1 in zip(
+        rows.tolist(), steps[rows].tolist(), *start, k1[rows].tolist(),
+        probs[rows].tolist(), ask[rows].tolist(), bid[rows].tolist(),
+    ):
+        path = live[r]
+        path.sample(path.n_steps - left, p0, k, a0, b0, p1, a1, b1)
+        sample_at[r] = path.sample_at()
 
 
 def _simulate_lockstep(model, horizon, config, seed, n_paths):
@@ -526,14 +612,17 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     own step h and remaining step count; a tick is one
     _FilterKernel.step_rows over every row. The rows whose segment ends
     take their stops together, as rows (_take_stops), and then their next
-    segments. Every path equals its solo run bit for bit. A failing batch
-    raises an error that one of its failing paths raises solo, where the
-    solo runs one by one raise the lowest failing offset's: the same error
-    whenever every failing path fails the same way.
+    segments. On a sampled run, the rows with a sample in the tick's step
+    hand it to their paths (_take_samples). Every path equals its solo run
+    bit for bit. A failing batch raises an error that one of its failing
+    paths raises solo, where the solo runs one by one raise the lowest
+    failing offset's: the same error whenever every failing path fails the
+    same way.
     """
     kernel, probs0, ask0, bid0 = _start(model, horizon, config, seed)
     ode_step = config.ode_step
-    paths = [_Path(model, horizon, config, seed, offset) for offset in range(n_paths)]
+    paths = [_Path(model, horizon, config, seed, offset, kernel, (probs0, ask0, bid0))
+             for offset in range(n_paths)]
     live = list(paths)
     probs = np.array([probs0] * n_paths)
     ask = np.full(n_paths, ask0)
@@ -542,12 +631,13 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     h = np.zeros(n_paths)
     sum_error = np.zeros(n_paths)
     low = np.zeros(n_paths)
+    sample_at = np.zeros(n_paths, dtype=np.int64) if config.sample_dt is not None else None
     perturb = paths[0].perturb
-    due = _next_segments(live, np.arange(n_paths), steps, h, ode_step)
+    due = _next_segments(live, np.arange(n_paths), steps, h, sample_at, ode_step)
     while True:
         while due.size:
             _take_stops(kernel, live, due, probs, ask, bid)
-            due = _next_segments(live, due, steps, h, ode_step)
+            due = _next_segments(live, due, steps, h, sample_at, ode_step)
         done = steps == 0
         if done.any():
             for r in np.flatnonzero(done).tolist():
@@ -557,10 +647,18 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
             probs, ask, bid, steps, h, sum_error, low = (
                 v[keep] for v in (probs, ask, bid, steps, h, sum_error, low)
             )
+            if sample_at is not None:
+                sample_at = sample_at[keep]
         if not live:
             return [path.finish() for path in paths]
         try:
-            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+            if sample_at is not None:
+                sampling = np.flatnonzero(steps == sample_at)
+                start = (probs[sampling].tolist(), ask[sampling].tolist(),
+                         bid[sampling].tolist())
+            probs, ask, bid, err, lo, k1 = kernel.step_rows(probs, ask, bid, h, perturb)
+            if sample_at is not None:
+                _take_samples(live, sampling, steps, start, k1, probs, ask, bid, sample_at)
             steps -= 1
             due = np.flatnonzero(steps == 0)
             if due.size and not kernel.lam > 0.0:  # integrate() solves once, at the end

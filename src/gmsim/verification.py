@@ -434,6 +434,7 @@ def intensity_test(
         raise ConfigError(f"n_trials must be an integer, got {n_trials!r}") from None
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
+    check_number("horizon", horizon, "positive")
     lam = model.arrival_rate
     noise = model.noise
     mu_buy = buy_intensity(quote, state_value, lam, noise) * horizon
@@ -592,7 +593,10 @@ def _entry(report) -> dict:
 
 def _filter_check(cfg, model, perturb_ask, force) -> dict:
     """Engine against the oracle filter on path 0, plus the oracle's own
-    first-order convergence over h, h/2, h/4 (end-point gap ratio near 2)."""
+    first-order convergence over h, h/2, h/4 (end-point gap ratio near 2).
+    The engine steps at the scenario's ode_step; sampling at h/4 reads its
+    dense output and leaves its steps alone, so max_l1 holds the error of
+    that step."""
     h = 1e-3
     horizon = min(cfg.horizon, 2.0)
     sim = cfg.sim_config(sample_dt=h / 4, perturb_ask=perturb_ask, force=force)
@@ -610,6 +614,7 @@ def _filter_check(cfg, model, perturb_ask, force) -> dict:
     return {
         "h": h,
         "horizon": horizon,
+        "ode_step": sim.ode_step,
         "n_trades": rec.n_trades,
         "max_l1": cmp.max_l1,
         "threshold": 0.01,

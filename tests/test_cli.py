@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import gmsim.cli
-from gmsim import load_scenario, run_verify
+from gmsim import load_scenario, run_verify, simulate_paths
 from gmsim.cli import main
 from gmsim.core import Belief, StateGrid
 from gmsim.equilibrium import solve_ask, solve_bid
@@ -258,6 +258,36 @@ def test_simulate_paths_override(write_scenario, tmp_path):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+def test_simulate_path_0_is_the_unsampled_batch_path(write_scenario, tmp_path):
+    """plot.csv samples path 0 in a second run, and sampling leaves a path
+    alone: path 0 in summary.csv and events.jsonl is the unsampled batch's,
+    bit for bit, and plot.csv's row at each of its arrivals holds the state
+    after it."""
+    path = write_scenario(n_paths=3)
+    out = tmp_path / "run"
+    assert run_simulate(path, out) == 0
+    cfg = load_scenario(path)
+    first = simulate_paths(cfg.model(), cfg.horizon, cfg.sim_config(),
+                           seed=cfg.seed, n_paths=3)[0]
+    assert first.n_trades > 2
+    with (out / "summary.csv").open() as fh:
+        summary = next(csv.DictReader(fh))
+    assert summary == {
+        "path": "0", "n_events": str(len(first.events)), "n_buys": str(first.n_buys),
+        "n_sells": str(first.n_sells), "buy_profit": repr(first.buy_profit),
+        "sell_profit": repr(first.sell_profit),
+    }
+    with (out / "events.jsonl").open() as fh:
+        events = [line.rstrip("\n") for line in fh if json.loads(line)["path"] == 0]
+    assert events == [gmsim.cli._event_json(0, e) for e in first.events]
+    with (out / "plot.csv").open() as fh:
+        plot = {row["t"]: row for row in csv.DictReader(fh)}
+    for e in first.events:
+        row = plot[repr(e.t)]
+        assert float(row["x"]) == e.x
+        assert float(row["mean"]) == pytest.approx(e.belief_after @ cfg.grid.values, abs=1e-15)
+
+
 def test_simulate_zero_paths_exits_2(write_scenario, tmp_path):
     assert run_simulate(write_scenario(), tmp_path / "r", "--paths", "0") == 2
 
@@ -352,22 +382,26 @@ def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):
 # held the check orchestration that gmsim.verification.run_verify now runs.
 # The clean and perturbed report digests were re-recorded when the chi-square
 # p-values moved to the closed-form tail (by at most 2.3e-16 each, with
-# every verdict and stdout unchanged).
+# every verdict and stdout unchanged). All three report digests, and the
+# no_arrivals stdout digest, were re-recorded when the sample rows moved to
+# the RK4 dense output: filter_oracle gained its ode_step, its max_l1 moved
+# by at most 4.7e-15 and its convergence_ratio by at most 4.1e-7, and no
+# verdict changed.
 VERIFY_PINS = {
     "clean": (
         {}, [],
         "aaf23413dcd31c27c67ad4a98ccd25f7fb7b986d8ac918b68e90ad69adfef3db",
-        "79b5af44852b23bf7fa80e3fbd3f3e5de9c7b0ffed6ecaf887bc5f84b84ce672",
+        "42f95f8132488d359cc56e96e69181bc5f2cd88b4fd84f1475ef92a595aded45",
     ),
     "perturbed": (
         {}, ["--perturb-ask", "0.15"],
         "0e18a93ad3b1e4cb99d803eddc24acd438a49e6c13d44d614f4c7a2fc718335d",
-        "d882e9ac1c94ece9ef1624711f410b678b5c4a5c555200af4c5035aa8ccdbf2b",
+        "a9e463da7e1ce1d570e810a9fd76c61bb390fd1fe3a301ae4062c70677241d38",
     ),
     "no_arrivals": (
         {"lambda": 0.0}, [],
-        "19e6f210be0cef6d55e35c277099820ff0ada0f3bfca262e90b4ebffcb36ea12",
-        "12b78f3cb6ba79b53294fd7da2eff6fce217145ae3afe18cec3ff81931fd2fa3",
+        "a7ec9dc252dee91c981f9a6436926b0cb92fadb87788c1e31070614d8086f675",
+        "1cf81fb1c0372685fa55aae653e1544df46297b1022c657d191e7af26fd175c7",
     ),
 }
 

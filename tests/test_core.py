@@ -19,7 +19,7 @@ from gmsim.engine import (
 from gmsim.equilibrium import contraction_constants, solve_ask
 from gmsim.errors import ConfigError
 from gmsim.noise import Logistic, check_gm_condition
-from gmsim.verification import OracleFilterConfig
+from gmsim.verification import OracleFilterConfig, intensity_test
 
 
 def test_state_grid_basics():
@@ -127,6 +127,10 @@ NUMBER_INPUTS = [
     ("simulate_gmps_path", lambda v: simulate_gmps_path(MODEL, v), "horizon", "positive"),
     ("sample_arrival_times", lambda v: sample_arrival_times(v, 1.0, np.random.default_rng(0)),
      "lam", "nonnegative"),
+    ("sample_arrival_times.horizon",
+     lambda v: sample_arrival_times(1.0, v, np.random.default_rng(0)), "horizon", "positive"),
+    ("intensity_test.horizon", lambda v: intensity_test(MODEL, QUOTE, 0.0, v, 10),
+     "horizon", "positive"),
     ("belief_drift", lambda v: belief_drift(PRIOR, QUOTE, v, Q, GRID, NOISE),
      "lam", "nonnegative"),
     ("contraction_constants", lambda v: contraction_constants(GRID, NOISE, v),
@@ -166,3 +170,15 @@ def test_real_inputs_share_one_rule(call, name, sign, value):
     with pytest.raises(ConfigError) as exc:
         call(value)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, shown", [
+    (np.float64("inf"), "inf"), (np.float64("-inf"), "-inf"), (np.float64("nan"), "nan"),
+    (np.float32("inf"), "inf"), (np.float32("nan"), "nan"),
+], ids=["float64_inf", "float64_-inf", "float64_nan", "float32_inf", "float32_nan"])
+def test_numpy_scalars_read_as_python_floats(value, shown):
+    """A numpy scalar that is not finite gets the message a Python float
+    gets, not its numpy repr."""
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(ode_step=value)
+    assert str(exc.value) == f"ode_step: must be finite, got {shown}"

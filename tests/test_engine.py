@@ -4,6 +4,7 @@ import ast
 import hashlib
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gmsim.engine
-from gmsim.beliefs import SimplexDiagnostics, integrate_between_events, make_filter_state
+from gmsim.beliefs import (
+    SimplexDiagnostics,
+    hermite,
+    integrate_between_events,
+    make_filter_state,
+)
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
     MarketModel,
@@ -413,14 +419,12 @@ def test_sample_point_on_an_arrival_is_recorded_once():
 
 
 def test_stop_schedule_merges_arrivals_samples_and_horizon():
+    """The sample times merge 0, the arrivals, the horizon and the sample
+    points in between; the stops are the arrivals and the horizon alone."""
     arrivals = np.array([0.25 + 1e-14, 0.6])
-    assert list(gmsim.engine._stops(arrivals, None, 1.0)) == [
-        (0.25 + 1e-14, 0), (0.6, 1), (1.0, None)
-    ]
     # 0.25 sits within 1e-12 of the first arrival and 4 * 0.25 on the horizon
-    assert list(gmsim.engine._stops(arrivals, 0.25, 1.0)) == [
-        (0.0, None), (0.25 + 1e-14, 0), (0.5, None), (0.6, 1), (0.75, None),
-        (1.0, None),
+    assert gmsim.engine._sample_times(arrivals, 0.25, 1.0) == [
+        0.0, 0.25 + 1e-14, 0.5, 0.6, 0.75, 1.0,
     ]
 
 
@@ -549,13 +553,13 @@ LAPLACE_MODEL3 = MarketModel(
 
 
 def test_logistic_paths_are_bitwise_pinned():
-    """README scenario, offsets 0-3, sampled: digest recorded before the
-    quote/filter kernel was consolidated."""
+    """README scenario, offsets 0-3, sampled: digest recorded when the
+    sample rows moved to the RK4 dense output."""
     recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25),
                           seed=42, n_paths=4)
     assert sum(len(r.events) for r in recs) > 20
     assert _path_digest(recs) == (
-        "95f0736b338897f179ff1a6a345e5e49d6bf87a0b15e6491e2c76d5a035eddf4"
+        "fa5ea57191e34e03c97db44315f4d9dc6284f323e50cb5cda904739436be8af2"
     )
     lockstep = gmsim.engine._simulate_lockstep(
         MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
@@ -576,12 +580,12 @@ def test_laplace_path_is_bitwise_pinned():
 def test_dense_sampled_paths_are_bitwise_pinned():
     """README scenario, offsets 0-3, sampled every 1/30: many sample points
     fall close to arrivals, and 90/30 lands on the horizon and is dropped.
-    Digest recorded before the stop loop was flattened."""
+    Digest recorded when the sample rows moved to the RK4 dense output."""
     recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30),
                           seed=42, n_paths=4)
     assert sum(len(r.events) for r in recs) > 40
     assert _path_digest(recs) == (
-        "f799629434a323c15423c6651a368743001b7d2d69ea15fe762720f86c5006c4"
+        "eda84f3838c877066c14cb3f549756675fb74114d8b65bd27c251ccb4f1df6b9"
     )
     lockstep = gmsim.engine._simulate_lockstep(
         MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30), 42, 4)
@@ -590,7 +594,8 @@ def test_dense_sampled_paths_are_bitwise_pinned():
 
 def test_silent_sampled_paths_are_bitwise_pinned():
     """The README market with lambda = 0, sampled at 0.25: no arrivals, so
-    every stop is a sample point on the uninformative integrate path."""
+    the one segment runs to the horizon, and each sample solve starts from
+    the quotes of the sample before it."""
     model = MarketModel(
         grid=GRID, generator=Q, arrival_rate=0.0, noise=NOISE, initial_belief=PRIOR
     )
@@ -598,11 +603,81 @@ def test_silent_sampled_paths_are_bitwise_pinned():
                           seed=42, n_paths=4)
     assert all(not r.events and len(r.sample_times) == 13 for r in recs)
     assert _path_digest(recs) == (
-        "f7cd3cc94ef7c77ddda6be872c71af791e30c7876fd9826297fbe8a499e62283"
+        "25f14cce98c513fb00281333a12b7405988d2202e752f8ce39fe4156f1a79175"
     )
     lockstep = gmsim.engine._simulate_lockstep(
         model, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
     assert _path_digest(lockstep) == _path_digest(recs)
+
+
+# --------------------------------------------------------------------------
+# Sampling reads the RK4 dense output and leaves the path alone
+
+
+def _event_digest(records) -> str:
+    """_path_digest without the sample rows: value path, events, profits,
+    counts and SimplexDiagnostics."""
+    return _path_digest([replace(r, sample_times=None) for r in records])
+
+
+EIGHT_STATE_MODEL = MarketModel(  # the benchmark's dense-filter chain
+    grid=StateGrid(np.linspace(0.0, 1.0, 8)),
+    generator=GeneratorMatrix(np.diag([0.6] * 7, 1) + np.diag([0.6] * 7, -1)),
+    arrival_rate=8.0,
+    noise=Gaussian(1.5),
+    initial_belief=Belief([1.0 / 8] * 8),
+)
+SAMPLED_RUNS = {  # model, the unsampled config, horizon
+    "readme": (MODEL, SimConfig(ode_step=0.02), 3.0),
+    "gaussian_8_states": (EIGHT_STATE_MODEL, SimConfig(ode_step=0.01), 1.0),
+    "shifted_ask": (MODEL, SimConfig(ode_step=0.02, perturb_ask=0.02), 3.0),
+    "silent": (replace(MODEL, arrival_rate=0.0), SimConfig(ode_step=0.02), 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_RUNS))
+def test_sampling_does_not_move_the_path(name):
+    """Sample points coarser and finer than the step, and one that falls on
+    an arrival, leave every event, profit, count and SimplexDiagnostics of
+    the unsampled run as they are, bit for bit, in both engines."""
+    model, cfg, horizon = SAMPLED_RUNS[name]
+    unsampled = [simulate_gmps_path(model, horizon, cfg, seed=42, offset=k) for k in range(3)]
+    assert name == "silent" or sum(r.n_trades for r in unsampled) > 6
+    on_arrival = unsampled[0].events[0].t if unsampled[0].events else 0.3
+    for sample_dt in (0.25, 1 / 30, 0.004, on_arrival):
+        sampled = replace(cfg, sample_dt=sample_dt)
+        solo = [simulate_gmps_path(model, horizon, sampled, seed=42, offset=k)
+                for k in range(3)]
+        batch = gmsim.engine._simulate_lockstep(model, horizon, sampled, 42, 3)
+        assert _event_digest(solo) == _event_digest(unsampled)
+        assert _path_digest(batch) == _path_digest(solo)
+        assert len(solo[0].sample_times) > horizon / sample_dt
+
+
+def test_dense_output_follows_the_flow_between_steps():
+    """With no arrivals the belief solves the forward equation. The sample
+    rows read inside 0.05-long steps lie within 1e-8 of its exact flow (3.3e-9
+    when recorded), where a straight line between the step ends strays
+    6.7e-5."""
+    q = GeneratorMatrix([[-0.7, 0.4, 0.3], [0.2, -0.5, 0.3], [0.1, 0.4, -0.5]])
+    prior = Belief([0.5, 0.3, 0.2])
+    model = MarketModel(grid=StateGrid([0.0, 0.5, 1.0]), generator=q, arrival_rate=0.0,
+                        noise=Logistic(4.0), initial_belief=prior)
+    rec = simulate_gmps_path(model, 1.0, SimConfig(ode_step=0.05, sample_dt=0.01), seed=0)
+    assert len(rec.sample_times) == 101
+    exact = np.array([prior.probs @ expm_reference(q.rates * t) for t in rec.sample_times])
+    assert np.abs(rec.sample_beliefs - exact).max() <= 1e-8
+
+
+def test_hermite_meets_the_step_ends():
+    """The dense output starts at the step's start and ends at its end, and
+    is exact for a belief that moves on a line."""
+    p0, p1 = [0.5, 0.3, 0.2], [0.4, 0.35, 0.25]
+    k = [(b - a) / 0.1 for a, b in zip(p0, p1)]
+    assert hermite(0.0, 0.1, p0, k, p1, k) == pytest.approx(p0, abs=1e-15)
+    assert hermite(1.0, 0.1, p0, k, p1, k) == pytest.approx(p1, abs=1e-15)
+    mid = [0.5 * (a + b) for a, b in zip(p0, p1)]
+    assert hermite(0.5, 0.1, p0, k, p1, k) == pytest.approx(mid, abs=1e-15)
 
 
 # --------------------------------------------------------------------------
@@ -872,6 +947,10 @@ def test_lockstep_paths_equal_solo_runs_on_random_markets(run):
     digest = _path_digest(batch)
     assert digest == _path_digest(solo)
     assert _path_digest(gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)) == digest
+    if cfg.sample_dt is not None:  # sampling leaves the path alone
+        unsampled = [simulate_gmps_path(model, horizon, replace(cfg, sample_dt=None),
+                                        seed=seed, offset=k) for k in range(3)]
+        assert _event_digest(batch) == _event_digest(unsampled)
     xs = model.grid.values
     for rec in batch:
         for e in rec.events:  # a trade executes at the post-trade mean

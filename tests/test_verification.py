@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 
 import gmsim.verification as verification
 from gmsim.beliefs import SimplexDiagnostics
+from gmsim.config import ScenarioConfig
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
     EventRecord,
@@ -224,6 +226,25 @@ def test_engine_oracle_gap_shrinks_with_h():
         cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times, beliefs)
         gaps.append(cmp.max_l1)
     assert gaps[1] < gaps[0]
+
+
+def test_filter_check_sees_the_engine_step():
+    """verify's filter check samples the engine's dense output at h/4 and
+    leaves its steps at ode_step, so on the README market over T = 2 its
+    max_l1 rises with ode_step (1.28e-7, 6.5e-6 and 7.6e-4 when recorded)
+    and still passes the 0.01 bar. The entry names the step."""
+    cfg = ScenarioConfig(
+        grid=GRID2, generator=GeneratorMatrix([[0.0, 0.5], [0.8, 0.0]]), arrival_rate=4.0,
+        noise=NOISE, initial_belief=Belief([0.5, 0.5]), horizon=2.0, seed=42,
+    )
+    max_l1 = []
+    for ode_step in (0.02, 0.25, 1.0):
+        run = replace(cfg, ode_step=ode_step)
+        entry = verification._filter_check(run, run.model(), 0.0, False)
+        assert entry["ode_step"] == ode_step
+        assert entry["status"] == "pass"
+        max_l1.append(entry["max_l1"])
+    assert max_l1[0] < max_l1[1] < max_l1[2] <= entry["threshold"] == 0.01
 
 
 def test_compare_filters_identical_and_mismatched():
