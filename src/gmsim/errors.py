@@ -42,7 +42,9 @@ class ConditionFailed(GmsimError):
 
 
 class GridMismatch(GmsimError):
-    """Two belief paths were compared on different time grids."""
+    """A logged path or two belief paths could not be compared: the time
+    grids, row counts or state counts do not fit, or a distance is not
+    finite."""
 
 
 class InsufficientData(GmsimError):

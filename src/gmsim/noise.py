@@ -21,9 +21,11 @@ Scalar methods use plain math calls (math.erfc for the Gaussian tail)
 because the simulator evaluates them one price at a time inside tight loops.
 The array API is two methods, used by scans and by the lockstep engine, and
 both equal the scalar methods bit for bit. survival_grid is by default a
-loop over survival, overridden for the logistic and Laplace tails by numpy
-closed forms whose exponentials are taken element by element with math.exp
-(np.exp rounds differently from the C library on a few percent of inputs).
+loop over survival, overridden by numpy closed forms for the three
+continuous families: the logistic and Laplace tails take their exponentials
+element by element with math.exp (np.exp rounds differently from the C
+library on a few percent of inputs), and the Gaussian tail divides the
+prices as one array and takes math.erfc element by element.
 side_tails_grid gives both sides of the book in one array, survival on the
 ask rows and cdf on the bid rows, so that the lockstep engine evaluates
 each tail once per price. The symmetric families (logistic, Gaussian,
@@ -151,6 +153,10 @@ class Gaussian(_Symmetric):
 
     def cdf(self, y: float) -> float:  # survival(-y), without the extra call
         return 0.5 * math.erfc(-y / (self.sigma * math.sqrt(2.0)))
+
+    def survival_grid(self, ys):
+        z = np.asarray(ys, dtype=float) / (self.sigma * math.sqrt(2.0))
+        return 0.5 * _elementwise(math.erfc, z)
 
     def density(self, y: float) -> float:
         z = y / self.sigma

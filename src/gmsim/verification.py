@@ -6,7 +6,11 @@ transition (truncated-series matrix exponential) with the per-state no-trade
 survival likelihood, applying exact Bayes updates at logged trade times. It
 consumes only what the engine logged (event records and the sampled quote
 path), never the engine's drift or ODE code, so agreement between the two is
-evidence rather than tautology.
+evidence rather than tautology. The logged quotes do not depend on the
+replayed belief, so the no-trade tails and factors of every sub-step, the
+transition matrices and the trade likelihoods are arrays computed before
+the replay; its loop does only the recursion. compare_filters matches the
+two paths' times and takes their L1 distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
@@ -51,6 +55,8 @@ from .errors import ConfigError, GridMismatch, InsufficientData
 MATRIX_EXP_TERMS = 12
 # two belief paths' times match when they lie this close together
 TIME_TOL = 1e-9
+# sub-steps whose no-trade factors the reference filter takes at once
+REPLAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -165,20 +171,30 @@ def oracle_filter(
     no-trade likelihood over each sub-step uses the quote the engine logged
     at the sub-step's left endpoint, so the record must carry a sampled
     quote path at least as fine as cfg.h.
+
+    Nothing but the recursion depends on the belief, so the rest is taken
+    as arrays first: each sub-step's logged quote, its no-trade factors
+    exp(-lam * rate * dt) from one side_tails_grid call, one transition
+    matrix per distinct sub-step length, and each logged trade's likelihood
+    weights. The loop then does only the chain step, the no-trade factor,
+    the normalisation and the jumps.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
     logged_t = record.sample_times
     if len(logged_t) < 2:
         raise GridMismatch("sampled quote path has fewer than two points")
+    n = model.grid.n
+    if record.sample_beliefs.shape[1] != n:
+        raise GridMismatch(
+            f"record has {record.sample_beliefs.shape[1]} states, the model {n}"
+        )
     spacing = float(np.max(np.diff(logged_t)))
     if spacing > cfg.h * (1.0 + 1e-9) + 1e-15:
         raise GridMismatch(
             f"logged quotes are spaced {spacing:.3e} apart, coarser than "
             f"the oracle step {cfg.h:.3e}"
         )
-    logged_ask = record.sample_asks
-    logged_bid = record.sample_bids
 
     horizon = record.horizon
     h = cfg.h
@@ -187,59 +203,74 @@ def oracle_filter(
     event_times = np.array([e.t for e in record.events])
     if len(event_times):
         # grid points yield to nearby event times so each jump lands on the
-        # exact float the engine logged
-        near = np.min(np.abs(grid_times[:, None] - event_times[None, :]), axis=1)
-        grid_times = grid_times[near > 1e-12]
+        # exact float the engine logged; the event nearest a grid time is one
+        # of its two neighbours in time order
+        ordered = np.sort(event_times)
+        pos = np.searchsorted(ordered, grid_times)
+        gap_above = np.abs(grid_times - ordered[np.minimum(pos, len(ordered) - 1)])
+        gap_below = np.abs(grid_times - ordered[np.maximum(pos - 1, 0)])
+        grid_times = grid_times[np.minimum(gap_above, gap_below) > 1e-12]
     checkpoints = np.unique(np.concatenate([grid_times, event_times, [horizon]]))
-    events_at = {e.t: e for e in record.events}
+    starts = checkpoints[:-1]
+    dts = np.diff(checkpoints)
+    m = len(dts)
 
     xs = model.grid.values
     noise = model.noise
     lam = model.arrival_rate
-    rates = model.generator.rates
-    expm_cache: dict[float, np.ndarray] = {}
+    lengths, length_of = np.unique(dts, return_inverse=True)
+    p_mats = [transition_matrix(model.generator.rates, float(dt)) for dt in lengths]
+    chain = [p_mats[i] for i in length_of]
 
-    belief = model.initial_belief.probs.copy()
-    out_times = [0.0]
-    out_beliefs = [belief.copy()]
-
-    for k in range(1, len(checkpoints)):
-        t0 = float(checkpoints[k - 1])
-        t1 = float(checkpoints[k])
-        dt = t1 - t0
-        p_mat = expm_cache.get(dt)
-        if p_mat is None:
-            p_mat = transition_matrix(rates, dt)
-            expm_cache[dt] = p_mat
-        belief = belief @ p_mat
-        if lam > 0.0:
-            idx = int(np.searchsorted(logged_t, t0 + 1e-12)) - 1
-            idx = max(idx, 0)
-            ask = float(logged_ask[idx])
-            bid = float(logged_bid[idx])
-            trade_rate = np.array(
-                [noise.cdf(bid - x) + noise.survival(ask - x) for x in xs]
+    factors = np.ones((m, n))
+    if lam > 0.0:
+        idx = np.maximum(np.searchsorted(logged_t, starts + 1e-12) - 1, 0)
+        # in blocks of sub-steps, so the tails' temporaries stay small
+        for lo in range(0, m, REPLAY_BLOCK):
+            block = idx[lo:lo + REPLAY_BLOCK]
+            size = len(block)
+            prices = np.concatenate(
+                [record.sample_asks[block, None] - xs, record.sample_bids[block, None] - xs]
             )
-            belief = belief * np.exp(-lam * trade_rate * dt)
+            tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
+            rate = tails[:size] + tails[size:]
+            factors[lo:lo + size] = np.exp(-lam * rate * dts[lo:lo + size, None])
+
+    # one event per time: the last one logged there
+    events_at = {e.t: e for e in record.events}
+    trades = [e for e in events_at.values() if e.outcome is not Outcome.NO_TRADE]
+    jump_at = {}
+    if trades:
+        buys = np.array([e.outcome is Outcome.BUY for e in trades])
+        prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
+        weights = noise.side_tails_grid(
+            prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None]
+        )
+        rows = np.searchsorted(checkpoints, [e.t for e in trades])
+        jump_at = {int(k): (e, w) for k, e, w in zip(rows, trades, weights)}
+
+    beliefs = np.empty((m + 1, n))
+    belief = model.initial_belief.probs
+    beliefs[0] = belief
+    for k, (p_mat, factor) in enumerate(zip(chain, factors), start=1):
+        belief = belief @ p_mat * factor
         belief = belief / belief.sum()
-        event = events_at.get(t1)
-        if event is not None and event.outcome is not Outcome.NO_TRADE:
-            if event.outcome is Outcome.BUY:
-                weights = np.array([noise.survival(event.ask - x) for x in xs])
-            else:
-                weights = np.array([noise.cdf(event.bid - x) for x in xs])
-            belief = belief * weights
+        jump = jump_at.get(k)
+        if jump is not None:
+            event, w = jump
+            belief = belief * w
             total = belief.sum()
             if total <= 0.0:
                 raise GridMismatch(
-                    f"logged {event.outcome.value} at t={t1:.6f} has zero "
+                    f"logged {event.outcome.value} at t={event.t:.6f} has zero "
                     "likelihood under the replayed belief"
                 )
             belief = belief / total
-        out_times.append(t1)
-        out_beliefs.append(belief.copy())
+        beliefs[k] = belief
 
-    return np.array(out_times), np.array(out_beliefs)
+    times = checkpoints.copy()
+    times[0] = 0.0
+    return times, beliefs
 
 
 def compare_filters(
@@ -249,7 +280,10 @@ def compare_filters(
     beliefs_b: np.ndarray,
 ) -> FilterComparison:
     """Max L1 distance between two belief paths at their shared times, the
-    times within TIME_TOL of each other."""
+    times within TIME_TOL of each other. Each time of b matches the nearest
+    earlier-or-equal time of a if that lies within TIME_TOL, else the next
+    one; max_l1 is taken at the first time where it is reached. A distance
+    that is not finite (a NaN or infinite belief) raises GridMismatch."""
     beliefs_a = np.asarray(beliefs_a, dtype=float)
     beliefs_b = np.asarray(beliefs_b, dtype=float)
     if beliefs_a.ndim != 2 or beliefs_b.ndim != 2:
@@ -260,26 +294,36 @@ def compare_filters(
         )
     times_a = np.asarray(times_a, dtype=float)
     times_b = np.asarray(times_b, dtype=float)
+    for times, beliefs in ((times_a, beliefs_a), (times_b, beliefs_b)):
+        if times.shape != beliefs.shape[:1]:
+            raise GridMismatch(
+                f"a belief path has {beliefs.shape[0]} rows for times of shape "
+                f"{times.shape}"
+            )
+    if len(times_a) == 0:
+        raise GridMismatch("belief paths share fewer than two time points")
     pos = np.searchsorted(times_a, times_b)
-    max_l1 = -1.0
-    argmax_t = math.nan
-    n_matched = 0
-    for j, t in enumerate(times_b):
-        best = None
-        for i in (pos[j] - 1, pos[j]):
-            if 0 <= i < len(times_a) and abs(times_a[i] - t) <= TIME_TOL:
-                best = i
-                break
-        if best is None:
-            continue
-        n_matched += 1
-        l1 = float(np.sum(np.abs(beliefs_a[best] - beliefs_b[j])))
-        if l1 > max_l1:
-            max_l1 = l1
-            argmax_t = float(t)
+    below = np.maximum(pos - 1, 0)
+    above = np.minimum(pos, len(times_a) - 1)
+    below_ok = (pos >= 1) & (np.abs(times_a[below] - times_b) <= TIME_TOL)
+    above_ok = (pos < len(times_a)) & (np.abs(times_a[above] - times_b) <= TIME_TOL)
+    matched = below_ok | above_ok
+    rows_a = np.where(below_ok, below, above)[matched]
+    n_matched = len(rows_a)
     if n_matched < 2:
         raise GridMismatch("belief paths share fewer than two time points")
-    return FilterComparison(n_matched=n_matched, max_l1=max_l1, argmax_time=argmax_t)
+    shared_t = times_b[matched]
+    l1 = np.abs(beliefs_a[rows_a] - beliefs_b[matched]).sum(axis=1)
+    bad = np.flatnonzero(~np.isfinite(l1))
+    if len(bad):
+        raise GridMismatch(
+            f"belief paths could not be compared: their L1 distance at "
+            f"t={float(shared_t[bad[0]])!r} is {float(l1[bad[0]])}"
+        )
+    j = int(np.argmax(l1))
+    return FilterComparison(
+        n_matched=n_matched, max_l1=float(l1[j]), argmax_time=float(shared_t[j])
+    )
 
 
 # --------------------------------------------------------------------------

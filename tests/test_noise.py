@@ -251,6 +251,41 @@ def test_grid_helpers_match_scalar(noise):
         assert float(cd[i]).hex() == noise.cdf(float(y)).hex()
 
 
+# finite values stay within 1e300: a price of about scale * 1.8e308 makes the
+# grids' numpy division overflow with a RuntimeWarning, which the scalar
+# tails do not raise
+HARD_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+                     math.inf, -math.inf]),
+    # full 53-bit mantissas, where a rounding difference shows: at every
+    # magnitude from the subnormals up, and often where the tails are not flat
+    st.builds(
+        lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(2**52, 2**53 - 1),
+        st.integers(-1126, 943) | st.integers(-62, -46),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [Logistic(0.37), Logistic(2.0), Gaussian(0.7777), Gaussian(2.5), Laplace(0.8),
+     TwoPointDiscrete(1.0, 0.3), NoiseTraderMix(0.25)],
+    ids=repr,
+)
+@given(ys=st.lists(HARD_FLOATS, min_size=1, max_size=20))
+def test_grid_helpers_match_scalar_on_hard_floats(noise, ys):
+    """The tail grids equal the scalar tails bit for bit at signed zeros,
+    subnormals, magnitudes near the float limits and infinities."""
+    sv = noise.survival_grid(np.array(ys)).tolist()
+    cd = noise.side_tails_grid(np.array(ys), -1.0).tolist()
+    for y, got_sv, got_cd in zip(ys, sv, cd):
+        assert got_sv.hex() == noise.survival(y).hex(), y
+        assert got_cd.hex() == noise.cdf(y).hex(), y
+
+
 @pytest.mark.parametrize(
     "noise",
     [Logistic(0.37), Gaussian(2.5), Laplace(0.8), TwoPointDiscrete(1.0, 0.3),

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chi2
 
 import gmsim.verification as verification
@@ -27,7 +28,7 @@ from gmsim.errors import (
     GridMismatch,
     InsufficientData,
 )
-from gmsim.noise import Logistic, NoiseTraderMix
+from gmsim.noise import Gaussian, Laplace, Logistic, NoiseTraderMix, check_gm_condition
 from gmsim.verification import (
     OracleFilterConfig,
     compare_filters,
@@ -256,6 +257,233 @@ def test_compare_filters_identical_and_mismatched():
         compare_filters(t, b, t, np.tile([0.2, 0.3, 0.5], (11, 1)))
     with pytest.raises(GridMismatch, match="fewer than two"):
         compare_filters(t, b, t + 5.0, b)
+
+
+def test_compare_filters_refuses_a_belief_that_is_not_finite():
+    """A NaN or infinite belief fails closed, naming the first such time,
+    where a strict > against the running maximum would skip it."""
+    t = np.linspace(0, 1, 11)
+    b = np.tile([0.3, 0.7], (11, 1))
+    for bad in (math.nan, math.inf):
+        b_bad = b.copy()
+        b_bad[4, 1] = bad
+        b_bad[7, 0] = math.nan
+        with pytest.raises(GridMismatch, match=r"could not be compared.*t=0\.4 "):
+            compare_filters(t, b, t, b_bad)
+        with pytest.raises(GridMismatch, match=r"t=0\.4 "):
+            compare_filters(t, b_bad, t, b)
+
+
+def test_compare_filters_refuses_rows_that_do_not_fit_the_times():
+    t = np.array([0.0, 1.0, 2.0])
+    b = np.tile([0.3, 0.7], (3, 1))
+    for rows in (2, 4):
+        other = np.tile([0.4, 0.6], (rows, 1))
+        with pytest.raises(GridMismatch, match=f"{rows} rows"):
+            compare_filters(t, b, t, other)
+        with pytest.raises(GridMismatch, match=f"{rows} rows"):
+            compare_filters(t, other, t, b)
+
+
+def test_oracle_refuses_a_model_with_another_state_count():
+    rec = simulate_gmps_path(
+        MODEL2, 0.25, SimConfig(ode_step=0.01, sample_dt=2.5e-4), seed=1
+    )
+    with pytest.raises(GridMismatch, match="2 states, the model 3"):
+        oracle_filter(rec, MODEL3)
+
+
+# The oracle as it was first written, one checkpoint at a time: the quote
+# lookup, the scalar tails, the factor and the jump all inside the loop, and
+# one matrix per step length from a dict. oracle_filter takes everything but
+# the recursion as arrays and must equal it bit for bit.
+
+
+def _reference_replay(record, model, h):
+    logged_t = record.sample_times
+    n_grid = math.ceil(record.horizon / h)
+    grid_times = np.minimum(np.arange(n_grid + 1) * h, record.horizon)
+    event_times = np.array([e.t for e in record.events])
+    if len(event_times):
+        near = np.min(np.abs(grid_times[:, None] - event_times[None, :]), axis=1)
+        grid_times = grid_times[near > 1e-12]
+    checkpoints = np.unique(np.concatenate([grid_times, event_times, [record.horizon]]))
+    events_at = {e.t: e for e in record.events}
+    xs = model.grid.values
+    noise = model.noise
+    lam = model.arrival_rate
+    cache = {}
+    belief = model.initial_belief.probs.copy()
+    out_times = [0.0]
+    out_beliefs = [belief.copy()]
+    for k in range(1, len(checkpoints)):
+        t0 = float(checkpoints[k - 1])
+        t1 = float(checkpoints[k])
+        dt = t1 - t0
+        if dt not in cache:
+            cache[dt] = transition_matrix(model.generator.rates, dt)
+        belief = belief @ cache[dt]
+        if lam > 0.0:
+            idx = max(int(np.searchsorted(logged_t, t0 + 1e-12)) - 1, 0)
+            ask = float(record.sample_asks[idx])
+            bid = float(record.sample_bids[idx])
+            rate = np.array([noise.cdf(bid - x) + noise.survival(ask - x) for x in xs])
+            belief = belief * np.exp(-lam * rate * dt)
+        belief = belief / belief.sum()
+        event = events_at.get(t1)
+        if event is not None and event.outcome is not Outcome.NO_TRADE:
+            if event.outcome is Outcome.BUY:
+                weights = np.array([noise.survival(event.ask - x) for x in xs])
+            else:
+                weights = np.array([noise.cdf(event.bid - x) for x in xs])
+            belief = belief * weights
+            belief = belief / belief.sum()
+        out_times.append(t1)
+        out_beliefs.append(belief.copy())
+    return np.array(out_times), np.array(out_beliefs)
+
+
+def _reference_compare(times_a, beliefs_a, times_b, beliefs_b):
+    pos = np.searchsorted(times_a, times_b)
+    max_l1, argmax_t, n_matched = -1.0, math.nan, 0
+    for j, t in enumerate(times_b):
+        for i in (pos[j] - 1, pos[j]):
+            if 0 <= i < len(times_a) and abs(times_a[i] - t) <= verification.TIME_TOL:
+                n_matched += 1
+                l1 = float(np.sum(np.abs(beliefs_a[i] - beliefs_b[j])))
+                if l1 > max_l1:
+                    max_l1, argmax_t = l1, float(t)
+                break
+    return n_matched, max_l1, argmax_t
+
+
+def _assert_replays_match_reference(rec, model, h):
+    for step in (h, h / 2, h / 4):
+        times, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=step))
+        ref_times, ref_beliefs = _reference_replay(rec, model, step)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(beliefs, ref_beliefs)
+    cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times, beliefs)
+    ref = _reference_compare(rec.sample_times, rec.sample_beliefs, times, beliefs)
+    assert (cmp.n_matched, cmp.max_l1, cmp.argmax_time) == ref
+
+
+def _chain8():
+    """The 8-state birth-death chain on [0, 1] with Gaussian(1.5) noise."""
+    rates = np.zeros((8, 8))
+    for i in range(7):
+        rates[i, i + 1] = rates[i + 1, i] = 0.6
+    return MarketModel(
+        grid=StateGrid(np.linspace(0.0, 1.0, 8)), generator=GeneratorMatrix(rates),
+        arrival_rate=8.0, noise=Gaussian(1.5), initial_belief=Belief(np.full(8, 0.125)),
+    )
+
+
+README_MODEL = MarketModel(
+    grid=GRID2, generator=GeneratorMatrix([[0.0, 0.5], [0.8, 0.0]]), arrival_rate=4.0,
+    noise=NOISE, initial_belief=Belief([0.5, 0.5]),
+)
+
+
+@pytest.mark.parametrize(
+    "model, cfg, seed",
+    [
+        (README_MODEL, SimConfig(ode_step=0.02, sample_dt=2.5e-4), 42),
+        (_chain8(), SimConfig(ode_step=1e-3, sample_dt=2.5e-4), 1),
+        (replace(MODEL3, noise=Laplace(1.5)), SimConfig(ode_step=0.01, sample_dt=2.5e-4), 3),
+        (replace(MODEL3, arrival_rate=0.0), SimConfig(ode_step=0.01, sample_dt=2.5e-4), 0),
+        (README_MODEL, SimConfig(ode_step=0.02, sample_dt=2.5e-4, perturb_ask=0.01), 5),
+    ],
+    ids=["readme", "chain8_gaussian", "laplace", "no_arrivals", "perturbed_ask"],
+)
+def test_oracle_replay_equals_the_per_checkpoint_loop(model, cfg, seed):
+    rec = simulate_gmps_path(model, 1.0, cfg, seed=seed)
+    assert rec.n_trades >= (2 if model.arrival_rate else 0)
+    _assert_replays_match_reference(rec, model, 1e-3)
+
+
+def test_oracle_replay_equals_the_loop_where_an_event_meets_a_grid_time():
+    """Events within 1e-12 of a grid time take its place, the first and
+    last grid times included, and one event sits exactly on a grid time of
+    h/4 only."""
+    times = (5e-13, 0.25 + 4e-13, 0.5 - 9e-13, 0.6 + 2.5e-4, 0.75 + 2e-12, 1.0 - 3e-13)
+    outcomes = (Outcome.SELL, Outcome.BUY, Outcome.SELL, Outcome.NO_TRADE, Outcome.BUY,
+                Outcome.SELL)
+    events = [
+        EventRecord(
+            t=t, x=0.0, eps=0.0, ask=0.6, bid=0.3, outcome=o,
+            belief_before=np.array([0.5, 0.5]), belief_after=np.array([0.5, 0.5]),
+            profit=0.0,
+        )
+        for t, o in zip(times, outcomes)
+    ]
+    rec = _synthetic_record(1.0, events, 2.5e-4, 0.6, 0.3)
+    _assert_replays_match_reference(rec, MODEL2, 1e-3)
+    times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=1e-3))
+    assert 0.25 not in times and times[250] == 0.25 + 4e-13
+
+
+@st.composite
+def _small_markets(draw):
+    """A random admissible 2-5 state market with arrivals and a sampled run."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    grid = StateGrid(np.concatenate([[0.0], np.cumsum(gaps)]))
+    rates = [[0.0 if i == j else draw(st.sampled_from([0.0, 0.3, 2.0])) for j in range(n)]
+             for i in range(n)]
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    family = draw(st.sampled_from([Logistic, Laplace, Gaussian]))
+    noise = family(draw(st.floats(1.1, 4.0)) * grid.width)
+    assume(check_gm_condition(noise, grid.width).passes)
+    model = MarketModel(
+        grid=grid, generator=GeneratorMatrix(rates),
+        arrival_rate=draw(st.sampled_from([0.5, 6.0, 20.0])), noise=noise,
+        initial_belief=Belief(weights),
+    )
+    h = draw(st.sampled_from([0.01, 0.02]))
+    return model, h, draw(st.floats(0.1, 0.4)), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=40)
+@given(_small_markets())
+def test_oracle_replay_equals_the_loop_on_random_markets(run):
+    model, h, horizon, seed = run
+    rec = simulate_gmps_path(
+        model, horizon, SimConfig(ode_step=0.02, sample_dt=h / 4), seed=seed
+    )
+    _assert_replays_match_reference(rec, model, h)
+
+
+def test_compare_filters_equals_the_loop_on_partly_shared_times():
+    """Partly overlapping grids, offsets on both sides of TIME_TOL, and a
+    maximum reached twice (the first one is reported)."""
+    rng = np.random.default_rng(11)
+    times_a = np.linspace(0.0, 1.0, 41)
+    beliefs_a = rng.dirichlet([1.0, 1.0, 1.0], size=41)
+    tol = verification.TIME_TOL
+    shifts = np.array([0.0, tol, -tol, 0.999 * tol, -1.001 * tol, 2 * tol, 0.5 * tol])
+    times_b = np.sort(np.concatenate([
+        times_a[5:30] + np.resize(shifts, 25), np.linspace(0.0101, 0.99, 17), [1.5, 2.0]
+    ]))
+    beliefs_b = rng.dirichlet([1.0, 1.0, 1.0], size=len(times_b))
+    got = compare_filters(times_a, beliefs_a, times_b, beliefs_b)
+    ref = _reference_compare(times_a, beliefs_a, times_b, beliefs_b)
+    assert (got.n_matched, got.max_l1, got.argmax_time) == ref
+    assert 2 <= got.n_matched < 25
+
+    # two times of a lie within TIME_TOL of one time of b: the earlier is used
+    close_a = np.array([0.0, 0.5, 0.5 + 0.8 * tol, 1.0])
+    close_b = np.array([0.0, 0.5 + 0.4 * tol, 1.0])
+    rows_a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    rows_b = np.tile([1.0, 0.0], (3, 1))
+    got = compare_filters(close_a, rows_a, close_b, rows_b)
+    ref = _reference_compare(close_a, rows_a, close_b, rows_b)
+    assert (got.n_matched, got.max_l1, got.argmax_time) == ref == (3, 2.0, close_b[1])
+
+    b_twice = np.tile([0.5, 0.5, 0.0], (41, 1))
+    b_twice[[7, 19]] = [0.0, 0.5, 0.5]
+    got = compare_filters(times_a, np.tile([0.5, 0.5, 0.0], (41, 1)), times_a, b_twice)
+    assert (got.n_matched, got.max_l1, got.argmax_time) == (41, 1.0, times_a[7])
 
 
 # --------------------------------------------------------------------------
