@@ -17,9 +17,9 @@ the previous stage). After each full step, negative roundoff is clamped and
 the vector renormalized; the pre-clamp deviations are tracked so a caller
 can prove they stayed at roundoff scale. The kernel's integrate can hand
 each step's end points (beliefs, the drift at the start, quotes) to a
-callback; the engine reads its sample rows off them with hermite, RK4's
-dense output, so observing the belief between trades never changes the
-steps that move it.
+callback; the solo engine reads its sample rows off them with hermite,
+RK4's dense output, so observing the belief between trades never changes
+the steps that move it.
 
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
@@ -95,6 +95,12 @@ def segment(dt, ode_step):
     return n_steps, dt / n_steps
 
 
+def _clamp(p):
+    """p with its negative entries set to 0, and its sum: both engines' clamp."""
+    p = [v if v > 0.0 else 0.0 for v in p]
+    return p, sum(p)
+
+
 def _onto_simplex(p):
     """p with negative entries clamped to 0 and renormalised, with what
     SimplexDiagnostics.absorb takes of p as it came: the distance of its
@@ -107,8 +113,7 @@ def _onto_simplex(p):
             low = v
     sum_error = abs(total - 1.0)
     if low < 0.0:
-        p = [v if v > 0.0 else 0.0 for v in p]
-        total = sum(p)
+        p, total = _clamp(p)
     return [v / total for v in p], sum_error, low
 
 
@@ -308,12 +313,11 @@ class _FilterKernel:
     def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
         """One RK4 step of integrate() for every row, row r with step h[r],
         including the clamp and renormalisation and, with arrivals, the
-        quotes at the new belief. Returns (probs, ask, bid, sum_error, low,
-        k1): sum_error and low are what integrate() hands
-        SimplexDiagnostics.absorb, and k1 is the drift at the step's start,
-        which a sampled run's dense output needs. Each quote solve starts
-        from the quotes the drift before it saw, so without an ask shift it
-        reuses that drift's tails."""
+        quotes at the new belief. Returns (probs, ask, bid, sum_error, low):
+        sum_error and low are what integrate() hands
+        SimplexDiagnostics.absorb. Each quote solve starts from the quotes
+        the drift before it saw, so without an ask shift it reuses that
+        drift's tails."""
         drift, quotes = self.drift_rows, self.quotes_rows
         informative = self.lam > 0.0
         reuse = ask_shift == 0.0
@@ -340,15 +344,13 @@ class _FilterKernel:
         total = _column_sum(p)
         low = p.min(axis=1)
         sum_error = np.abs(total - 1.0)
-        for r in np.flatnonzero(low < 0.0).tolist():  # integrate()'s clamp and sum()
-            row = [v if v > 0.0 else 0.0 for v in p[r].tolist()]
-            p[r] = row
-            total[r] = sum(row)
+        for r in np.flatnonzero(low < 0.0).tolist():
+            p[r], total[r] = _clamp(p[r].tolist())
         p = p / total[:, None]
 
         if informative:
             ask, bid = quotes(p, ask, bid, tails if reuse else None)
-        return p, ask, bid, sum_error, low, k1
+        return p, ask, bid, sum_error, low
 
 
 def _signs(n_ask, n_bid):

@@ -119,9 +119,6 @@ class Belief:
         """Posterior mean sum_i x_i pi_i."""
         return float(self.probs @ grid.values)
 
-    def allclose(self, other: "Belief", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.probs - other.probs) <= tol))
-
 
 def check_sizes(
     belief: Belief, grid: StateGrid, generator: GeneratorMatrix | None = None

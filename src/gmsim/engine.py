@@ -17,17 +17,17 @@ increment under correct quoting; the sell side's economic P&L is its
 negation.
 
 Two engines run these rules. simulate_gmps_path runs one path with the
-scalar filter kernel and is the reference. A batch of LOCKSTEP_MIN_PATHS
-paths or more runs in lockstep: each path is one numpy row, the rows take
-their RK4 steps together, and the rows whose segment ends at an arrival
-are jumped and re-solved together, as rows. Both engines take each stop
-through the same _Path methods (decide for the arrival rules, note for the
-bookkeeping) and read each sample row off an RK4 step through _Path.sample,
-and path k of a batch equals the solo run at offset k bit for bit.
+scalar filter kernel and is the reference. An unsampled batch of
+LOCKSTEP_MIN_PATHS paths or more runs in lockstep: each path is one numpy
+row, the rows take their RK4 steps together, and the rows whose segment
+ends at an arrival are jumped and re-solved together, as rows. Both engines
+take each stop through the same _Path methods (decide for the arrival
+rules, note for the bookkeeping), and path k of a batch equals the solo run
+at offset k bit for bit. A sampled batch runs path by path.
 
 The stops are the arrivals and the horizon only. A sampled run takes the
 same RK4 steps as an unsampled one and reads its sample rows off the steps'
-dense output, so sampling never moves a path's events.
+dense output (_Path.sample), so sampling never moves a path's events.
 """
 
 from __future__ import annotations
@@ -147,11 +147,18 @@ class PathRecord:
 # Random elements
 
 
+def _integer(value) -> int:
+    """operator.index(value), with a bool refused as a float is."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def check_seed(seed: int) -> None:
     """The seed rule of scenario files, the CLI and the library's runs: an
-    integer (a numpy integer too, a float never) in [0, 2**63)."""
+    integer (a numpy integer too, a float or a bool never) in [0, 2**63)."""
     try:
-        in_range = 0 <= operator.index(seed) < 2**63
+        in_range = 0 <= _integer(seed) < 2**63
     except TypeError:
         in_range = False
     if not in_range:
@@ -161,7 +168,7 @@ def check_seed(seed: int) -> None:
 def check_n_paths(n_paths: int) -> None:
     """The path-count rule of scenario files, the CLI and simulate_paths."""
     try:
-        n_paths = operator.index(n_paths)
+        n_paths = _integer(n_paths)
     except TypeError:
         raise ConfigError(f"n_paths: expected an integer, got {n_paths!r}") from None
     if n_paths < 1:
@@ -171,10 +178,10 @@ def check_n_paths(n_paths: int) -> None:
 def path_streams(seed: int, offset: int):
     """Three independent generators (value chain, arrivals, noise draws) for
     path `offset` of a run keyed by `seed`. Both must be nonnegative
-    integers (numpy integers too, a float never); seed has no upper bound,
-    as verify's intensity check keys its trials by seed + k."""
+    integers (numpy integers too, a float or a bool never); seed has no
+    upper bound, as verify's intensity check keys its trials by seed + k."""
     try:
-        seed, offset = operator.index(seed), operator.index(offset)
+        seed, offset = _integer(seed), _integer(offset)
     except TypeError:
         raise ConfigError(
             f"seed and offset must be integers, got {seed!r} and {offset!r}"
@@ -308,10 +315,10 @@ class _Arrival(NamedTuple):
 
 class _Path:
     """One path's random elements, stops, record and sample rows, and the
-    handling of its stops and samples, shared by both engines: decide()
-    holds the arrival rules, note() the bookkeeping, and sample() the rows
-    read off an RK4 step. Between decide() and note() the engine jumps a
-    traded belief and re-solves its quotes.
+    handling of its stops and samples: decide() holds the arrival rules,
+    note() the bookkeeping, and sample() the rows read off an RK4 step,
+    which only the solo engine takes. Between decide() and note() the
+    engine jumps a traded belief and re-solves its quotes.
 
     The stops are the arrivals and the horizon, so the integrator's steps
     never depend on sample_dt. A sample row at a stop is the state after
@@ -428,11 +435,6 @@ class _Path:
             self.next_sample = i + 1
             self.plan = plan[::-1]
         return self.n_steps, self.h
-
-    def sample_at(self):
-        """The steps left in the segment as the next step with a sample in
-        it begins; 0 when no sample is left in the segment."""
-        return self.n_steps - self.plan[-1][0] if self.plan else 0
 
     def sample(self, j, p0, k1, ask0, bid0, p1, ask1, bid1):
         """Keep the rows of the samples in step j of the segment, given the
@@ -575,49 +577,30 @@ def _take_stops(kernel, live, rows, probs, ask, bid):
         path.note(path.pending[0], x_val, arrival, prior, posterior, a, b)
 
 
-def _next_segments(live, rows, steps, h, sample_at, ode_step):
+def _next_segments(live, rows, steps, h, ode_step):
     """Set steps and h of every row in rows to its path's next segment,
-    steps 0 after the last stop, and, on a sampled run, sample_at to the
-    steps left as the segment's first sampled step begins. Returns the rows
-    whose next stop lies no time ahead, which are due at once."""
+    steps 0 after the last stop. Returns the rows whose next stop lies no
+    time ahead, which are due at once."""
     due = []
     for r in rows.tolist():
-        path = live[r]
-        segment = path.next_segment(ode_step)
+        segment = live[r].next_segment(ode_step)
         steps[r], h[r] = (0, 0.0) if segment is None else segment
         if segment is not None and segment[0] == 0:
             due.append(r)
-        if sample_at is not None:
-            sample_at[r] = path.sample_at()
     return np.array(due, dtype=np.int64)
 
 
-def _take_samples(live, rows, steps, start, k1, probs, ask, bid, sample_at):
-    """Hand the step that every row in rows just took, from start (its
-    beliefs, asks and bids as lists) with drift k1 to the rows of probs,
-    ask and bid, to its path's sample(), and move sample_at on."""
-    for r, left, p0, a0, b0, k, p1, a1, b1 in zip(
-        rows.tolist(), steps[rows].tolist(), *start, k1[rows].tolist(),
-        probs[rows].tolist(), ask[rows].tolist(), bid[rows].tolist(),
-    ):
-        path = live[r]
-        path.sample(path.n_steps - left, p0, k, a0, b0, p1, a1, b1)
-        sample_at[r] = path.sample_at()
-
-
 def _simulate_lockstep(model, horizon, config, seed, n_paths):
-    """simulate_paths with the paths advancing together.
+    """simulate_paths with the paths advancing together; unsampled batches only.
 
     Each unfinished path is one row of a (probs, ask, bid) array with its
     own step h and remaining step count; a tick is one
     _FilterKernel.step_rows over every row. The rows whose segment ends
     take their stops together, as rows (_take_stops), and then their next
-    segments. On a sampled run, the rows with a sample in the tick's step
-    hand it to their paths (_take_samples). Every path equals its solo run
-    bit for bit. A failing batch raises an error that one of its failing
-    paths raises solo, where the solo runs one by one raise the lowest
-    failing offset's: the same error whenever every failing path fails the
-    same way.
+    segments. Every path equals its solo run bit for bit. A failing batch
+    raises an error that one of its failing paths raises solo, where the
+    solo runs one by one raise the lowest failing offset's: the same error
+    whenever every failing path fails the same way.
     """
     kernel, probs0, ask0, bid0 = _start(model, horizon, config, seed)
     ode_step = config.ode_step
@@ -631,13 +614,12 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     h = np.zeros(n_paths)
     sum_error = np.zeros(n_paths)
     low = np.zeros(n_paths)
-    sample_at = np.zeros(n_paths, dtype=np.int64) if config.sample_dt is not None else None
     perturb = paths[0].perturb
-    due = _next_segments(live, np.arange(n_paths), steps, h, sample_at, ode_step)
+    due = _next_segments(live, np.arange(n_paths), steps, h, ode_step)
     while True:
         while due.size:
             _take_stops(kernel, live, due, probs, ask, bid)
-            due = _next_segments(live, due, steps, h, sample_at, ode_step)
+            due = _next_segments(live, due, steps, h, ode_step)
         done = steps == 0
         if done.any():
             for r in np.flatnonzero(done).tolist():
@@ -647,18 +629,10 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
             probs, ask, bid, steps, h, sum_error, low = (
                 v[keep] for v in (probs, ask, bid, steps, h, sum_error, low)
             )
-            if sample_at is not None:
-                sample_at = sample_at[keep]
         if not live:
             return [path.finish() for path in paths]
         try:
-            if sample_at is not None:
-                sampling = np.flatnonzero(steps == sample_at)
-                start = (probs[sampling].tolist(), ask[sampling].tolist(),
-                         bid[sampling].tolist())
-            probs, ask, bid, err, lo, k1 = kernel.step_rows(probs, ask, bid, h, perturb)
-            if sample_at is not None:
-                _take_samples(live, sampling, steps, start, k1, probs, ask, bid, sample_at)
+            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
             steps -= 1
             due = np.flatnonzero(steps == 0)
             if due.size and not kernel.lam > 0.0:  # integrate() solves once, at the end
@@ -670,9 +644,9 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
         np.fmin(low, lo, out=low)
 
 
-# Batches of at least this many paths run the lockstep engine; below it,
-# the per-row array overhead outweighs the shared work and the paths run
-# one by one.
+# Unsampled batches of at least this many paths run the lockstep engine;
+# below it, the per-row array overhead outweighs the shared work and the
+# paths run one by one. Sampled batches always run one by one.
 LOCKSTEP_MIN_PATHS = 32
 
 
@@ -685,11 +659,12 @@ def simulate_paths(
 ) -> list[PathRecord]:
     """Simulate n_paths independent paths, offsets 0..n_paths-1.
 
-    Path k equals simulate_gmps_path(..., offset=k) bit for bit; from
-    LOCKSTEP_MIN_PATHS paths on, the batch advances in lockstep.
+    Path k equals simulate_gmps_path(..., offset=k) bit for bit; an
+    unsampled batch of LOCKSTEP_MIN_PATHS paths or more advances in
+    lockstep, and a sampled batch runs path by path.
     """
     check_n_paths(n_paths)
-    if n_paths >= LOCKSTEP_MIN_PATHS:
+    if n_paths >= LOCKSTEP_MIN_PATHS and config.sample_dt is None:
         return _simulate_lockstep(model, horizon, config, seed, n_paths)
     return [
         simulate_gmps_path(model, horizon, config, seed=seed, offset=i)

@@ -57,6 +57,10 @@ MATRIX_EXP_TERMS = 12
 TIME_TOL = 1e-9
 # sub-steps whose no-trade factors the reference filter takes at once
 REPLAY_BLOCK = 1024
+# level of intensity_test's chi-square tests
+INTENSITY_ALPHA = 0.01
+# spacing of the sample grid on which uniqueness_diagnostic compares quotes
+UNIQUENESS_SAMPLE_DT = 0.05
 
 
 @dataclass(frozen=True)
@@ -463,14 +467,13 @@ def intensity_test(
     horizon: float,
     n_trials: int,
     seed: int = 0,
-    alpha: float = 0.01,
 ) -> IntensityReport:
     """Frozen-quote, frozen-state trade-count test.
 
     Holds the true value at state_value and the posted quote fixed, runs the
     actual arrival and decision mechanics n_trials times over [0, horizon],
-    and chi-square-tests the per-trial buy counts against
-    Poisson(lambda * survival(ask - x) * horizon), dually for sells.
+    and chi-square-tests the per-trial buy counts at level INTENSITY_ALPHA
+    against Poisson(lambda * survival(ask - x) * horizon), dually for sells.
     """
     try:
         n_trials = operator.index(n_trials)
@@ -500,8 +503,8 @@ def intensity_test(
             elif outcome is Outcome.SELL:
                 sells[trial] += 1
     return IntensityReport(
-        buy=_poisson_gof(buys, mu_buy, alpha),
-        sell=_poisson_gof(sells, mu_sell, alpha),
+        buy=_poisson_gof(buys, mu_buy, INTENSITY_ALPHA),
+        sell=_poisson_gof(sells, mu_sell, INTENSITY_ALPHA),
     )
 
 
@@ -514,7 +517,6 @@ def uniqueness_diagnostic(
     horizon: float,
     belief_spread: float = 0.1,
     seed: int = 0,
-    sample_dt: float = 0.05,
     config: SimConfig | None = None,
 ) -> UniquenessReport:
     """Contraction constants plus a twin-run gap profile.
@@ -522,15 +524,14 @@ def uniqueness_diagnostic(
     Runs the engine twice under common random numbers: once from the model's
     prior and once from the prior mixed with the uniform distribution at
     weight belief_spread. Reports |ask gap| + |bid gap| along the shared
-    sample grid. With belief_spread = 0 the gap is identically zero. This
-    illustrates the contraction that makes the quote process unique; it
-    proves nothing by itself.
+    sample grid, UNIQUENESS_SAMPLE_DT apart. With belief_spread = 0 the gap
+    is identically zero. This illustrates the contraction that makes the
+    quote process unique; it proves nothing by itself.
     """
     constants = contraction_constants(model.grid, model.noise, model.arrival_rate)
     if not 0.0 <= belief_spread <= 1.0:
         raise ConfigError("belief_spread must lie in [0, 1]")
-    base_cfg = config if config is not None else SimConfig()
-    cfg = replace(base_cfg, sample_dt=sample_dt)
+    cfg = replace(SimConfig() if config is None else config, sample_dt=UNIQUENESS_SAMPLE_DT)
     n = model.grid.n
     mixed = (1.0 - belief_spread) * model.initial_belief.probs + belief_spread / n
     twin = replace(model, initial_belief=Belief(mixed))

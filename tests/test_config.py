@@ -252,11 +252,13 @@ def test_scenario_built_in_code_meets_the_file_rules(key):
 
 def test_seed_built_in_code_must_be_an_integer():
     """A float seed is refused, even an integral one that a file would
-    accept; numpy integers pass."""
+    accept, and so is a bool seed or path count; numpy integers pass."""
     cfg = scenario_from_dict(base_data())
-    for seed in (7.9, 7.0):
+    for seed in (7.9, 7.0, True):
         with pytest.raises(ConfigError, match=r"^seed: must fit in 64 bits"):
             replace(cfg, seed=seed)
+    with pytest.raises(ConfigError, match=r"^n_paths: expected an integer, got True$"):
+        replace(cfg, n_paths=True)
     assert replace(cfg, seed=np.int64(7), n_paths=np.int32(3)).seed == 7
 
 

@@ -224,9 +224,10 @@ def test_streams_refuse_negative_keys(seed, offset):
         path_streams(seed, offset)
 
 
-@pytest.mark.parametrize("seed, offset", [(7.9, 0), (7, 1.5), (7.0, 0)])
+@pytest.mark.parametrize("seed, offset", [(7.9, 0), (7, 1.5), (7.0, 0), (True, 0), (7, True)])
 def test_streams_refuse_fractional_keys(seed, offset):
-    """A float key is refused, not truncated to another path's streams."""
+    """A float or bool key is refused, not truncated to another path's
+    streams."""
     with pytest.raises(ConfigError, match="must be integers"):
         path_streams(seed, offset)
 
@@ -561,9 +562,6 @@ def test_logistic_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "fa5ea57191e34e03c97db44315f4d9dc6284f323e50cb5cda904739436be8af2"
     )
-    lockstep = gmsim.engine._simulate_lockstep(
-        MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
-    assert _path_digest(lockstep) == _path_digest(recs)
 
 
 def test_laplace_path_is_bitwise_pinned():
@@ -587,9 +585,6 @@ def test_dense_sampled_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "eda84f3838c877066c14cb3f549756675fb74114d8b65bd27c251ccb4f1df6b9"
     )
-    lockstep = gmsim.engine._simulate_lockstep(
-        MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30), 42, 4)
-    assert _path_digest(lockstep) == _path_digest(recs)
 
 
 def test_silent_sampled_paths_are_bitwise_pinned():
@@ -605,9 +600,6 @@ def test_silent_sampled_paths_are_bitwise_pinned():
     assert _path_digest(recs) == (
         "25f14cce98c513fb00281333a12b7405988d2202e752f8ce39fe4156f1a79175"
     )
-    lockstep = gmsim.engine._simulate_lockstep(
-        model, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25), 42, 4)
-    assert _path_digest(lockstep) == _path_digest(recs)
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +631,7 @@ SAMPLED_RUNS = {  # model, the unsampled config, horizon
 def test_sampling_does_not_move_the_path(name):
     """Sample points coarser and finer than the step, and one that falls on
     an arrival, leave every event, profit, count and SimplexDiagnostics of
-    the unsampled run as they are, bit for bit, in both engines."""
+    the unsampled run as they are, bit for bit."""
     model, cfg, horizon = SAMPLED_RUNS[name]
     unsampled = [simulate_gmps_path(model, horizon, cfg, seed=42, offset=k) for k in range(3)]
     assert name == "silent" or sum(r.n_trades for r in unsampled) > 6
@@ -648,9 +640,7 @@ def test_sampling_does_not_move_the_path(name):
         sampled = replace(cfg, sample_dt=sample_dt)
         solo = [simulate_gmps_path(model, horizon, sampled, seed=42, offset=k)
                 for k in range(3)]
-        batch = gmsim.engine._simulate_lockstep(model, horizon, sampled, 42, 3)
         assert _event_digest(solo) == _event_digest(unsampled)
-        assert _path_digest(batch) == _path_digest(solo)
         assert len(solo[0].sample_times) > horizon / sample_dt
 
 
@@ -685,8 +675,9 @@ def test_hermite_meets_the_step_ends():
 
 
 def test_batches_from_the_threshold_run_in_lockstep(monkeypatch):
-    """simulate_paths hands a batch to the lockstep engine from
-    LOCKSTEP_MIN_PATHS paths on, and its paths equal the solo runs."""
+    """simulate_paths hands an unsampled batch to the lockstep engine from
+    LOCKSTEP_MIN_PATHS paths on, and a sampled one of any size to the solo
+    engine; either way its paths equal the solo runs."""
     runs = []
     lockstep = gmsim.engine._simulate_lockstep
 
@@ -696,7 +687,7 @@ def test_batches_from_the_threshold_run_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(gmsim.engine, "_simulate_lockstep", spy)
     n = gmsim.engine.LOCKSTEP_MIN_PATHS
-    cfg = SimConfig(ode_step=0.1, sample_dt=0.2)
+    cfg = SimConfig(ode_step=0.1)
     below = simulate_paths(MODEL, 0.6, cfg, seed=3, n_paths=n - 1)
     at = simulate_paths(MODEL, 0.6, cfg, seed=3, n_paths=n)
     assert runs == [n]
@@ -704,6 +695,12 @@ def test_batches_from_the_threshold_run_in_lockstep(monkeypatch):
     assert _path_digest(at[:-1]) == _path_digest(below)
     solo = simulate_gmps_path(MODEL, 0.6, cfg, seed=3, offset=n - 1)
     assert _path_digest(at[-1:]) == _path_digest([solo])
+    sampled = replace(cfg, sample_dt=0.2)
+    batch = simulate_paths(MODEL, 0.6, sampled, seed=3, n_paths=n)
+    assert runs == [n]
+    solo = [simulate_gmps_path(MODEL, 0.6, sampled, seed=3, offset=k) for k in range(n)]
+    assert sum(len(r.sample_times) for r in batch) > 4 * n
+    assert _path_digest(batch) == _path_digest(solo)
 
 
 STIFF_MODEL = MarketModel(  # rates of 20 against ode_step 0.1: RK4 overshoots
@@ -723,7 +720,7 @@ NINE_STATE_MODEL = MarketModel(
 
 
 @pytest.mark.parametrize("model, cfg", [
-    (STIFF_MODEL, SimConfig(ode_step=0.1, sample_dt=0.25)),
+    (STIFF_MODEL, SimConfig(ode_step=0.1)),
     (NINE_STATE_MODEL, SimConfig(ode_step=0.01, perturb_ask=0.01)),
 ], ids=["clamped_steps", "nine_states"])
 def test_lockstep_paths_equal_solo_runs(model, cfg):
@@ -823,12 +820,15 @@ def test_runs_refuse_seeds_a_scenario_refuses(n_paths):
 
 @pytest.mark.parametrize("n_paths", [1, 40])
 def test_runs_refuse_fractional_seeds_and_take_numpy_integers(n_paths):
-    """A float seed or path count is refused before anything runs, and a
-    numpy integer seed runs the same paths as the int."""
-    with pytest.raises(ConfigError, match="must fit in 64 bits"):
-        simulate_paths(MODEL, 0.5, SimConfig(), seed=7.9, n_paths=n_paths)
+    """A float or bool seed or path count is refused before anything runs,
+    and a numpy integer seed runs the same paths as the int."""
+    for seed in (7.9, True):
+        with pytest.raises(ConfigError, match="must fit in 64 bits"):
+            simulate_paths(MODEL, 0.5, SimConfig(), seed=seed, n_paths=n_paths)
     with pytest.raises(ConfigError, match=r"^n_paths: expected an integer, got \d+\.5$"):
         simulate_paths(MODEL, 0.5, SimConfig(), seed=7, n_paths=n_paths + 0.5)
+    with pytest.raises(ConfigError, match=r"^n_paths: expected an integer, got True$"):
+        simulate_paths(MODEL, 0.5, SimConfig(), seed=7, n_paths=True)
     sim = SimConfig(ode_step=0.1)
     as_int = simulate_paths(MODEL, 0.2, sim, seed=7, n_paths=n_paths)
     as_numpy = simulate_paths(MODEL, 0.2, sim, seed=np.int64(7), n_paths=np.int64(n_paths))
@@ -941,18 +941,24 @@ def admissible_runs(draw):
 @settings(max_examples=40)
 @given(admissible_runs())
 def test_lockstep_paths_equal_solo_runs_on_random_markets(run):
+    """The lockstep engine runs the unsampled config as the solo runs, and
+    a drawn sample_dt leaves the solo runs' events alone."""
     model, horizon, cfg, seed = run
-    solo = [simulate_gmps_path(model, horizon, cfg, seed=seed, offset=k) for k in range(3)]
-    batch = gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)
+    unsampled = replace(cfg, sample_dt=None)
+    solo = [simulate_gmps_path(model, horizon, unsampled, seed=seed, offset=k)
+            for k in range(3)]
+    lockstep = gmsim.engine._simulate_lockstep
+    batch = lockstep(model, horizon, unsampled, seed, 3)
     digest = _path_digest(batch)
     assert digest == _path_digest(solo)
-    assert _path_digest(gmsim.engine._simulate_lockstep(model, horizon, cfg, seed, 3)) == digest
+    assert _path_digest(lockstep(model, horizon, unsampled, seed, 3)) == digest
+    sampled = []
     if cfg.sample_dt is not None:  # sampling leaves the path alone
-        unsampled = [simulate_gmps_path(model, horizon, replace(cfg, sample_dt=None),
-                                        seed=seed, offset=k) for k in range(3)]
-        assert _event_digest(batch) == _event_digest(unsampled)
+        sampled = [simulate_gmps_path(model, horizon, cfg, seed=seed, offset=k)
+                   for k in range(3)]
+        assert _event_digest(sampled) == _event_digest(solo)
     xs = model.grid.values
-    for rec in batch:
+    for rec in batch + sampled:
         for e in rec.events:  # a trade executes at the post-trade mean
             if e.outcome is Outcome.SELL or (e.outcome is Outcome.BUY and not cfg.perturb_ask):
                 price = e.ask if e.outcome is Outcome.BUY else e.bid
