@@ -553,6 +553,15 @@ LAPLACE_MODEL3 = MarketModel(
 )
 
 
+EIGHT_STATE_MODEL = MarketModel(  # the benchmark's dense-filter chain
+    grid=StateGrid(np.linspace(0.0, 1.0, 8)),
+    generator=GeneratorMatrix(np.diag([0.6] * 7, 1) + np.diag([0.6] * 7, -1)),
+    arrival_rate=8.0,
+    noise=Gaussian(1.5),
+    initial_belief=Belief([1.0 / 8] * 8),
+)
+
+
 def test_logistic_paths_are_bitwise_pinned():
     """README scenario, offsets 0-3, sampled: digest recorded when the
     sample rows moved to the RK4 dense output."""
@@ -602,6 +611,17 @@ def test_silent_sampled_paths_are_bitwise_pinned():
     )
 
 
+def test_gaussian_dense_filter_path_is_bitwise_pinned():
+    """The benchmark's 8-state Gaussian chain, one short sampled path: the
+    Gaussian solves take plain Picard steps, so this digest pins them."""
+    rec = simulate_gmps_path(EIGHT_STATE_MODEL, 0.5,
+                             SimConfig(ode_step=0.01, sample_dt=0.05), seed=42)
+    assert rec.n_trades > 5 and len(rec.sample_times) > 10
+    assert _path_digest([rec]) == (
+        "3be13c9e44d2c796f1c20a9dd8d0b6139a8f2ffd4374cf73cb0c4f9da71f57c6"
+    )
+
+
 # --------------------------------------------------------------------------
 # Sampling reads the RK4 dense output and leaves the path alone
 
@@ -612,13 +632,6 @@ def _event_digest(records) -> str:
     return _path_digest([replace(r, sample_times=None) for r in records])
 
 
-EIGHT_STATE_MODEL = MarketModel(  # the benchmark's dense-filter chain
-    grid=StateGrid(np.linspace(0.0, 1.0, 8)),
-    generator=GeneratorMatrix(np.diag([0.6] * 7, 1) + np.diag([0.6] * 7, -1)),
-    arrival_rate=8.0,
-    noise=Gaussian(1.5),
-    initial_belief=Belief([1.0 / 8] * 8),
-)
 SAMPLED_RUNS = {  # model, the unsampled config, horizon
     "readme": (MODEL, SimConfig(ode_step=0.02), 3.0),
     "gaussian_8_states": (EIGHT_STATE_MODEL, SimConfig(ode_step=0.01), 1.0),
