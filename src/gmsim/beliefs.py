@@ -24,14 +24,16 @@ the steps that move it.
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
-through the equilibrium module's Picard loops. Its *_rows methods do the
+through the equilibrium module's fixed-point loops, with the noise's slope:
+Newton steps for the logistic and Laplace families, Picard steps for the
+Gaussian. Its *_rows methods do the
 same arithmetic on many beliefs at once, one numpy row each, in the same
 operation order (each sum over the states a _column_sum), so a row equals
 the scalar result bit for bit. They take both sides of the book as one
 array, the ask rows stacked over the bid rows: a drift evaluates the tails
 at (ask, bid) once, the quote solve that follows it starts from those
 quotes and, without an ask shift, reuses those tails as its first
-iterate, and the two sides share one row Picard loop.
+iterate, and the two sides share one row solve loop.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class _FilterKernel:
     """Quote and filter arithmetic for one model, built once and reused.
 
     Holds the grid values, the generator's columns, the arrival rate and
-    the noise tails. Given fp_tol it also runs the admissibility gate once
-    and keeps the Picard iteration ceiling, so that quotes() can solve;
+    the noise tails and slopes. Given fp_tol it also runs the admissibility
+    gate once and keeps the iteration ceiling, so that quotes() can solve;
     without fp_tol it only jumps and drifts, which need no certificate.
     Beliefs are plain sequences of floats, and nothing is validated here.
     """
@@ -162,13 +164,17 @@ class _FilterKernel:
         self.lam = lam
         self.survival = noise.survival
         self.cdf = noise.cdf
+        self.slope = noise.slope
         self.side_tails_grid = noise.side_tails_grid
+        self.slope_grid = noise.slope_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
-        xs, tol, max_iter = self.xs, self.fp_tol, self.max_iter
-        ask, _ = _picard(self.survival, ZeroBuyProbability, xs, probs, ask, tol, max_iter)
-        bid, _ = _picard(self.cdf, ZeroSellProbability, xs, probs, bid, tol, max_iter)
+        xs, tol, max_iter, slope = self.xs, self.fp_tol, self.max_iter, self.slope
+        ask, _ = _picard(self.survival, ZeroBuyProbability, xs, probs, ask, tol, max_iter,
+                         slope, 1.0)
+        bid, _ = _picard(self.cdf, ZeroSellProbability, xs, probs, bid, tol, max_iter,
+                         slope, -1.0)
         return ask, bid
 
     def jump(self, probs, price, buy):
@@ -273,13 +279,14 @@ class _FilterKernel:
     # bid row.
 
     def quotes_rows(self, probs, ask, bid, tails=None):
-        """quotes() for every row, the ask and bid rows in one Picard loop;
+        """quotes() for every row, the ask and bid rows in one solve loop;
         tails, when given, are the stacked tails at (ask, bid) that
         drift_rows returns, which the first iterate then reuses."""
         n = len(ask)
         prices = _picard_rows(
             self.side_tails_grid, self.xs_row, np.concatenate((probs, probs)),
             _signs(n, n), np.concatenate((ask, bid)), self.fp_tol, self.max_iter, tails,
+            self.slope_grid,
         )
         return prices[:n], prices[n:]
 

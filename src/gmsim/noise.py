@@ -25,12 +25,23 @@ loop over survival, overridden by numpy closed forms for the three
 continuous families: the logistic and Laplace tails take their exponentials
 element by element with math.exp (np.exp rounds differently from the C
 library on a few percent of inputs), and the Gaussian tail divides the
-prices as one array and takes math.erfc element by element.
+prices as one array and takes math.erfc element by element. A price so
+large that its division by the scale overflows gives the scalar tail's
+0 or 1, silently, as the scalar division does; slope_grid likewise gives
+the scalar slope's inf at a scale below about 1.4e-309.
 side_tails_grid gives both sides of the book in one array, survival on the
 ask rows and cdf on the bid rows, so that the lockstep engine evaluates
 each tail once per price. The symmetric families (logistic, Gaussian,
 Laplace) share a base whose cdf(y) is survival(-y) bit for bit, so their
 side_tails_grid is one survival_grid of the signed prices.
+
+The logistic and Laplace densities follow from the tail value alone:
+-Phi'(y) = slope(Phi(y)), with slope(f) = f (1 - f) / scale for the
+logistic and min(f, 1 - f) / scale for the Laplace. The quote solver's
+Newton step takes them from the tails it has already evaluated, at no
+extra exp; slope_grid is the same map over an array, bit for bit. The
+other families declare no slope (slope is None), and their quote solves
+stay plain Picard iteration.
 """
 
 from __future__ import annotations
@@ -75,6 +86,14 @@ class NoiseModel:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
+
+    # The density as a function of the tail value, where that alone fixes
+    # it: slope(f) = -Phi'(y) at the y where Phi(y) = f, which for a
+    # symmetric family is also Psi'(y) at the y where Psi(y) = f. slope_grid
+    # maps an array of tail values, bit for bit as slope does. None for the
+    # families whose density is not a function of the tail value.
+    slope = None
+    slope_grid = None
 
     # Array versions, bit for bit equal to the scalar methods; families with
     # a closed-form tail override survival_grid.
@@ -125,9 +144,17 @@ class Logistic(_Symmetric):
         return e / (self.scale * (1.0 + e) ** 2)
 
     def survival_grid(self, ys):
-        z = np.asarray(ys, dtype=float) / self.scale
+        with np.errstate(over="ignore"):
+            z = np.asarray(ys, dtype=float) / self.scale
         e = _elementwise(math.exp, -np.abs(z))
         return np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+
+    def slope(self, f: float) -> float:
+        return f * (1.0 - f) / self.scale
+
+    def slope_grid(self, fs):
+        with np.errstate(over="ignore"):
+            return fs * (1.0 - fs) / self.scale
 
     def sample(self, rng, size):
         return rng.logistic(0.0, self.scale, size)
@@ -155,7 +182,8 @@ class Gaussian(_Symmetric):
         return 0.5 * math.erfc(-y / (self.sigma * math.sqrt(2.0)))
 
     def survival_grid(self, ys):
-        z = np.asarray(ys, dtype=float) / (self.sigma * math.sqrt(2.0))
+        with np.errstate(over="ignore"):
+            z = np.asarray(ys, dtype=float) / (self.sigma * math.sqrt(2.0))
         return 0.5 * _elementwise(math.erfc, z)
 
     def density(self, y: float) -> float:
@@ -186,8 +214,17 @@ class Laplace(_Symmetric):
 
     def survival_grid(self, ys):
         ys = np.asarray(ys, dtype=float)
-        e = 0.5 * _elementwise(math.exp, -np.abs(ys) / self.scale)
+        with np.errstate(over="ignore"):
+            z = -np.abs(ys) / self.scale
+        e = 0.5 * _elementwise(math.exp, z)
         return np.where(ys >= 0.0, e, 1.0 - e)
+
+    def slope(self, f: float) -> float:
+        return min(f, 1.0 - f) / self.scale
+
+    def slope_grid(self, fs):
+        with np.errstate(over="ignore"):
+            return np.minimum(fs, 1.0 - fs) / self.scale
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)

@@ -386,17 +386,21 @@ def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):
 # no_arrivals stdout digest, were re-recorded when the sample rows moved to
 # the RK4 dense output: filter_oracle gained its ode_step, its max_l1 moved
 # by at most 4.7e-15 and its convergence_ratio by at most 4.1e-7, and no
-# verdict changed.
+# verdict changed. The clean digests and the perturbed report digest were
+# re-recorded when the logistic quote solves moved to Newton steps: every
+# report field moved by at most 3.8e-7 (convergence_ratio; the rest by at
+# most 3.8e-14), the clean stdout's quote_gap line with it, and no verdict
+# changed.
 VERIFY_PINS = {
     "clean": (
         {}, [],
-        "aaf23413dcd31c27c67ad4a98ccd25f7fb7b986d8ac918b68e90ad69adfef3db",
-        "42f95f8132488d359cc56e96e69181bc5f2cd88b4fd84f1475ef92a595aded45",
+        "046c2daae4824d78f46a767ac469746e0897bef1a6eecdfee9619076049a3cd3",
+        "6b2a4aaeaa0caf0495ec3a9fa1ebe69cc8d63ec456fa842c982ff3152774ee13",
     ),
     "perturbed": (
         {}, ["--perturb-ask", "0.15"],
         "0e18a93ad3b1e4cb99d803eddc24acd438a49e6c13d44d614f4c7a2fc718335d",
-        "a9e463da7e1ce1d570e810a9fd76c61bb390fd1fe3a301ae4062c70677241d38",
+        "708c47b28a7af7709a57b4bd5ded0e9b7b14886f405dfeacb5c0bb0a879bdc99",
     ),
     "no_arrivals": (
         {"lambda": 0.0}, [],

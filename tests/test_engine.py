@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gmsim.beliefs
 import gmsim.engine
 from gmsim.beliefs import (
     SimplexDiagnostics,
@@ -564,42 +565,44 @@ EIGHT_STATE_MODEL = MarketModel(  # the benchmark's dense-filter chain
 
 def test_logistic_paths_are_bitwise_pinned():
     """README scenario, offsets 0-3, sampled: digest recorded when the
-    sample rows moved to the RK4 dense output."""
+    logistic quote solves moved to Newton steps."""
     recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=0.25),
                           seed=42, n_paths=4)
     assert sum(len(r.events) for r in recs) > 20
     assert _path_digest(recs) == (
-        "fa5ea57191e34e03c97db44315f4d9dc6284f323e50cb5cda904739436be8af2"
+        "247d35b87d4e807b820d353a99ab368504e8123c0e6129cb2c53dc0138c93cef"
     )
 
 
 def test_laplace_path_is_bitwise_pinned():
     """A 3-state Laplace path with a shifted ask (the drift sees the posted
-    quote, the solves do not), without sampling."""
+    quote, the solves do not), without sampling: digest recorded when the
+    Laplace quote solves moved to Newton steps."""
     rec = simulate_gmps_path(LAPLACE_MODEL3, 3.0,
                              SimConfig(ode_step=0.02, perturb_ask=0.02), seed=9)
     assert rec.n_trades > 5
     assert _path_digest([rec]) == (
-        "cc3f7ce2958b6e30a490636a843b8596aaf710910c944765ca00fb91f3ec6ad7"
+        "b0cf3374e179530aadc9d2f693ac055eece025675bb33471714a4cca3a381969"
     )
 
 
 def test_dense_sampled_paths_are_bitwise_pinned():
     """README scenario, offsets 0-3, sampled every 1/30: many sample points
     fall close to arrivals, and 90/30 lands on the horizon and is dropped.
-    Digest recorded when the sample rows moved to the RK4 dense output."""
+    Digest recorded when the logistic quote solves moved to Newton steps."""
     recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02, sample_dt=1 / 30),
                           seed=42, n_paths=4)
     assert sum(len(r.events) for r in recs) > 40
     assert _path_digest(recs) == (
-        "eda84f3838c877066c14cb3f549756675fb74114d8b65bd27c251ccb4f1df6b9"
+        "fa9899bb44416ae207e690ae6b78bef6029c90cec8c9639caf37e28799bc2e15"
     )
 
 
 def test_silent_sampled_paths_are_bitwise_pinned():
     """The README market with lambda = 0, sampled at 0.25: no arrivals, so
     the one segment runs to the horizon, and each sample solve starts from
-    the quotes of the sample before it."""
+    the quotes of the sample before it. Digest recorded when the logistic
+    quote solves moved to Newton steps."""
     model = MarketModel(
         grid=GRID, generator=Q, arrival_rate=0.0, noise=NOISE, initial_belief=PRIOR
     )
@@ -607,7 +610,7 @@ def test_silent_sampled_paths_are_bitwise_pinned():
                           seed=42, n_paths=4)
     assert all(not r.events and len(r.sample_times) == 13 for r in recs)
     assert _path_digest(recs) == (
-        "25f14cce98c513fb00281333a12b7405988d2202e752f8ce39fe4156f1a79175"
+        "114f6b1c3acd78980504e378f22e35c9b59cb1007eaf8671a4b04505933fd70a"
     )
 
 
@@ -620,6 +623,25 @@ def test_gaussian_dense_filter_path_is_bitwise_pinned():
     assert _path_digest([rec]) == (
         "3be13c9e44d2c796f1c20a9dd8d0b6139a8f2ffd4374cf73cb0c4f9da71f57c6"
     )
+
+
+def test_readme_solves_take_fewer_than_three_evaluations(monkeypatch):
+    """Newton steps from the logistic tail's own slope: over 8 README
+    paths, the engine's quote solves evaluate g fewer than 3 times each on
+    average (plain Picard iteration took about 5.4)."""
+    counts = []
+    picard = gmsim.beliefs._picard
+
+    def spy(*args):
+        price, evaluations = picard(*args)
+        counts.append(evaluations)
+        return price, evaluations
+
+    monkeypatch.setattr(gmsim.beliefs, "_picard", spy)
+    for k in range(8):
+        simulate_gmps_path(MODEL, 3.0, SimConfig(ode_step=0.02), seed=42, offset=k)
+    assert len(counts) > 5000
+    assert sum(counts) / len(counts) < 3.0
 
 
 # --------------------------------------------------------------------------

@@ -183,19 +183,31 @@ def test_spread_strictly_positive_when_informative():
     assert bid < mean - 1e-6
 
 
-def test_picard_iterates_contract_at_rate_k():
-    report = check_gm_condition(LOGI, UNIT_GRID.width)
-    s = HALF.mean(UNIT_GRID)
-    prev_diff = None
-    for _ in range(60):
-        s_next = mean_given_buy(s, HALF, UNIT_GRID, LOGI)
-        diff = abs(s_next - s)
-        if prev_diff is not None and prev_diff > 1e-10:
-            assert diff <= (report.K + 1e-6) * prev_diff
-        prev_diff = diff
-        s = s_next
-        if diff == 0.0:
-            break
+def test_picard_iterates_contract_at_rate_k(monkeypatch):
+    """A family without a slope (the Gaussian) solves by Picard steps: the
+    solver evaluates g at s_0, g(s_0), g(g(s_0)), ..., and successive
+    steps shrink at rate K."""
+    noise = Gaussian(2.0)
+    belief = Belief([0.3, 0.7])
+    report = check_gm_condition(noise, UNIT_GRID.width)
+    assert noise.slope is None and report.passes
+    seen = []
+    mean = gmsim.equilibrium._conditional_mean
+
+    def spy(s, *args):
+        seen.append(s)
+        return mean(s, *args)
+
+    monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean", spy)
+    price = solve_ask(belief, UNIT_GRID, noise, start=0.0)
+    iterates = seen + [price]
+    assert len(iterates) >= 6
+    for s, s_next in zip(iterates, iterates[1:]):
+        assert s_next == mean_given_buy(s, belief, UNIT_GRID, noise)
+    steps = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
+    for prev, diff in zip(steps, steps[1:]):
+        if prev > 1e-10:
+            assert diff <= (report.K + 1e-6) * prev
 
 
 def test_contraction_property_of_price_map():
@@ -257,12 +269,15 @@ def test_static_quotes_bundle():
 
 
 # Recorded (float.hex, iterations) before solve_static_quotes shared one gate
-# between its two sides.
+# between its two sides. The logistic and Laplace rows were re-recorded when
+# their solves moved to Newton steps (prices by at most 2.2e-14, iterations
+# then counting evaluations of g); the Gaussian row takes Picard steps and
+# did not move.
 STATIC_PINS = [
     (HALF, UNIT_GRID, LOGI,
-     ("0x1.205436ccadc8ap-1", "0x1.bf579266a46ebp-2", 7, 7)),
+     ("0x1.205436ccadcf9p-1", "0x1.bf579266a460dp-2", 3, 3)),
     (Belief([0.2, 0.3, 0.5]), StateGrid([-1.0, 0.5, 2.0]), Laplace(4.0),
-     ("0x1.3eeeab35e8b40p+0", "0x1.48fc2989ecb33p-1", 9, 11)),
+     ("0x1.3eeeab35e8ba1p+0", "0x1.48fc2989ecac6p-1", 4, 4)),
     (Belief([0.1, 0.2, 0.3, 0.4]), StateGrid([0.0, 1.0, 2.0, 3.0]), Gaussian(8.0),
      ("0x1.0ccfc6bfe1568p+1", "0x1.e6583f13530b3p+0", 7, 7)),
 ]
@@ -335,28 +350,34 @@ def test_column_sum_equals_the_scalar_loop():
 
 
 def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None):
-    """_picard_rows on the ask rows stacked over the bid rows."""
+    """_picard_rows on the ask rows stacked over the bid rows, with the
+    noise's slope_grid (Newton steps where the family has one)."""
     sign = np.repeat([1.0, -1.0], len(probs))[:, None]
     prices = gmsim.equilibrium._picard_rows(
         noise.side_tails_grid, xs, np.concatenate((probs, probs)), sign,
-        np.concatenate((ask, bid)), tol, max_iter, first,
+        np.concatenate((ask, bid)), tol, max_iter, first, noise.slope_grid,
     )
     return prices[:len(probs)], prices[len(probs):]
 
 
 @pytest.mark.parametrize(
     "noise",
-    [Logistic(2.0), Laplace(1.5), Gaussian(1.3), TwoPointDiscrete(0.6, 0.4),
+    [Logistic(2.0), Laplace(1.5), Logistic(0.1), Gaussian(1.3), TwoPointDiscrete(0.6, 0.4),
      NoiseTraderMix(0.3)],
-    ids=["logistic", "laplace", "gaussian", "two_point", "noise_trader_mix"],
+    ids=["logistic", "laplace", "logistic_forced", "gaussian", "two_point",
+         "noise_trader_mix"],
 )
 def test_row_picard_equals_scalar_picard_per_row(noise):
     """Each ask row takes _picard's survival iterates and each bid row its
     cdf iterates: same price, bit for bit, from rows that converge after
     different counts, with zero and roundoff-negative entries among them,
     whether the loop evaluates the first iterate's tails or is given them.
-    Rows that fail solo (the forced lattice leaves some without trade mass)
-    are left out."""
+    The logistic and Laplace rows take Newton steps with the family's
+    slope (the forced logistic, K = 10, also its Picard fallbacks), the
+    others Picard steps. Rows that fail solo (the forced lattice leaves
+    some without trade mass) are left out."""
+    assert (noise.slope is None) == isinstance(
+        noise, (Gaussian, TwoPointDiscrete, NoiseTraderMix))
     xs = np.array([0.0, 0.25, 1.0])
     probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
                       [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5]])
@@ -366,9 +387,11 @@ def test_row_picard_equals_scalar_picard_per_row(noise):
     for r in range(len(probs)):
         try:
             want.append([
-                _picard(tail, no_mass, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200)[0]
-                for tail, no_mass, s in ((noise.survival, ZeroBuyProbability, ask[r]),
-                                         (noise.cdf, ZeroSellProbability, bid[r]))
+                _picard(tail, no_mass, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200,
+                        noise.slope, sign)[0]
+                for tail, no_mass, s, sign in (
+                    (noise.survival, ZeroBuyProbability, ask[r], 1.0),
+                    (noise.cdf, ZeroSellProbability, bid[r], -1.0))
             ])
         except (ZeroBuyProbability, ZeroSellProbability, NoConvergence):
             want.append(None)
@@ -408,6 +431,59 @@ def test_row_picard_raises_the_scalar_errors():
     assert asks.tolist() == [1.0, 1.0] and bids.tolist() == [0.0, 1.0]
     with pytest.raises(NoConvergence):
         _both_sides(lattice, xs, at_one, np.ones(2), np.array([0.5, 1.0]), 1e-12, 1)
+
+
+def test_forced_newton_falls_back_to_picard_steps(monkeypatch):
+    """With K = 10 (forced), a Newton step meets 1 - g' <= 0 and then one
+    leaves [x_1, x_n]; each falls back to the Picard step g(s), the solve
+    still converges to a fixed point, and a ceiling below its evaluation
+    count raises NoConvergence."""
+    noise = Logistic(0.1)
+    assert not check_gm_condition(noise, UNIT_GRID.width).passes
+    steps = []
+    newton = gmsim.equilibrium._newton
+
+    def spy(s, g, dg, lo, hi):
+        steps.append((s, g, dg, newton(s, g, dg, lo, hi)))
+        return steps[-1][3]
+
+    monkeypatch.setattr(gmsim.equilibrium, "_newton", spy)
+    price = solve_ask(HALF, UNIT_GRID, noise, start=0.0, force=True)
+    assert abs(mean_given_buy(price, HALF, UNIT_GRID, noise) - price) <= 1e-12
+    (s, g, dg, taken), (s2, g2, dg2, taken2) = steps[:2]
+    assert 1.0 - dg <= 0.0 and taken == g
+    assert 1.0 - dg2 > 0.0 and not 0.0 <= s2 - (s2 - g2) / (1.0 - dg2) <= 1.0
+    assert taken2 == g2
+    evaluations = len(steps) + 1
+    xs, probs = (0.0, 1.0), [0.5, 0.5]
+    assert _picard(noise.survival, ZeroBuyProbability, xs, probs, 0.0, 1e-12,
+                   evaluations, noise.slope, 1.0) == (price, evaluations)
+    with pytest.raises(NoConvergence):
+        _picard(noise.survival, ZeroBuyProbability, xs, probs, 0.0, 1e-12,
+                evaluations - 1, noise.slope, 1.0)
+
+
+@pytest.mark.parametrize(
+    "noise", [Logistic(2.0), Logistic(5.0), Laplace(2.5), Gaussian(4.0)], ids=repr)
+def test_every_solved_price_is_a_fixed_point_within_tol(noise):
+    """Scalar and row solves, cold and from warm starts on either side of
+    the fixed point, return a price p with |g(p) - p| <= tol."""
+    rng = np.random.default_rng(23)
+    grid = StateGrid([-0.5, 0.2, 1.1])
+    tol = 1e-12
+    beliefs = [random_belief(rng, 3) for _ in range(30)]
+    starts = rng.uniform(-0.5, 1.1, (30, 2))
+    for belief, (a, b) in zip(beliefs, starts):
+        for start in (None, a, b):
+            ask = solve_ask(belief, grid, noise, tol=tol, start=start)
+            bid = solve_bid(belief, grid, noise, tol=tol, start=start)
+            assert abs(mean_given_buy(ask, belief, grid, noise) - ask) <= tol
+            assert abs(mean_given_sell(bid, belief, grid, noise) - bid) <= tol
+    probs = np.array([b.probs for b in beliefs])
+    asks, bids = _both_sides(noise, grid.values, probs, starts[:, 0], starts[:, 1], tol, 60)
+    for belief, ask, bid in zip(beliefs, asks.tolist(), bids.tolist()):
+        assert abs(mean_given_buy(ask, belief, grid, noise) - ask) <= tol
+        assert abs(mean_given_sell(bid, belief, grid, noise) - bid) <= tol
 
 
 def test_bad_tol_rejected():

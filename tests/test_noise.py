@@ -108,6 +108,49 @@ def test_laplace_density_slope_away_from_kink():
         assert abs(diff + noise.density(y)) <= 10 * h * h * f2_bound
 
 
+@pytest.mark.parametrize(
+    "noise,f2_bound",
+    [(Logistic(2.0), 1.0 / (4 * 2.0**3)), (Logistic(0.6), 1.0 / (4 * 0.6**3)),
+     (Laplace(0.9), 1.0 / (2 * 0.9**3))],
+    ids=repr,
+)
+def test_slope_is_the_tail_slope_at_its_value(noise, f2_bound):
+    """slope(f) is -Phi'(y) where Phi(y) = f, and Psi'(y) where Psi(y) = f:
+    a central difference of each tail within the h^2 bound (away from the
+    Laplace kink). slope_grid equals slope bit for bit."""
+    h = 1e-4
+    ys = np.linspace(-3.0, 3.0, 61)
+    for y in ys.tolist():
+        if abs(y) < 0.05:
+            continue
+        diff = (noise.survival(y - h) - noise.survival(y + h)) / (2 * h)
+        assert abs(diff - noise.slope(noise.survival(y))) <= 10 * h * h * f2_bound
+        diff = (noise.cdf(y + h) - noise.cdf(y - h)) / (2 * h)
+        assert abs(diff - noise.slope(noise.cdf(y))) <= 10 * h * h * f2_bound
+    tails = noise.side_tails_grid(np.stack([ys, ys]), np.array([[1.0], [-1.0]]))
+    got = noise.slope_grid(tails)
+    assert got.shape == tails.shape
+    for f, g in zip(tails.ravel().tolist(), got.ravel().tolist()):
+        assert g.hex() == noise.slope(f).hex()
+
+
+@pytest.mark.parametrize("noise", [Logistic(1e-310), Laplace(1e-310)], ids=repr)
+def test_slope_grid_overflows_silently_as_the_scalar_slope(noise):
+    fs = np.array([0.0, 1e-300, 0.25, 0.5, 1.0])
+    got = noise.slope_grid(fs).tolist()
+    assert [v.hex() for v in got] == [noise.slope(f).hex() for f in fs.tolist()]
+    assert math.inf in got
+
+
+def test_only_logistic_and_laplace_declare_a_slope():
+    """The Gaussian density is not a function of its tail value, and the
+    static families have none: their quote solves take Picard steps."""
+    for noise in (Gaussian(1.0), TwoPointDiscrete(1.0, 0.5), NoiseTraderMix(0.25)):
+        assert noise.slope is None and noise.slope_grid is None
+    for noise in (Logistic(1.0), Laplace(1.0)):
+        assert noise.slope is not None and noise.slope_grid is not None
+
+
 # --------------------------------------------------------------------------
 # Admissibility condition
 
@@ -251,20 +294,21 @@ def test_grid_helpers_match_scalar(noise):
         assert float(cd[i]).hex() == noise.cdf(float(y)).hex()
 
 
-# finite values stay within 1e300: a price of about scale * 1.8e308 makes the
-# grids' numpy division overflow with a RuntimeWarning, which the scalar
-# tails do not raise
+# the whole finite range and beyond: a price near 1.7e308 overflows the
+# grids' division by a scale below 1, which must stay silent as the scalar
+# division does
 HARD_FLOATS = st.one_of(
-    st.floats(-1e300, 1e300),
+    st.floats(allow_nan=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
-                     math.inf, -math.inf]),
+                     1.7e308, -1.7e308, math.inf, -math.inf]),
     # full 53-bit mantissas, where a rounding difference shows: at every
-    # magnitude from the subnormals up, and often where the tails are not flat
+    # magnitude from the subnormals up to the largest float, and often
+    # where the tails are not flat
     st.builds(
         lambda sign, mantissa, exponent: sign * math.ldexp(mantissa, exponent),
         st.sampled_from([1.0, -1.0]),
         st.integers(2**52, 2**53 - 1),
-        st.integers(-1126, 943) | st.integers(-62, -46),
+        st.integers(-1126, 971) | st.integers(-62, -46),
     ),
 )
 
@@ -278,12 +322,17 @@ HARD_FLOATS = st.one_of(
 @given(ys=st.lists(HARD_FLOATS, min_size=1, max_size=20))
 def test_grid_helpers_match_scalar_on_hard_floats(noise, ys):
     """The tail grids equal the scalar tails bit for bit at signed zeros,
-    subnormals, magnitudes near the float limits and infinities."""
-    sv = noise.survival_grid(np.array(ys)).tolist()
-    cd = noise.side_tails_grid(np.array(ys), -1.0).tolist()
-    for y, got_sv, got_cd in zip(ys, sv, cd):
+    subnormals, magnitudes near the float limits and infinities, and so
+    does slope_grid at those tails."""
+    sv = noise.survival_grid(np.array(ys))
+    cd = noise.side_tails_grid(np.array(ys), -1.0)
+    for y, got_sv, got_cd in zip(ys, sv.tolist(), cd.tolist()):
         assert got_sv.hex() == noise.survival(y).hex(), y
         assert got_cd.hex() == noise.cdf(y).hex(), y
+    if noise.slope is not None:
+        for tails in (sv, cd):
+            got = noise.slope_grid(tails).tolist()
+            assert [v.hex() for v in got] == [noise.slope(f).hex() for f in tails.tolist()]
 
 
 @pytest.mark.parametrize(
