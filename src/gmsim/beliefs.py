@@ -24,16 +24,16 @@ the steps that move it.
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
-through the equilibrium module's fixed-point loops, with the noise's slope:
+through the equilibrium module's fixed-point loops with the noise's slope:
 Newton steps for the logistic and Laplace families, Picard steps for the
-Gaussian. Its *_rows methods do the
-same arithmetic on many beliefs at once, one numpy row each, in the same
-operation order (each sum over the states a _column_sum), so a row equals
-the scalar result bit for bit. They take both sides of the book as one
-array, the ask rows stacked over the bid rows: a drift evaluates the tails
-at (ask, bid) once, the quote solve that follows it starts from those
-quotes and, without an ask shift, reuses those tails as its first
-iterate, and the two sides share one row solve loop.
+Gaussian. Its *_rows methods do the same arithmetic on many beliefs at
+once, one numpy row each, in the same operation order (each sum over the
+states a _column_sum), so a row equals the scalar result bit for bit. They
+take both sides of the book as one array, the ask rows stacked over the
+bid rows: a drift evaluates the tails at (ask, bid) once, the quote solve
+that follows it starts from those quotes and, without an ask shift, reuses
+those tails (and the slopes they give) as its first iterate, and the two
+sides share one row solve loop.
 """
 
 from __future__ import annotations

@@ -376,8 +376,6 @@ def test_row_picard_equals_scalar_picard_per_row(noise):
     slope (the forced logistic, K = 10, also its Picard fallbacks), the
     others Picard steps. Rows that fail solo (the forced lattice leaves
     some without trade mass) are left out."""
-    assert (noise.slope is None) == isinstance(
-        noise, (Gaussian, TwoPointDiscrete, NoiseTraderMix))
     xs = np.array([0.0, 0.25, 1.0])
     probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
                       [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5]])
