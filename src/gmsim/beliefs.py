@@ -26,14 +26,15 @@ functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
 through the equilibrium module's fixed-point loops with the noise's slope:
 Newton steps for the logistic and Laplace families, Picard steps for the
-Gaussian. Its *_rows methods do the same arithmetic on many beliefs at
-once, one numpy row each, in the same operation order (each sum over the
-states a _column_sum), so a row equals the scalar result bit for bit. They
-take both sides of the book as one array, the ask rows stacked over the
-bid rows: a drift evaluates the tails at (ask, bid) once, the quote solve
-that follows it starts from those quotes and, without an ask shift, reuses
-those tails (and the slopes they give) as its first iterate, and the two
-sides share one row solve loop.
+Gaussian. Its *_rows methods do the RK4 steps and their quote solves on
+many beliefs at once, one numpy row each, in the same operation order (each
+sum over the states a _column_sum), so a row equals the scalar result bit
+for bit; a trade's jump and re-solve stay scalar in both engines. They take
+both sides of the book as one array, the ask rows stacked over the bid
+rows: a drift evaluates the tails at (ask, bid) once, the quote solve that
+follows it starts from those quotes and, without an ask shift, reuses those
+tails (and the slopes they give) as its first iterate, and the two sides
+share one row solve loop.
 """
 
 from __future__ import annotations
@@ -289,20 +290,6 @@ class _FilterKernel:
             self.slope_grid,
         )
         return prices[:n], prices[n:]
-
-    def jump_rows(self, probs, price, buy):
-        """jump() for every row: row r a buy at price[r] where buy[r] is
-        true, a sell at price[r] otherwise."""
-        sign = np.where(buy, 1.0, -1.0)[:, None]
-        weights = probs * self.side_tails_grid(price[:, None] - self.xs_row, sign)
-        total = _column_sum(weights)
-        empty = np.flatnonzero(total <= 0.0)
-        if empty.size:
-            r = empty[0]
-            if buy[r]:
-                raise ZeroBuyProbability(f"buy at {price[r]} has zero probability")
-            raise ZeroSellProbability(f"sell at {price[r]} has zero probability")
-        return weights / total[:, None]
 
     def drift_rows(self, probs, ask, bid):
         """drift() for every row, with the stacked tails at (ask, bid) it

@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ScenarioConfig, load_scenario
+from .config import ScenarioConfig, _keyed, load_scenario
 from .core import Belief
 from .engine import PathRecord, simulate_gmps_path, simulate_paths
 from .equilibrium import (
@@ -76,7 +76,7 @@ def _parse_belief(text: str) -> Belief:
         values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"--belief: expected comma-separated numbers, got {text!r}")
-    return Belief(values)
+    return _keyed("--belief", Belief, values)
 
 
 def cmd_solve_static(args) -> int:

@@ -19,11 +19,11 @@ negation.
 Two engines run these rules. simulate_gmps_path runs one path with the
 scalar filter kernel and is the reference. An unsampled batch of
 LOCKSTEP_MIN_PATHS paths or more runs in lockstep: each path is one numpy
-row, the rows take their RK4 steps together, and the rows whose segment
-ends at an arrival are jumped and re-solved together, as rows. Both engines
-take each stop through the same _Path methods (decide for the arrival
-rules, note for the bookkeeping), and path k of a batch equals the solo run
-at offset k bit for bit. A sampled batch runs path by path.
+row, and the rows take their RK4 steps together. Both engines take every
+stop through one scalar method, _Path.stop (the arrival rules, the Bayes
+jump and the re-solved quotes of a trade, and the bookkeeping), so path k
+of a batch equals the solo run at offset k bit for bit. A sampled batch
+runs path by path.
 
 The stops are the arrivals and the horizon only. A sampled run takes the
 same RK4 steps as an unsampled one and reads its sample rows off the steps'
@@ -37,7 +37,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -302,23 +301,11 @@ def _sample_times(arrivals, sample_dt, horizon):
     return times
 
 
-class _Arrival(NamedTuple):
-    """An arrival as the arrival rules decide it: the posted quote, the
-    noise draw, the outcome, and the price it trades at (None for a
-    NoTrade)."""
-
-    quote: Quote
-    eps: float
-    outcome: Outcome
-    price: float | None
-
-
 class _Path:
     """One path's random elements, stops, record and sample rows, and the
-    handling of its stops and samples: decide() holds the arrival rules,
-    note() the bookkeeping, and sample() the rows read off an RK4 step,
-    which only the solo engine takes. Between decide() and note() the
-    engine jumps a traded belief and re-solves its quotes.
+    handling of its stops and samples: stop() takes a stop, in both
+    engines, and sample() keeps the rows read off an RK4 step, which only
+    the solo engine takes.
 
     The stops are the arrivals and the horizon, so the integrator's steps
     never depend on sample_dt. A sample row at a stop is the state after
@@ -358,51 +345,47 @@ class _Path:
         """The chain's value at t."""
         return float(self.x_of[value_at(self.value_times, self.value_states, t)])
 
-    def decide(self, t, k, ask, bid):
-        """The arrival rules at stop (t, k), reached with the solved quotes
-        (ask, bid): returns the chain's value at t and, if k is an arrival,
-        its _Arrival (None at the horizon)."""
+    def stop(self, probs, ask, bid):
+        """Take the pending stop, reached with the belief probs (a list) and
+        its solved quotes (ask, bid); returns the state after it. At an
+        arrival: the arrival rules, and for a trade the Bayes jump and the
+        quotes re-solved at the posterior, then the profit, the counters and
+        the event. On a sampled path, the stop's sample row."""
+        t, k = self.pending
         x_val = self.value(t)
-        if k is None:
-            return x_val, None
-        perturb = self.perturb
-        if bid > ask + perturb:
-            if bid > ask:  # crossed as solved, whatever the perturbation
-                raise ConditionFailed(
-                    f"crossed quotes at t={t}: the solved ask {ask} is below the bid {bid}"
-                )
-            raise ConfigError("ask perturbation pushed the ask below the bid")
-        quote = Quote(ask=ask + perturb, bid=bid)
-        if quote.ask == quote.bid and not self.warned:
-            log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
-            self.warned = True
-        eps = float(self.eps_draws[k])
-        outcome = decide_trade(x_val + eps, quote)
-        price = None
-        if outcome is Outcome.BUY:
-            price = quote.ask
-        elif outcome is Outcome.SELL:
-            price = quote.bid
-        return x_val, _Arrival(quote, eps, outcome, price)
-
-    def note(self, t, x_val, arrival, before, probs, ask, bid):
-        """Book stop t after decide(): the arrival's profit and event, with
-        the beliefs before and after it, and, on a sampled path, the sample
-        row of the state (probs, ask, bid) after the stop."""
-        if arrival is not None:
-            record = self.record
-            profit = 0.0 if arrival.price is None else arrival.price - x_val
-            if arrival.outcome is Outcome.BUY:
-                record.buy_profit += profit
-                record.n_buys += 1
-            elif arrival.outcome is Outcome.SELL:
-                record.sell_profit += profit
-                record.n_sells += 1
-            quote = arrival.quote
-            self.events.append((t, x_val, arrival.eps, quote.ask, quote.bid,
-                                arrival.outcome, before, probs, profit))
+        if k is not None:
+            perturb = self.perturb
+            if bid > ask + perturb:
+                if bid > ask:  # crossed as solved, whatever the perturbation
+                    raise ConditionFailed(
+                        f"crossed quotes at t={t}: the solved ask {ask} is below the bid {bid}"
+                    )
+                raise ConfigError("ask perturbation pushed the ask below the bid")
+            quote = Quote(ask=ask + perturb, bid=bid)
+            if quote.ask == quote.bid and not self.warned:
+                log.warning("degenerate quote at t=%.6f: buy precedence applies", t)
+                self.warned = True
+            eps = float(self.eps_draws[k])
+            outcome = decide_trade(x_val + eps, quote)
+            before, profit = probs, 0.0
+            if outcome is not Outcome.NO_TRADE:
+                buy = outcome is Outcome.BUY
+                price = quote.ask if buy else quote.bid
+                probs = self.kernel.jump(probs, price, buy)
+                ask, bid = self.kernel.quotes(probs, ask, bid)
+                profit = price - x_val
+                record = self.record
+                if buy:
+                    record.buy_profit += profit
+                    record.n_buys += 1
+                else:
+                    record.sell_profit += profit
+                    record.n_sells += 1
+            self.events.append((t, x_val, eps, quote.ask, quote.bid, outcome, before,
+                                probs, profit))
         if self.sampled:
             self.row(t, x_val, probs, ask, bid)
+        return probs, ask, bid
 
     def row(self, t, x_val, probs, ask, bid):
         """Keep the sample row of the state (probs, ask, bid) at t; its
@@ -534,47 +517,16 @@ def simulate_gmps_path(
     kernel, probs, ask, bid = _start(model, horizon, config, seed)
     path = _Path(model, horizon, config, seed, offset, kernel, (probs, ask, bid))
     while path.next_segment(config.ode_step) is not None:
-        t, k = path.pending
         try:
             probs, ask, bid = kernel.integrate(
-                probs, t - path.t_prev, ask, bid, config.ode_step,
+                probs, path.pending[0] - path.t_prev, ask, bid, config.ode_step,
                 path.record.diagnostics, path.perturb, path.sample if path.plan else None,
             )
         except (ZeroBuyProbability, ZeroSellProbability) as exc:
             _blame_the_step(exc, model, config.ode_step)
             raise
-        x_val, arrival = path.decide(t, k, ask, bid)
-        before = probs
-        if arrival is not None and arrival.price is not None:
-            probs = kernel.jump(probs, arrival.price, arrival.outcome is Outcome.BUY)
-            ask, bid = kernel.quotes(probs, ask, bid)
-        path.note(t, x_val, arrival, before, probs, ask, bid)
+        probs, ask, bid = path.stop(probs, ask, bid)
     return path.finish()
-
-
-def _take_stops(kernel, live, rows, probs, ask, bid):
-    """Take the pending stop of every row in rows, the rows of probs, ask
-    and bid that the paths in live hold: the arrival rules path by path,
-    then one jump_rows and one quotes_rows over the rows that traded, then
-    the bookkeeping path by path. Updates probs, ask and bid in place."""
-    paths = [live[r] for r in rows.tolist()]
-    decided = [path.decide(*path.pending, a, b)
-               for path, a, b in zip(paths, ask[rows].tolist(), bid[rows].tolist())]
-    before = probs[rows].tolist()
-    traded = [i for i, (_, arrival) in enumerate(decided)
-              if arrival is not None and arrival.price is not None]
-    if traded:
-        moved = rows[traded]
-        arrivals = [decided[i][1] for i in traded]
-        probs[moved] = kernel.jump_rows(
-            probs[moved], np.array([a.price for a in arrivals]),
-            np.array([a.outcome is Outcome.BUY for a in arrivals]),
-        )
-        ask[moved], bid[moved] = kernel.quotes_rows(probs[moved], ask[moved], bid[moved])
-    for path, (x_val, arrival), prior, posterior, a, b in zip(
-        paths, decided, before, probs[rows].tolist(), ask[rows].tolist(), bid[rows].tolist()
-    ):
-        path.note(path.pending[0], x_val, arrival, prior, posterior, a, b)
 
 
 def _next_segments(live, rows, steps, h, ode_step):
@@ -595,9 +547,9 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
 
     Each unfinished path is one row of a (probs, ask, bid) array with its
     own step h and remaining step count; a tick is one
-    _FilterKernel.step_rows over every row. The rows whose segment ends
-    take their stops together, as rows (_take_stops), and then their next
-    segments. Every path equals its solo run bit for bit. A failing batch
+    _FilterKernel.step_rows over every row. Each row whose segment ends
+    takes its stop through the solo engine's scalar _Path.stop, and then its
+    next segment. Every path equals its solo run bit for bit. A failing batch
     raises an error that one of its failing paths raises solo, where the
     solo runs one by one raise the lowest failing offset's: the same error
     whenever every failing path fails the same way.
@@ -618,7 +570,10 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     due = _next_segments(live, np.arange(n_paths), steps, h, ode_step)
     while True:
         while due.size:
-            _take_stops(kernel, live, due, probs, ask, bid)
+            for r in due.tolist():
+                probs[r], ask[r], bid[r] = live[r].stop(
+                    probs[r].tolist(), float(ask[r]), float(bid[r])
+                )
             due = _next_segments(live, due, steps, h, ode_step)
         done = steps == 0
         if done.any():

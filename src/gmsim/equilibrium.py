@@ -324,9 +324,10 @@ def _solve(belief, grid, noise, tol, start, force, sides):
     for the ask, False for the bid); returns their (price, iterations)
     pairs."""
     check_sizes(belief, grid)
-    max_iter = _iteration_ceiling(noise, grid, tol, force)
     if start is None:
         start = belief.mean(grid)
+    check_number("start", start)
+    max_iter = _iteration_ceiling(noise, grid, tol, force)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
     return [

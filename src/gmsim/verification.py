@@ -482,6 +482,7 @@ def intensity_test(
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
     check_number("horizon", horizon, "positive")
+    check_number("state_value", state_value)
     lam = model.arrival_rate
     noise = model.noise
     mu_buy = buy_intensity(quote, state_value, lam, noise) * horizon

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from gmsim.beliefs import (
     FilterState,
-    _FilterKernel,
     SimplexDiagnostics,
     belief_drift,
     buy_jump,
@@ -20,7 +19,7 @@ from gmsim.beliefs import (
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.equilibrium import solve_ask, solve_bid
 from gmsim.errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
-from gmsim.noise import Gaussian, Laplace, Logistic, NoiseTraderMix, TwoPointDiscrete
+from gmsim.noise import Logistic, NoiseTraderMix, TwoPointDiscrete
 from oracles import expm_reference
 
 UNIT_GRID = StateGrid([0.0, 1.0])
@@ -103,41 +102,10 @@ def test_posted_quote_equals_post_trade_mean():
 def test_vacuous_conditioning_raises():
     noise = TwoPointDiscrete(1.0, 0.5)
     grid = StateGrid([1.0, 3.0])
-    with pytest.raises(ZeroBuyProbability):
-        buy_jump(Belief([1.0, 0.0]), 2.5, grid, noise)
-    with pytest.raises(ZeroSellProbability):
-        sell_jump(Belief([0.0, 1.0]), 1.5, grid, noise)
-
-
-@pytest.mark.parametrize(
-    "noise",
-    [Logistic(0.8), Gaussian(0.6), Laplace(0.7), TwoPointDiscrete(0.4, 0.3),
-     NoiseTraderMix(0.2)],
-    ids=["logistic", "gaussian", "laplace", "two_point", "noise_trader_mix"],
-)
-def test_row_jumps_equal_scalar_jumps(noise):
-    """jump_rows posts buys and sells on the same batch, each row bit for
-    bit as jump() posts it alone, zero and roundoff-negative entries too."""
-    grid = StateGrid([0.0, 0.3, 1.0])
-    kernel = _FilterKernel(grid, noise)
-    probs = np.array([[0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5],
-                      [0.6, -1e-18, 0.4], [0.25, 0.25, 0.5], [0.1, 0.8, 0.1]])
-    price = np.array([0.7, 0.2, 0.5, 0.45, 0.6, 0.3])
-    buy = np.array([True, False, True, False, False, True])
-    rows = kernel.jump_rows(probs, price, buy)
-    for r in range(len(probs)):
-        want = kernel.jump(probs[r].tolist(), float(price[r]), bool(buy[r]))
-        assert [v.hex() for v in rows[r].tolist()] == [v.hex() for v in want]
-
-
-def test_row_jumps_raise_the_scalar_errors():
-    """A row whose trade has no probability raises its side's error."""
-    kernel = _FilterKernel(StateGrid([1.0, 3.0]), TwoPointDiscrete(1.0, 0.5))
-    probs = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ZeroBuyProbability, match=r"^buy at 2\.5 has zero probability$"):
-        kernel.jump_rows(probs, np.array([2.5, 2.5, 1.5]), np.array([True, True, False]))
+        buy_jump(Belief([1.0, 0.0]), 2.5, grid, noise)
     with pytest.raises(ZeroSellProbability, match=r"^sell at 1\.5 has zero probability$"):
-        kernel.jump_rows(probs, np.array([2.5, 1.5, 1.5]), np.array([True, True, False]))
+        sell_jump(Belief([0.0, 1.0]), 1.5, grid, noise)
 
 
 # --------------------------------------------------------------------------

@@ -132,12 +132,13 @@ def test_solve_static_belief_override(write_scenario, capsys):
         assert float(line.split("=")[1].split("(")[0]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_solve_static_belief_size_mismatch_exits_2(write_scenario, capsys):
-    code = main(
-        ["solve-static", "--config", write_scenario(), "--belief", "0.2,0.3,0.5"]
-    )
+@pytest.mark.parametrize("belief", ["0.2,0.3,0.5", "0.3,-0.7", "0,0", "nan,1"],
+                         ids=["size", "negative", "zero_sum", "nan"])
+def test_solve_static_belief_size_mismatch_exits_2(write_scenario, capsys, belief):
+    """A bad --belief exits 2 with an error that names the flag."""
+    code = main(["solve-static", "--config", write_scenario(), "--belief", belief])
     assert code == 2
-    assert "--belief" in capsys.readouterr().err
+    assert "error: --belief: " in capsys.readouterr().err
 
 
 def test_solve_static_refuses_uncertified_family(write_scenario, capsys):

@@ -16,7 +16,7 @@ from gmsim.engine import (
     sample_value_path,
     simulate_gmps_path,
 )
-from gmsim.equilibrium import contraction_constants, solve_ask
+from gmsim.equilibrium import contraction_constants, solve_ask, solve_bid
 from gmsim.errors import ConfigError
 from gmsim.noise import Logistic, check_gm_condition
 from gmsim.verification import OracleFilterConfig, intensity_test
@@ -131,6 +131,8 @@ NUMBER_INPUTS = [
      lambda v: sample_arrival_times(1.0, v, np.random.default_rng(0)), "horizon", "positive"),
     ("intensity_test.horizon", lambda v: intensity_test(MODEL, QUOTE, 0.0, v, 10),
      "horizon", "positive"),
+    ("intensity_test.state_value", lambda v: intensity_test(MODEL, QUOTE, v, 1.0, 10),
+     "state_value", None),
     ("belief_drift", lambda v: belief_drift(PRIOR, QUOTE, v, Q, GRID, NOISE),
      "lam", "nonnegative"),
     ("contraction_constants", lambda v: contraction_constants(GRID, NOISE, v),
@@ -143,6 +145,8 @@ NUMBER_INPUTS = [
     ("integrate_between_events.lam",
      lambda v: integrate_between_events(STATE, 0.1, v, Q, GRID, NOISE), "lam", "nonnegative"),
     ("solve_ask.tol", lambda v: solve_ask(PRIOR, GRID, NOISE, tol=v), "tol", "positive"),
+    ("solve_ask.start", lambda v: solve_ask(PRIOR, GRID, NOISE, start=v), "start", None),
+    ("solve_bid.start", lambda v: solve_bid(PRIOR, GRID, NOISE, start=v), "start", None),
     ("OracleFilterConfig.h", lambda v: OracleFilterConfig(h=v), "h", "positive"),
     ("check_gm_condition.width", lambda v: check_gm_condition(NOISE, v), "width", "positive"),
     ("ScenarioConfig.lambda", lambda v: replace(SCENARIO, arrival_rate=v),

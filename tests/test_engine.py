@@ -870,25 +870,6 @@ def test_runs_refuse_fractional_seeds_and_take_numpy_integers(n_paths):
     assert _path_digest(as_numpy) == _path_digest(as_int)
 
 
-def test_lockstep_arrivals_run_as_rows(monkeypatch):
-    """Past the opening solve, a lockstep batch with trades makes no scalar
-    quote solve or jump: its arrivals are jumped and re-solved as rows."""
-    calls = []
-    kernel = gmsim.beliefs._FilterKernel
-    for name in ("quotes", "jump"):
-        scalar = getattr(kernel, name)
-
-        def spy(self, *args, _name=name, _scalar=scalar):
-            calls.append(_name)
-            return _scalar(self, *args)
-
-        monkeypatch.setattr(kernel, name, spy)
-    n = gmsim.engine.LOCKSTEP_MIN_PATHS
-    recs = simulate_paths(MODEL, 1.0, SimConfig(ode_step=0.05), seed=3, n_paths=n)
-    assert sum(r.n_trades for r in recs) > n
-    assert calls == ["quotes"]
-
-
 def test_unsampled_paths_keep_no_sample_rows(monkeypatch):
     """Only a path with sample_dt keeps the state at each stop, in both
     engines."""

@@ -70,7 +70,7 @@ def test_oracle_and_statistics_never_touch_the_engine_integrator():
     """The reference filter must stay an independent code path."""
     source = inspect.getsource(verification)
     for forbidden in ("integrate_between_events", "belief_drift", "step_rows",
-                      "drift_rows", "quotes_rows", "jump_rows", "segment",
+                      "drift_rows", "quotes_rows", "segment",
                       "_FilterKernel", "from .beliefs"):
         assert forbidden not in source
 
