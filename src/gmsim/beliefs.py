@@ -16,7 +16,7 @@ re-solving both fixed points at every stage evaluation (warm-started from
 the previous stage). After each full step, negative roundoff is clamped and
 the vector renormalized; the pre-clamp deviations are tracked so a caller
 can prove they stayed at roundoff scale. The kernel's integrate can hand
-each step's end points (beliefs, the drift at the start, quotes) to a
+each step's end points (beliefs, the drifts at both ends, quotes) to a
 callback; the solo engine reads its sample rows off them with hermite,
 RK4's dense output, so observing the belief between trades never changes
 the steps that move it.
@@ -226,10 +226,11 @@ class _FilterKernel:
         quoted); the solved and returned quotes stay unshifted.
 
         on_step, when given, is called after step j of the segment with
-        its end points, on_step(j, p0, k1, ask0, bid0, p1, ask1, bid1): the
-        beliefs at its start and end (p1 clamped and renormalised), the
-        drift k1 at p0, and the quotes solved at each end (with lam = 0,
-        both are the quotes the segment started with)."""
+        its end points, on_step(j, p0, k1, ask0, bid0, p1, ask1, bid1, f1):
+        the beliefs at its start and end (p1 clamped and renormalised), the
+        drifts k1 at p0 and f1 at p1, and the quotes solved at each end
+        (with lam = 0, both are the quotes the segment started with). f1 is
+        the next step's k1: each step-end drift is evaluated once."""
         if dt <= 0.0:
             return probs, ask, bid
         n_steps, h = segment(dt, ode_step)
@@ -237,9 +238,9 @@ class _FilterKernel:
         p = probs
         drift, quotes = self.drift, self.quotes
         informative = self.lam > 0.0  # with lam = 0 the quotes never enter the drift
+        k1 = drift(p, ask + ask_shift, bid)
         for j in range(n_steps):
             p0, ask0, bid0 = p, ask, bid
-            k1 = drift(p, ask + ask_shift, bid)
 
             stage = [p[i] + 0.5 * h * k1[i] for i in range(n)]
             if informative:
@@ -267,8 +268,11 @@ class _FilterKernel:
 
             if informative:
                 ask, bid = quotes(p, ask, bid)
-            if on_step is not None:
-                on_step(j, p0, k1, ask0, bid0, p, ask, bid)
+            if j + 1 < n_steps or on_step is not None:
+                f1 = drift(p, ask + ask_shift, bid)
+                if on_step is not None:
+                    on_step(j, p0, k1, ask0, bid0, p, ask, bid, f1)
+                k1 = f1
         if not informative:
             ask, bid = quotes(p, ask, bid)
         return p, ask, bid

@@ -27,7 +27,8 @@ runs path by path.
 
 The stops are the arrivals and the horizon only. A sampled run takes the
 same RK4 steps as an unsampled one and reads its sample rows off the steps'
-dense output (_Path.sample), so sampling never moves a path's events.
+dense output (_Path.sample), so sampling never moves a path's events. Their
+quotes are solved at the segment's stop in one row solve (_Path.flush).
 """
 
 from __future__ import annotations
@@ -234,17 +235,28 @@ def value_at(times: np.ndarray, states: np.ndarray, t: float) -> int:
     return int(states[np.searchsorted(times, t, side="right") - 1])
 
 
+# A path keeps each arrival as an event of about 0.6 kB, so an expected
+# count lam * horizon above this is refused. ARRIVAL_CHUNK caps one draw of
+# gaps; numpy's Generator draws the same gaps however they are chunked.
+MAX_EXPECTED_ARRIVALS = 1e6
+ARRIVAL_CHUNK = 1 << 16
+
+
 def sample_arrival_times(
     lam: float, horizon: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Poisson arrival times on (0, horizon) via exponential gaps."""
+    """Poisson arrival times on (0, horizon) via exponential gaps. Refuses
+    an expected count lam * horizon above MAX_EXPECTED_ARRIVALS."""
     check_number("lam", lam, "nonnegative")
     check_number("horizon", horizon, "positive")
     if lam == 0.0:
         return np.empty(0)
+    if not lam * horizon <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"lambda * horizon = {lam * horizon:g} expected arrivals, "
+                          f"above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
     out = []
     t = 0.0
-    chunk = max(16, int(lam * horizon * 1.5))
+    chunk = min(max(16, int(lam * horizon * 1.5)), ARRIVAL_CHUNK)
     while True:
         gaps = rng.exponential(1.0 / lam, size=chunk)
         for g in gaps:
@@ -304,13 +316,13 @@ def _sample_times(arrivals, sample_dt, horizon):
 class _Path:
     """One path's random elements, stops, record and sample rows, and the
     handling of its stops and samples: stop() takes a stop, in both
-    engines, and sample() keeps the rows read off an RK4 step, which only
+    engines, and sample() records the rows read off an RK4 step, which only
     the solo engine takes.
 
     The stops are the arrivals and the horizon, so the integrator's steps
     never depend on sample_dt. A sample row at a stop is the state after
-    it; one in between is the step's dense output (beliefs.hermite), with
-    its quotes solved there."""
+    it; one in between is the step's dense output (beliefs.hermite), its
+    quotes solved there, with the segment's other rows, at its stop."""
 
     def __init__(self, model, horizon, config, seed, offset, kernel, opening):
         value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
@@ -330,7 +342,8 @@ class _Path:
             sell_profit=0.0, n_buys=0, n_sells=0, diagnostics=SimplexDiagnostics(),
         )
         self.events = []  # EventRecord fields, beliefs as lists
-        self.rows = []
+        self.rows = []  # (t, ask, bid, value, belief) of each kept sample row
+        self.deferred = []  # (t, belief, warm ask, warm bid) of rows to solve
         self.warned = False
         self.t_prev = 0.0
         self.pending = None
@@ -350,7 +363,7 @@ class _Path:
         its solved quotes (ask, bid); returns the state after it. At an
         arrival: the arrival rules, and for a trade the Bayes jump and the
         quotes re-solved at the posterior, then the profit, the counters and
-        the event. On a sampled path, the stop's sample row."""
+        the event. On a sampled path, the segment's sample rows, then the stop's."""
         t, k = self.pending
         x_val = self.value(t)
         if k is not None:
@@ -384,15 +397,13 @@ class _Path:
             self.events.append((t, x_val, eps, quote.ask, quote.bid, outcome, before,
                                 probs, profit))
         if self.sampled:
+            self.flush()
             self.row(t, x_val, probs, ask, bid)
         return probs, ask, bid
 
     def row(self, t, x_val, probs, ask, bid):
-        """Keep the sample row of the state (probs, ask, bid) at t; its
-        quotes are the last ones solved, where a sample solve with lam = 0
-        starts."""
+        """Keep the sample row of the state (probs, ask, bid) at t."""
         self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
-        self.warm = ask, bid
 
     def next_segment(self, ode_step):
         """Move on to the next stop. Returns the segment to it, (n_steps, h)
@@ -419,29 +430,33 @@ class _Path:
             self.plan = plan[::-1]
         return self.n_steps, self.h
 
-    def sample(self, j, p0, k1, ask0, bid0, p1, ask1, bid1):
-        """Keep the rows of the samples in step j of the segment, given the
+    def sample(self, j, p0, k1, ask0, bid0, p1, ask1, bid1, f1):
+        """Record the rows of the samples in step j of the segment, given the
         step's end points as _FilterKernel.integrate hands them on: the
-        belief from the step's dense output, and both quotes solved there,
-        warm-started on the line between the step's end quotes (with lam =
-        0, from the last quotes solved). These rows feed no
+        belief from the step's dense output, and the warm start of its
+        quotes, which flush() solves, on the line between the step's end
+        quotes (with lam = 0, the segment's own). These rows feed no
         SimplexDiagnostics: they are not integrator steps."""
-        plan = self.plan
-        if not plan or plan[-1][0] != j:
-            return
-        kernel, h = self.kernel, self.h
-        informative = kernel.lam > 0.0
-        f1 = kernel.drift(p1, ask1 + self.perturb, bid1)
+        plan, h = self.plan, self.h
         t0 = self.t_prev + j * h
         while plan and plan[-1][0] == j:
             t = plan.pop()[1]
             s = (t - t0) / h
-            probs = hermite(s, h, p0, k1, p1, f1)
-            if informative:
-                warm = ask0 + s * (ask1 - ask0), bid0 + s * (bid1 - bid0)
-            else:
-                warm = self.warm
-            self.row(t, self.value(t), probs, *kernel.quotes(probs, *warm))
+            self.deferred.append((t, hermite(s, h, p0, k1, p1, f1),
+                                  ask0 + s * (ask1 - ask0), bid0 + s * (bid1 - bid0)))
+
+    def flush(self):
+        """Keep the segment's recorded rows, their quotes from one quotes_rows
+        call and their values from one searchsorted. A failing solve raises
+        a scalar solve's error type here, an ask row's before a bid row's."""
+        if not self.deferred:
+            return
+        times, beliefs, asks, bids = zip(*self.deferred)
+        self.deferred = []
+        asks, bids = self.kernel.quotes_rows(np.array(beliefs), np.array(asks), np.array(bids))
+        states = self.value_states[np.searchsorted(self.value_times, times, side="right") - 1]
+        self.rows.extend(zip(times, (asks + self.perturb).tolist(), bids.tolist(),
+                             self.x_of[states].tolist(), beliefs))
 
     def finish(self) -> PathRecord:
         """The record, with its events and sample columns built only now:

@@ -18,7 +18,8 @@ fixed grid (plus the exact supremum for the logistic family, where
 K = C / scale) and reports the certificate constants used downstream.
 
 Scalar methods use plain math calls (math.erfc for the Gaussian tail)
-because the simulator evaluates them one price at a time inside tight loops.
+because the simulator evaluates them one price at a time inside tight loops;
+the Gaussian computes its erfc denominator sigma * sqrt(2) once, when built.
 The array API is two methods, used by scans and by the lockstep engine, and
 both equal the scalar methods bit for bit. survival_grid is by default a
 loop over survival, overridden by numpy closed forms for the three
@@ -174,16 +175,18 @@ class Gaussian(_Symmetric):
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ConfigError("gaussian sigma must be positive and finite")
+        # not a field: the fields are what a scenario's noise dict holds
+        object.__setattr__(self, "_root2_sigma", self.sigma * math.sqrt(2.0))
 
     def survival(self, y: float) -> float:
-        return 0.5 * math.erfc(y / (self.sigma * math.sqrt(2.0)))
+        return 0.5 * math.erfc(y / self._root2_sigma)
 
     def cdf(self, y: float) -> float:  # survival(-y), without the extra call
-        return 0.5 * math.erfc(-y / (self.sigma * math.sqrt(2.0)))
+        return 0.5 * math.erfc(-y / self._root2_sigma)
 
     def survival_grid(self, ys):
         with np.errstate(over="ignore"):
-            z = np.asarray(ys, dtype=float) / (self.sigma * math.sqrt(2.0))
+            z = np.asarray(ys, dtype=float) / self._root2_sigma
         return 0.5 * _elementwise(math.erfc, z)
 
     def density(self, y: float) -> float:

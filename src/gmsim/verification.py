@@ -35,6 +35,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .core import Belief, Quote, StateGrid, check_number
 from .engine import (
+    MAX_EXPECTED_ARRIVALS,
     MarketModel,
     Outcome,
     PathRecord,
@@ -694,6 +695,9 @@ def _intensity_check(model, seed) -> dict:
             "a frozen quote leaves one side with zero trade probability"
         )
     horizon = 30.0 / (lam * p_min)
+    if not lam * horizon <= MAX_EXPECTED_ARRIVALS:
+        raise InsufficientData(f"30 trades on the thinner side need {lam * horizon:g} expected "
+                               f"arrivals per trial, above {MAX_EXPECTED_ARRIVALS:g}")
     results = []
     for k, (quote, x) in enumerate(pairs):
         report = intensity_test(model, quote, x, horizon, n_trials=150, seed=seed + k)

@@ -252,6 +252,19 @@ def test_simulate_seed_override_changes_output(write_scenario, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_arrival_count_no_path_can_hold_exits_2(command, write_scenario, tmp_path,
+                                                   capsys):
+    """lambda * horizon = 3e20 passes every field check, but no path can
+    hold that many arrivals: a usage error, exit 2, never a traceback."""
+    cfg = write_scenario(**{"lambda": 1.0e21, "horizon": 0.3})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda * horizon = 3e+20 expected arrivals, above the "
+                          "1e+06 that one path can hold")
+    assert "Traceback" not in err
+
+
 def test_simulate_paths_override(write_scenario, tmp_path):
     out = tmp_path / "run"
     run_simulate(write_scenario(n_paths=9), out, "--paths", "2")

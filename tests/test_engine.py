@@ -18,6 +18,7 @@ from gmsim.beliefs import (
     hermite,
     integrate_between_events,
     make_filter_state,
+    segment,
 )
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
@@ -39,6 +40,7 @@ from gmsim.errors import (
     ConditionFailed,
     ConfigError,
     GmsimError,
+    NoConvergence,
     ZeroBuyProbability,
     ZeroSellProbability,
 )
@@ -149,6 +151,25 @@ def test_arrivals_sorted_inside_horizon():
 def test_zero_rate_means_no_arrivals():
     arr = sample_arrival_times(0.0, 10.0, np.random.default_rng(1))
     assert len(arr) == 0
+
+
+def test_arrival_times_do_not_depend_on_the_draw_chunk(monkeypatch):
+    """The capped draw chunk moves no arrival: numpy's Generator gives the
+    same gaps however many it is asked for at once."""
+    whole = sample_arrival_times(50.0, 200.0, np.random.default_rng(4))
+    monkeypatch.setattr(gmsim.engine, "ARRIVAL_CHUNK", 16)
+    chunked = sample_arrival_times(50.0, 200.0, np.random.default_rng(4))
+    assert len(whole) > 9000 and np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("lam, horizon", [(1e21, 0.3), (2e6, 0.5000001), (1e300, 1e300)])
+def test_an_arrival_count_no_path_can_hold_is_refused(lam, horizon):
+    """An expected count lam * horizon above MAX_EXPECTED_ARRIVALS is
+    refused before any draw, with the count named."""
+    with pytest.raises(ConfigError, match=r"^lambda \* horizon = ([\d.e+]+|inf) expected"):
+        sample_arrival_times(lam, horizon, np.random.default_rng(0))
+    bound = gmsim.engine.MAX_EXPECTED_ARRIVALS
+    assert len(sample_arrival_times(bound, 1e-3, np.random.default_rng(0))) > 900
 
 
 # --------------------------------------------------------------------------
@@ -601,8 +622,9 @@ def test_dense_sampled_paths_are_bitwise_pinned():
 def test_silent_sampled_paths_are_bitwise_pinned():
     """The README market with lambda = 0, sampled at 0.25: no arrivals, so
     the one segment runs to the horizon, and each sample solve starts from
-    the quotes of the sample before it. Digest recorded when the logistic
-    quote solves moved to Newton steps."""
+    the segment's own quotes. Digest recorded when the sample solves moved
+    to one row solve per segment (asks moved by at most 5.6e-17, bids by
+    1.1e-16)."""
     model = MarketModel(
         grid=GRID, generator=Q, arrival_rate=0.0, noise=NOISE, initial_belief=PRIOR
     )
@@ -610,7 +632,7 @@ def test_silent_sampled_paths_are_bitwise_pinned():
                           seed=42, n_paths=4)
     assert all(not r.events and len(r.sample_times) == 13 for r in recs)
     assert _path_digest(recs) == (
-        "114f6b1c3acd78980504e378f22e35c9b59cb1007eaf8671a4b04505933fd70a"
+        "f206d3fe358dfd89dd592a3fc11f156e1323e2722176e11fc3f12975361145dc"
     )
 
 
@@ -703,6 +725,95 @@ def test_hermite_meets_the_step_ends():
     assert hermite(1.0, 0.1, p0, k, p1, k) == pytest.approx(p1, abs=1e-15)
     mid = [0.5 * (a + b) for a, b in zip(p0, p1)]
     assert hermite(0.5, 0.1, p0, k, p1, k) == pytest.approx(mid, abs=1e-15)
+
+
+def _segments(rec, ode_step):
+    """(t_prev, t_stop, n_steps) of each segment of a path: its RK4 steps
+    run from stop to stop, the arrivals and the horizon."""
+    out, t_prev = [], 0.0
+    for t in [e.t for e in rec.events] + [rec.horizon]:
+        if t > t_prev:
+            out.append((t_prev, t, segment(t - t_prev, ode_step)[0]))
+        t_prev = t
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_RUNS))
+def test_sample_rows_take_one_row_solve_per_segment(name, monkeypatch):
+    """The quotes of the sample rows between two stops are solved in one
+    quotes_rows call at the later stop: one call per segment that holds
+    sample rows, over exactly those rows."""
+    calls = []
+    quotes_rows = gmsim.beliefs._FilterKernel.quotes_rows
+
+    def spy(self, probs, ask, bid, tails=None):
+        calls.append(len(ask))
+        return quotes_rows(self, probs, ask, bid, tails)
+
+    monkeypatch.setattr(gmsim.beliefs._FilterKernel, "quotes_rows", spy)
+    model, cfg, horizon = SAMPLED_RUNS[name]
+    rec = simulate_gmps_path(model, horizon, replace(cfg, sample_dt=1 / 30), seed=42)
+    times = rec.sample_times
+    held = [int(np.sum((times > t0) & (times < t1)))
+            for t0, t1, _ in _segments(rec, cfg.ode_step)]
+    assert calls == [k for k in held if k] and sum(calls) > horizon * 25
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_RUNS))
+def test_each_step_end_drift_is_evaluated_once(name, monkeypatch):
+    """An unsampled path evaluates the drift four times per RK4 step, once
+    per stage; the step-end drift is the next step's first. A sampled path
+    adds at most one per segment: its last step's end drift, which only
+    the sample rows need."""
+    calls = [0]
+    drift = gmsim.beliefs._FilterKernel.drift
+
+    def spy(self, *args):
+        calls[0] += 1
+        return drift(self, *args)
+
+    monkeypatch.setattr(gmsim.beliefs._FilterKernel, "drift", spy)
+    model, cfg, horizon = SAMPLED_RUNS[name]
+    rec = simulate_gmps_path(model, horizon, cfg, seed=42)
+    segments = _segments(rec, cfg.ode_step)
+    steps = sum(n for *_, n in segments)
+    assert calls == [4 * steps]
+    calls[0] = 0
+    simulate_gmps_path(model, horizon, replace(cfg, sample_dt=1 / 30), seed=42)
+    assert 4 * steps < calls[0] <= 4 * steps + len(segments)
+
+
+def _zero_tails(side):
+    """A Logistic.side_tails_grid with the tails of one side's rows, +1 the
+    ask and -1 the bid, all zero."""
+    tails = Logistic.side_tails_grid
+
+    def side_tails_grid(self, ys, sign):
+        return np.where(sign == side, 0.0, tails(self, ys, sign))
+
+    return side_tails_grid
+
+
+@pytest.mark.parametrize("error", [NoConvergence, ZeroBuyProbability, ZeroSellProbability])
+def test_a_failing_sample_solve_raises_at_its_segments_stop(error, monkeypatch):
+    """A sample row's quote solve that fails raises the error a scalar
+    solve of the row would: no convergence within the ceiling, or a side
+    with no trade mass. It now raises at the segment's stop, once the
+    segment's steps are done; the unsampled path, which solves no sample
+    row, still runs."""
+    if error is NoConvergence:
+        picard_rows = gmsim.beliefs._picard_rows
+        monkeypatch.setattr(gmsim.beliefs, "_picard_rows",
+                            lambda *args: picard_rows(*args[:6], 1, *args[7:]))
+    else:
+        side = 1.0 if error is ZeroBuyProbability else -1.0
+        monkeypatch.setattr(Logistic, "side_tails_grid", _zero_tails(side))
+    cfg = SimConfig(ode_step=0.02)
+    assert simulate_gmps_path(MODEL, 3.0, cfg, seed=42).n_trades > 5
+    with pytest.raises(error) as excinfo:
+        simulate_gmps_path(MODEL, 3.0, replace(cfg, sample_dt=1 / 30), seed=42)
+    frames = [entry.name for entry in excinfo.traceback]
+    assert "stop" in frames and "flush" in frames and "integrate" not in frames
 
 
 # --------------------------------------------------------------------------

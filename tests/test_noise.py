@@ -1,5 +1,6 @@
 """Noise families: tail functions, densities, condition scan, sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -48,6 +49,19 @@ def test_gaussian_survival_frozen_values():
     assert g.survival(1.0) == pytest.approx(0.15865525393145705, rel=1e-14)
     assert g.survival(2.0) == pytest.approx(0.022750131948179216, rel=1e-14)
     assert g.survival(-1.0) == pytest.approx(1.0 - 0.15865525393145705, rel=1e-14)
+
+
+def test_gaussian_holds_its_denominator_outside_its_fields():
+    """The held sigma * sqrt(2) gives the bits of dividing by it afresh,
+    and sigma stays the family's only field: equality, hashing and the
+    noise dict see nothing new."""
+    g = Gaussian(1.7)
+    assert [f.name for f in dataclasses.fields(g)] == ["sigma"]
+    assert g == Gaussian(1.7) and hash(g) == hash(Gaussian(1.7))
+    ys = np.linspace(-5.0, 5.0, 101)
+    fresh = [0.5 * math.erfc(y / (1.7 * math.sqrt(2.0))) for y in ys.tolist()]
+    assert g.survival_grid(ys).tolist() == fresh == [g.survival(y) for y in ys.tolist()]
+    assert [g.cdf(-y) for y in ys.tolist()] == fresh
 
 
 def test_gaussian_survival_matches_oracle_many_points():

@@ -589,6 +589,17 @@ def test_intensity_refuses_underpowered_setup():
         )
 
 
+def test_intensity_check_skips_trials_no_path_can_hold():
+    """A frozen quote whose thinner side trades with probability 1.4e-11
+    needs about 2e12 arrivals per trial for 30 trades: past
+    MAX_EXPECTED_ARRIVALS, so verify's intensity check is skipped, as it is
+    for a side that cannot trade at all."""
+    thin = replace(MODEL2, noise=Logistic(0.01))
+    with pytest.raises(InsufficientData, match=r"^30 trades on the thinner side need "
+                       r"[\d.e+]+ expected arrivals per trial, above 1e\+06$"):
+        verification._intensity_check(thin, seed=0)
+
+
 def test_intensity_refuses_a_fractional_seed():
     """A float seed is refused, not truncated to the integer seed's trials."""
     with pytest.raises(ConfigError, match="must be integers"):
