@@ -15,11 +15,11 @@ integrate_between_events advances that ODE with classical fixed-step RK4,
 re-solving both fixed points at every stage evaluation (warm-started from
 the previous stage). After each full step, negative roundoff is clamped and
 the vector renormalized; the pre-clamp deviations are tracked so a caller
-can prove they stayed at roundoff scale. The kernel's integrate can hand
-each step's end points (beliefs, the drifts at both ends, quotes) to a
-callback; the solo engine reads its sample rows off them with hermite,
-RK4's dense output, so observing the belief between trades never changes
-the steps that move it.
+can prove they stayed at roundoff scale. The kernel's integrate can leave
+a trail of a segment's step ends (belief, drift, quotes); the solo engine
+reads a segment's sample rows off it at once with hermite, RK4's dense
+output as rows, so observing the belief between trades never changes the
+steps that move it.
 
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
@@ -87,9 +87,6 @@ class SimplexDiagnostics:
         if min_component < self.min_component:
             self.min_component = min_component
 
-    def merge(self, other: "SimplexDiagnostics") -> None:
-        self.absorb(other.max_sum_error, other.min_component)
-
 
 def segment(dt, ode_step):
     """(n_steps, h) for dt > 0 of trade-free time, in both engines: the
@@ -120,19 +117,29 @@ def _onto_simplex(p):
     return [v / total for v in p], sum_error, low
 
 
+def _onto_simplex_rows(p):
+    """_onto_simplex for every row of p, bit for bit."""
+    total = _column_sum(p)
+    low = p.min(axis=1)
+    sum_error = np.abs(total - 1.0)
+    for r in np.flatnonzero(low < 0.0).tolist():
+        p[r], total[r] = _clamp(p[r].tolist())
+    return p / total[:, None], sum_error, low
+
+
 def hermite(s, h, p0, k0, p1, k1):
-    """The belief at fraction s of an RK4 step of length h from p0 to p1,
-    with drifts k0 at p0 and k1 at p1: the cubic Hermite interpolant of the
-    step's end points (RK4's dense output), clamped and renormalised as a
-    step's end is."""
+    """The beliefs at fractions s (an array) of RK4 steps of length h, row r
+    within the step from p0[r] to p1[r] with drifts k0[r] at p0[r] and k1[r]
+    at p1[r]: the cubic Hermite interpolant of the step's end points (RK4's
+    dense output), clamped and renormalised as a step's end is."""
     s2 = s * s
     s3 = s2 * s
     c1 = 3.0 * s2 - 2.0 * s3
     c0 = 1.0 - c1
     d0 = h * (s3 - 2.0 * s2 + s)
     d1 = h * (s3 - s2)
-    return _onto_simplex(
-        [c0 * a + d0 * da + c1 * b + d1 * db for a, da, b, db in zip(p0, k0, p1, k1)]
+    return _onto_simplex_rows(
+        c0[:, None] * p0 + d0[:, None] * k0 + c1[:, None] * p1 + d1[:, None] * k1
     )[0]
 
 
@@ -217,7 +224,7 @@ class _FilterKernel:
                 out[i] = kol
         return out
 
-    def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0, on_step=None):
+    def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0, trail=None):
         """Advance the filter ODE by dt. probs is consumed and a new list is
         returned along with the fixed-point quotes at the terminal belief.
         ask/bid must be the fixed points at the initial belief. ask_shift is
@@ -225,12 +232,11 @@ class _FilterKernel:
         off-equilibrium asks still conditions on the prices actually
         quoted); the solved and returned quotes stay unshifted.
 
-        on_step, when given, is called after step j of the segment with
-        its end points, on_step(j, p0, k1, ask0, bid0, p1, ask1, bid1, f1):
-        the beliefs at its start and end (p1 clamped and renormalised), the
-        drifts k1 at p0 and f1 at p1, and the quotes solved at each end
-        (with lam = 0, both are the quotes the segment started with). f1 is
-        the next step's k1: each step-end drift is evaluated once."""
+        trail, when given, is a list that gets (belief, drift, ask, bid) at
+        the segment's start and after each step: the clamped belief, the
+        drift at it and the quotes solved there (with lam = 0, the segment's
+        first). Each step-end drift is the next step's first; only the last
+        step's is extra, and only with a trail."""
         if dt <= 0.0:
             return probs, ask, bid
         n_steps, h = segment(dt, ode_step)
@@ -238,41 +244,32 @@ class _FilterKernel:
         p = probs
         drift, quotes = self.drift, self.quotes
         informative = self.lam > 0.0  # with lam = 0 the quotes never enter the drift
+        sixth = h / 6.0
+        steps = (0.5 * h, 0.5 * h, h)
         k1 = drift(p, ask + ask_shift, bid)
+        if trail is not None:
+            trail.append((p, k1, ask, bid))
         for j in range(n_steps):
-            p0, ask0, bid0 = p, ask, bid
-
-            stage = [p[i] + 0.5 * h * k1[i] for i in range(n)]
-            if informative:
-                ask, bid = quotes(stage, ask, bid)
-            k2 = drift(stage, ask + ask_shift, bid)
-
-            stage = [p[i] + 0.5 * h * k2[i] for i in range(n)]
-            if informative:
-                ask, bid = quotes(stage, ask, bid)
-            k3 = drift(stage, ask + ask_shift, bid)
-
-            stage = [p[i] + h * k3[i] for i in range(n)]
-            if informative:
-                ask, bid = quotes(stage, ask, bid)
-            k4 = drift(stage, ask + ask_shift, bid)
-
-            sixth = h / 6.0
-            p = [
-                p[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-                for i in range(n)
-            ]
+            k = k1
+            ks = []
+            for step in steps:
+                stage = [p[i] + step * k[i] for i in range(n)]
+                if informative:
+                    ask, bid = quotes(stage, ask, bid)
+                k = drift(stage, ask + ask_shift, bid)
+                ks.append(k)
+            k2, k3, k4 = ks
+            p = [p[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]) for i in range(n)]
 
             p, sum_error, low = _onto_simplex(p)
             diag.absorb(sum_error, low)
 
             if informative:
                 ask, bid = quotes(p, ask, bid)
-            if j + 1 < n_steps or on_step is not None:
-                f1 = drift(p, ask + ask_shift, bid)
-                if on_step is not None:
-                    on_step(j, p0, k1, ask0, bid0, p, ask, bid, f1)
-                k1 = f1
+            if j + 1 < n_steps or trail is not None:
+                k1 = drift(p, ask + ask_shift, bid)
+                if trail is not None:
+                    trail.append((p, k1, ask, bid))
         if not informative:
             ask, bid = quotes(p, ask, bid)
         return p, ask, bid
@@ -319,32 +316,20 @@ class _FilterKernel:
         drift, quotes = self.drift_rows, self.quotes_rows
         informative = self.lam > 0.0
         reuse = ask_shift == 0.0
-        half = (0.5 * h)[:, None]
+        half = 0.5 * h
         k1, tails = drift(probs, ask + ask_shift, bid)
-
-        stage = probs + half * k1
-        if informative:
-            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
-        k2, tails = drift(stage, ask + ask_shift, bid)
-
-        stage = probs + half * k2
-        if informative:
-            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
-        k3, tails = drift(stage, ask + ask_shift, bid)
-
-        stage = probs + h[:, None] * k3
-        if informative:
-            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
-        k4, tails = drift(stage, ask + ask_shift, bid)
+        k = k1
+        ks = []
+        for step in (half, half, h):
+            stage = probs + step[:, None] * k
+            if informative:
+                ask, bid = quotes(stage, ask, bid, tails if reuse else None)
+            k, tails = drift(stage, ask + ask_shift, bid)
+            ks.append(k)
+        k2, k3, k4 = ks
 
         p = probs + (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
-
-        total = _column_sum(p)
-        low = p.min(axis=1)
-        sum_error = np.abs(total - 1.0)
-        for r in np.flatnonzero(low < 0.0).tolist():
-            p[r], total[r] = _clamp(p[r].tolist())
-        p = p / total[:, None]
+        p, sum_error, low = _onto_simplex_rows(p)
 
         if informative:
             ask, bid = quotes(p, ask, bid, tails if reuse else None)

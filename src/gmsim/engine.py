@@ -26,9 +26,9 @@ of a batch equals the solo run at offset k bit for bit. A sampled batch
 runs path by path.
 
 The stops are the arrivals and the horizon only. A sampled run takes the
-same RK4 steps as an unsampled one and reads its sample rows off the steps'
-dense output (_Path.sample), so sampling never moves a path's events. Their
-quotes are solved at the segment's stop in one row solve (_Path.flush).
+same RK4 steps as an unsampled one, so sampling never moves a path's
+events: a segment's steps leave a trail of their ends, and at its stop
+_Path.flush reads the segment's sample rows off the trail as arrays.
 """
 
 from __future__ import annotations
@@ -194,6 +194,14 @@ def path_streams(seed: int, offset: int):
     return tuple(np.random.default_rng(c) for c in children)
 
 
+# A path keeps each arrival as an event of about 0.6 kB and draws each jump
+# of the value chain in a Python loop, so an expected count of either above
+# this is refused. ARRIVAL_CHUNK caps one draw of gaps; numpy's Generator
+# draws the same gaps however they are chunked.
+MAX_EXPECTED_ARRIVALS = 1e6
+ARRIVAL_CHUNK = 1 << 16
+
+
 def sample_value_path(
     q: GeneratorMatrix,
     initial: Belief,
@@ -204,8 +212,14 @@ def sample_value_path(
 
     Returns (times, states): right-continuous, times[0] = 0, states are grid
     indices. The state at t is states[searchsorted(times, t, 'right') - 1].
+    Refuses a chain whose largest exit rate times horizon, which bounds its
+    expected jump count, is above MAX_EXPECTED_ARRIVALS.
     """
     check_number("horizon", horizon, "positive")
+    jumps = float(-q.rates.diagonal().min()) * horizon
+    if not jumps <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"generator: largest exit rate * horizon = {jumps:g} expected jumps "
+                          f"at most, above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
     cum = np.cumsum(initial.probs)
     state = int(np.searchsorted(cum, rng.random(), side="right"))
     state = min(state, initial.n - 1)
@@ -233,13 +247,6 @@ def sample_value_path(
 def value_at(times: np.ndarray, states: np.ndarray, t: float) -> int:
     """Index of the chain state at time t (right-continuous lookup)."""
     return int(states[np.searchsorted(times, t, side="right") - 1])
-
-
-# A path keeps each arrival as an event of about 0.6 kB, so an expected
-# count lam * horizon above this is refused. ARRIVAL_CHUNK caps one draw of
-# gaps; numpy's Generator draws the same gaps however they are chunked.
-MAX_EXPECTED_ARRIVALS = 1e6
-ARRIVAL_CHUNK = 1 << 16
 
 
 def sample_arrival_times(
@@ -296,33 +303,26 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 
 
 def _sample_times(arrivals, sample_dt, horizon):
-    """The times of a path's sample rows in time order: 0, each arrival,
-    the horizon, and each m * sample_dt in between, unless it lies within
-    1e-12 * max(1, |t|) of the arrival or horizon t before or after it."""
-    times = [0.0]
-    t_prev = 0.0
-    for t in [float(tau) for tau in arrivals] + [horizon]:
-        m = math.floor(t_prev / sample_dt) + 1
-        while m * sample_dt <= t_prev + 1e-12 * max(1.0, abs(t_prev)):
-            m += 1
-        while m * sample_dt < t - 1e-12 * max(1.0, abs(t)):
-            times.append(m * sample_dt)
-            m += 1
-        times.append(t)
-        t_prev = t
-    return times
+    """The times of a path's sample rows in time order, an array: 0, each
+    arrival, the horizon, and each m * sample_dt in between, unless it lies
+    within 1e-12 * max(1, |t|) of the arrival or horizon t before or after it."""
+    stops = np.concatenate(([0.0], arrivals, [horizon]))
+    grid = np.arange(1, math.ceil(horizon / sample_dt) + 1) * sample_dt
+    grid = grid[grid < horizon]
+    tol = 1e-12 * np.maximum(1.0, np.abs(stops))
+    after = np.searchsorted(stops, grid)
+    keep = (grid > (stops + tol)[after - 1]) & (grid < (stops - tol)[after])
+    return np.insert(stops, after[keep], grid[keep])
 
 
 class _Path:
     """One path's random elements, stops, record and sample rows, and the
-    handling of its stops and samples: stop() takes a stop, in both
-    engines, and sample() records the rows read off an RK4 step, which only
-    the solo engine takes.
+    handling of its stops: stop() takes a stop, in both engines.
 
     The stops are the arrivals and the horizon, so the integrator's steps
-    never depend on sample_dt. A sample row at a stop is the state after
-    it; one in between is the step's dense output (beliefs.hermite), its
-    quotes solved there, with the segment's other rows, at its stop."""
+    never depend on sample_dt. A sample row at a stop is the state after it;
+    the solo engine reads the rows in between off the segment's trail, the
+    step ends _FilterKernel.integrate left, at its stop (flush)."""
 
     def __init__(self, model, horizon, config, seed, offset, kernel, opening):
         value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
@@ -343,15 +343,12 @@ class _Path:
         )
         self.events = []  # EventRecord fields, beliefs as lists
         self.rows = []  # (t, ask, bid, value, belief) of each kept sample row
-        self.deferred = []  # (t, belief, warm ask, warm bid) of rows to solve
         self.warned = False
         self.t_prev = 0.0
         self.pending = None
         self.sampled = config.sample_dt is not None
-        self.plan = []  # (step, t) of the current segment's samples, last first
         if self.sampled:
             self.sample_times = _sample_times(arrivals, config.sample_dt, horizon)
-            self.next_sample = 1  # index into sample_times; 0 is the opening row
             self.row(0.0, self.value(0.0), *opening)
 
     def value(self, t):
@@ -409,8 +406,9 @@ class _Path:
         """Move on to the next stop. Returns the segment to it, (n_steps, h)
         as _FilterKernel.integrate steps it; n_steps = 0 when the stop lies
         no time past the last one, and None after the last stop. On a
-        sampled path, plans the segment's samples: each goes to the step
-        it falls in."""
+        sampled path, takes the segment's sample times, those strictly
+        between the two stops, and opens a trail if there are any."""
+        self.trail = None
         if self.pending is not None:
             self.t_prev = self.pending[0]
         self.pending = next(self.stops, None)
@@ -421,42 +419,32 @@ class _Path:
             return 0, 0.0
         self.n_steps, self.h = segment(t_stop - t_prev, ode_step)
         if self.sampled:
-            times, i, plan = self.sample_times, self.next_sample, []
-            while times[i] < t_stop:  # the stop's own row ends the scan
-                plan.append((min(int((times[i] - t_prev) / self.h), self.n_steps - 1),
-                             times[i]))
-                i += 1
-            self.next_sample = i + 1
-            self.plan = plan[::-1]
+            times = self.sample_times
+            self.held = times[np.searchsorted(times, t_prev, side="right"):
+                              np.searchsorted(times, t_stop, side="left")]
+            if self.held.size:
+                self.trail = []
         return self.n_steps, self.h
 
-    def sample(self, j, p0, k1, ask0, bid0, p1, ask1, bid1, f1):
-        """Record the rows of the samples in step j of the segment, given the
-        step's end points as _FilterKernel.integrate hands them on: the
-        belief from the step's dense output, and the warm start of its
-        quotes, which flush() solves, on the line between the step's end
-        quotes (with lam = 0, the segment's own). These rows feed no
-        SimplexDiagnostics: they are not integrator steps."""
-        plan, h = self.plan, self.h
-        t0 = self.t_prev + j * h
-        while plan and plan[-1][0] == j:
-            t = plan.pop()[1]
-            s = (t - t0) / h
-            self.deferred.append((t, hermite(s, h, p0, k1, p1, f1),
-                                  ask0 + s * (ask1 - ask0), bid0 + s * (bid1 - bid0)))
-
     def flush(self):
-        """Keep the segment's recorded rows, their quotes from one quotes_rows
-        call and their values from one searchsorted. A failing solve raises
-        a scalar solve's error type here, an ask row's before a bid row's."""
-        if not self.deferred:
+        """Keep the segment's sample rows, read off its trail as arrays: each
+        row's belief from the dense output of its step, its quotes from one
+        quotes_rows call, warm-started on the line between the step's end
+        quotes, and its value from one searchsorted. A failing solve raises
+        a scalar solve's error type here, an ask row's before a bid row's.
+        The rows feed no SimplexDiagnostics: they are not integrator steps."""
+        if not self.trail:
             return
-        times, beliefs, asks, bids = zip(*self.deferred)
-        self.deferred = []
-        asks, bids = self.kernel.quotes_rows(np.array(beliefs), np.array(asks), np.array(bids))
+        times, t_prev, h = self.held, self.t_prev, self.h
+        j = np.minimum(((times - t_prev) / h).astype(np.int64), self.n_steps - 1)
+        s = (times - (t_prev + j * h)) / h
+        beliefs, drifts, asks, bids = map(np.array, zip(*self.trail))
+        probs = hermite(s, h, beliefs[j], drifts[j], beliefs[j + 1], drifts[j + 1])
+        asks, bids = self.kernel.quotes_rows(probs, asks[j] + s * (asks[j + 1] - asks[j]),
+                                             bids[j] + s * (bids[j + 1] - bids[j]))
         states = self.value_states[np.searchsorted(self.value_times, times, side="right") - 1]
-        self.rows.extend(zip(times, (asks + self.perturb).tolist(), bids.tolist(),
-                             self.x_of[states].tolist(), beliefs))
+        self.rows.extend(zip(times.tolist(), (asks + self.perturb).tolist(), bids.tolist(),
+                             self.x_of[states].tolist(), probs))
 
     def finish(self) -> PathRecord:
         """The record, with its events and sample columns built only now:
@@ -535,7 +523,7 @@ def simulate_gmps_path(
         try:
             probs, ask, bid = kernel.integrate(
                 probs, path.pending[0] - path.t_prev, ask, bid, config.ode_step,
-                path.record.diagnostics, path.perturb, path.sample if path.plan else None,
+                path.record.diagnostics, path.perturb, path.trail,
             )
         except (ZeroBuyProbability, ZeroSellProbability) as exc:
             _blame_the_step(exc, model, config.ode_step)

@@ -3,10 +3,15 @@
 Everything here is deliberately written from different formulas (or a
 different library) than the production code it checks: a series/continued-
 fraction erfc in arbitrary precision, a bisection fixed-point solver, the
-scipy matrix exponential, and a plain Kolmogorov-Smirnov statistic.
+scipy matrix exponential, and a plain Kolmogorov-Smirnov statistic. The
+exception is two scalar rules that the package now takes as arrays, kept
+here in their scalar form: the dense output of an RK4 step and the times of
+a path's sample rows, which the array forms must equal bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -86,3 +91,46 @@ def ks_statistic(samples: np.ndarray, cdf_values_sorted: np.ndarray) -> float:
     d_plus = np.max(i / n - cdf_values_sorted)
     d_minus = np.max(cdf_values_sorted - (i - 1) / n)
     return float(max(d_plus, d_minus))
+
+
+def hermite_reference(s, h, p0, k0, p1, k1):
+    """The belief at fraction s of an RK4 step of length h from p0 to p1,
+    with drifts k0 at p0 and k1 at p1, one state at a time: the cubic
+    Hermite interpolant of the step's end points, its negative entries set
+    to 0 and the vector renormalised."""
+    s2 = s * s
+    s3 = s2 * s
+    c1 = 3.0 * s2 - 2.0 * s3
+    c0 = 1.0 - c1
+    d0 = h * (s3 - 2.0 * s2 + s)
+    d1 = h * (s3 - s2)
+    p = [c0 * a + d0 * da + c1 * b + d1 * db for a, da, b, db in zip(p0, k0, p1, k1)]
+    total = 0.0
+    low = p[0]
+    for v in p:
+        total += v
+        if v < low:
+            low = v
+    if low < 0.0:
+        p = [v if v > 0.0 else 0.0 for v in p]
+        total = sum(p)
+    return [v / total for v in p]
+
+
+def sample_times_reference(arrivals, sample_dt, horizon):
+    """The sample times of a path, stop by stop: 0, then for each arrival
+    and the horizon, the multiples of sample_dt after the last stop and
+    before this one, more than 1e-12 * max(1, |t|) from either stop t, and
+    the stop itself."""
+    times = [0.0]
+    t_prev = 0.0
+    for t in [float(tau) for tau in arrivals] + [horizon]:
+        m = math.floor(t_prev / sample_dt) + 1
+        while m * sample_dt <= t_prev + 1e-12 * max(1.0, abs(t_prev)):
+            m += 1
+        while m * sample_dt < t - 1e-12 * max(1.0, abs(t)):
+            times.append(m * sample_dt)
+            m += 1
+        times.append(t)
+        t_prev = t
+    return times

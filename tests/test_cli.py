@@ -1,16 +1,23 @@
 """Command-line interface: exit codes, output files, determinism."""
 
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gmsim.cli
 from gmsim import load_scenario, run_verify, simulate_paths
@@ -492,6 +499,75 @@ def test_out_naming_a_file_exits_2_before_running(
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# --------------------------------------------------------------------------
+# any scenario exits 0-3
+
+
+FAMILIES = [
+    {"family": "logistic", "scale": 2.0},
+    {"family": "gaussian", "sigma": 2.0},
+    {"family": "laplace", "scale": 2.0},
+    {"family": "two_point", "value": 1.0, "prob": 0.5},
+    {"family": "noise_trader", "buy_prob": 0.5},
+]
+ODD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+              2**70, True, False, "x", None, [], {}]
+
+
+def _runs_long(key, value):
+    """A horizon above 0.3 or a step below 0.01: a valid run that is only
+    long."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return (key == "horizon" and value > 0.3) or (key == "ode_step" and 0 < value < 0.01)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The README scenario with any family, a horizon of 0.3 and a step of
+    0.02, and one to three of its entries replaced by an odd value or
+    resized, leaving out the values that only ask for a long run."""
+    data = copy.deepcopy({**BASE, "horizon": 0.3, "n_paths": 2, "fp_tol": 1e-12,
+                          "noise": draw(st.sampled_from(FAMILIES))})
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(data)))
+        target = data[key]
+        if isinstance(target, list) and target and draw(st.booleans()):
+            data[key] = [copy.deepcopy(target[0]) for _ in range(draw(st.integers(0, 3)))]
+            continue
+        value = draw(st.sampled_from(ODD_VALUES))
+        if _runs_long(key, value):
+            continue
+        if isinstance(target, dict) and target:
+            target[draw(st.sampled_from(sorted(target)))] = value
+        elif isinstance(target, list) and target:
+            i = draw(st.integers(0, len(target) - 1))
+            if isinstance(target[i], list) and target[i]:
+                target, i = target[i], draw(st.integers(0, len(target[i]) - 1))
+            target[i] = value
+        else:
+            data[key] = value
+    return data
+
+
+@given(mutated_scenarios())
+def test_any_scenario_exits_0_to_3_with_an_error_line(data):
+    """check, solve-static --force and simulate --force on a drawn scenario
+    exit 0, 1, 2 or 3 and raise nothing. On 2 or 3 the last line on stderr
+    names the error: a forced run may log a warning before it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(data))
+        for argv in (["check"], ["solve-static", "--force"],
+                     ["simulate", "--paths", "2", "--force", "--out", str(Path(tmp) / "run")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(path)])
+            assert code in (0, 1, 2, 3), (argv, data)
+            if code in (2, 3):
+                assert err.getvalue().splitlines()[-1].startswith("error: "), (argv, data)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gmsim.beliefs
@@ -53,7 +53,7 @@ from gmsim.noise import (
     check_gm_condition,
 )
 
-from oracles import expm_reference, ks_statistic
+from oracles import expm_reference, hermite_reference, ks_statistic, sample_times_reference
 
 GRID = StateGrid([0.0, 1.0])
 Q = GeneratorMatrix([[-0.5, 0.5], [0.8, -0.8]])
@@ -170,6 +170,19 @@ def test_an_arrival_count_no_path_can_hold_is_refused(lam, horizon):
         sample_arrival_times(lam, horizon, np.random.default_rng(0))
     bound = gmsim.engine.MAX_EXPECTED_ARRIVALS
     assert len(sample_arrival_times(bound, 1e-3, np.random.default_rng(0))) > 900
+
+
+@pytest.mark.parametrize("rate, horizon", [(1e300, 0.3), (2.0**70, 0.3), (2e6, 0.5000001)])
+def test_a_value_chain_no_path_can_hold_is_refused(rate, horizon):
+    """A chain whose largest exit rate times horizon, which bounds its
+    expected jumps, is above MAX_EXPECTED_ARRIVALS is refused before any
+    draw; drawn, a two-state chain that fast never ends."""
+    q = GeneratorMatrix([[-rate, rate], [rate, -rate]])
+    with pytest.raises(ConfigError, match=r"^generator: largest exit rate \* horizon = "):
+        sample_value_path(q, PRIOR, horizon, np.random.default_rng(0))
+    bound = gmsim.engine.MAX_EXPECTED_ARRIVALS
+    q = GeneratorMatrix([[-bound, bound], [bound, -bound]])
+    assert len(sample_value_path(q, PRIOR, 1e-3, np.random.default_rng(0))[0]) > 900
 
 
 # --------------------------------------------------------------------------
@@ -446,9 +459,69 @@ def test_stop_schedule_merges_arrivals_samples_and_horizon():
     points in between; the stops are the arrivals and the horizon alone."""
     arrivals = np.array([0.25 + 1e-14, 0.6])
     # 0.25 sits within 1e-12 of the first arrival and 4 * 0.25 on the horizon
-    assert gmsim.engine._sample_times(arrivals, 0.25, 1.0) == [
+    assert gmsim.engine._sample_times(arrivals, 0.25, 1.0).tolist() == [
         0.0, 0.25 + 1e-14, 0.5, 0.6, 0.75, 1.0,
     ]
+
+
+@st.composite
+def sample_schedules(draw):
+    """(arrivals, sample_dt, horizon): arrivals anywhere in (0, horizon),
+    on or within a few 1e-13 of a sample point, and repeated; sample_dt
+    from a tenth of the horizon to past it, or a whole fraction of it."""
+    horizon = draw(st.floats(0.05, 3.0))
+    sample_dt = draw(st.one_of(
+        st.floats(0.1, 1.5).map(lambda u: u * horizon),
+        st.integers(1, 40).map(lambda m: horizon / m),
+    ))
+    arrivals = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             max_size=6))
+    arrivals = [u * horizon for u in arrivals]
+    for m, shift in draw(st.lists(st.tuples(
+        st.integers(1, 40), st.sampled_from([0.0, 1e-13, -1e-13, 9e-13, -9e-13, 2e-12])
+    ), max_size=3)):
+        if 0.0 < m * sample_dt + shift < horizon:
+            arrivals.append(m * sample_dt + shift)
+    if arrivals and draw(st.booleans()):
+        arrivals.append(arrivals[0])
+    return np.sort(arrivals), sample_dt, horizon
+
+
+@given(sample_schedules())
+@example((np.array([0.3]), 1.5, 1.0))  # sample_dt past the horizon
+@example((np.array([0.2, 0.6]), 0.25, 1.0))  # the horizon a whole multiple
+@example((np.array([]), 3.0 / 400, 3.0))  # the plot's spacing, no arrivals
+@example((np.array([0.25 - 9e-13, 0.5 + 1e-13, 0.75 + 2e-12]), 0.25, 1.0))  # near a point
+@example((np.array([0.4, 0.4, 0.7]), 0.1, 1.0))  # two equal arrivals
+def test_sample_times_equal_the_stop_by_stop_rule(schedule):
+    """The array schedule equals the stop-by-stop loop it replaced."""
+    got = gmsim.engine._sample_times(*schedule).tolist()
+    assert [t.hex() for t in got] == [t.hex() for t in sample_times_reference(*schedule)]
+
+
+def test_equal_arrivals_keep_their_time_once_per_stop(monkeypatch):
+    """Two arrivals at one float make a segment of no time. Their time is a
+    sample row once per stop, each the state after that stop, and the
+    segment after them does not read it again; the events are the
+    unsampled run's."""
+    draw = gmsim.engine.sample_arrival_times
+
+    def doubled(lam, horizon, rng):
+        times = draw(lam, horizon, rng)
+        return np.insert(times, 2, times[2])
+
+    monkeypatch.setattr(gmsim.engine, "sample_arrival_times", doubled)
+    cfg = SimConfig(ode_step=0.02)
+    unsampled = simulate_gmps_path(MODEL, 3.0, cfg, seed=42)
+    events = unsampled.events
+    assert len(events) > 4 and events[2].t == events[3].t
+    sampled = simulate_gmps_path(MODEL, 3.0, replace(cfg, sample_dt=1 / 30), seed=42)
+    assert _event_digest([sampled]) == _event_digest([unsampled])
+    at = np.flatnonzero(sampled.sample_times == events[2].t)
+    assert at.tolist() == [at[0], at[0] + 1]
+    assert np.array_equal(sampled.sample_beliefs[at[0]], events[2].belief_after)
+    assert np.array_equal(sampled.sample_beliefs[at[1]], events[3].belief_after)
+    assert np.count_nonzero(np.diff(sampled.sample_times) <= 0) == 1
 
 
 def test_sampled_values_follow_the_chain():
@@ -483,7 +556,7 @@ def test_simplex_diagnostics_stay_tight_over_batch():
     recs = simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02), seed=5, n_paths=10)
     merged = SimplexDiagnostics()
     for r in recs:
-        merged.merge(r.diagnostics)
+        merged.absorb(r.diagnostics.max_sum_error, r.diagnostics.min_component)
     assert merged.max_sum_error <= 1e-9
     assert merged.min_component >= -1e-12
 
@@ -719,12 +792,48 @@ def test_dense_output_follows_the_flow_between_steps():
 def test_hermite_meets_the_step_ends():
     """The dense output starts at the step's start and ends at its end, and
     is exact for a belief that moves on a line."""
-    p0, p1 = [0.5, 0.3, 0.2], [0.4, 0.35, 0.25]
-    k = [(b - a) / 0.1 for a, b in zip(p0, p1)]
-    assert hermite(0.0, 0.1, p0, k, p1, k) == pytest.approx(p0, abs=1e-15)
-    assert hermite(1.0, 0.1, p0, k, p1, k) == pytest.approx(p1, abs=1e-15)
-    mid = [0.5 * (a + b) for a, b in zip(p0, p1)]
-    assert hermite(0.5, 0.1, p0, k, p1, k) == pytest.approx(mid, abs=1e-15)
+    p0, p1 = np.array([[0.5, 0.3, 0.2]] * 3), np.array([[0.4, 0.35, 0.25]] * 3)
+    k = (p1 - p0) / 0.1
+    start, end, mid = hermite(np.array([0.0, 1.0, 0.5]), 0.1, p0, k, p1, k)
+    assert start == pytest.approx(p0[0], abs=1e-15)
+    assert end == pytest.approx(p1[0], abs=1e-15)
+    assert mid == pytest.approx(0.5 * (p0[0] + p1[0]), abs=1e-15)
+
+
+@st.composite
+def step_ends(draw):
+    """(s, h, p0, k0, p1, k1) for 1-6 RK4 steps over 2-6 states: end
+    beliefs with entries of 0, drifts that sum to 0 and can take an entry
+    below 0 inside the step, and fractions that include the step's ends."""
+    n, rows = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+
+    def belief():
+        w = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n,
+                          max_size=n))
+        assume(sum(w) > 0.1)
+        return [v / sum(w) for v in w]
+
+    def drift():
+        k = draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n))
+        return [v - sum(k) / n for v in k]
+
+    s = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                      min_size=rows, max_size=rows))
+    ends = [[f() for _ in range(rows)] for f in (belief, drift, belief, drift)]
+    return (s, draw(st.floats(1e-3, 0.5)), *ends)
+
+
+@given(step_ends())
+@example(([0.0, 0.25, 1.0], 0.1, [[0.0, 1.0]] * 3, [[-10.0, 10.0]] * 3,
+          [[0.0, 1.0]] * 3, [[0.0, 0.0]] * 3))  # dips below 0 inside the step
+def test_row_hermite_equals_the_scalar_form(steps):
+    """hermite on rows equals the scalar interpolant, clamp and
+    renormalisation row by row, bit for bit."""
+    s, h, p0, k0, p1, k1 = steps
+    got = hermite(np.array(s), h, *map(np.array, (p0, k0, p1, k1)))
+    for r in range(len(s)):
+        want = hermite_reference(s[r], h, p0[r], k0[r], p1[r], k1[r])
+        assert [v.hex() for v in got[r].tolist()] == [v.hex() for v in want]
 
 
 def _segments(rec, ode_step):
