@@ -177,13 +177,12 @@ def _write_outputs(out_dir: Path, records: list[PathRecord], plot: PathRecord,
 def cmd_simulate(args) -> int:
     cfg = _with_overrides(load_scenario(args.config), args)
     out_dir = _make_out_dir(args.out)
-    model = cfg.model()
     sim = cfg.sim_config(perturb_ask=args.perturb_ask, force=args.force)
-    records = simulate_paths(model, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
+    records = simulate_paths(cfg, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
     # path 0 again for plot.csv, its filter state sampled on the horizon/400
     # grid; sampling does not move a path, so its events are records[0]'s
     plot = simulate_gmps_path(
-        model, cfg.horizon, replace(sim, sample_dt=cfg.horizon / 400.0),
+        cfg, cfg.horizon, replace(sim, sample_dt=cfg.horizon / 400.0),
         seed=cfg.seed, offset=0,
     )
     written = _write_outputs(out_dir, records, plot, cfg.grid)

@@ -26,7 +26,8 @@ values' rules, so a scenario built in code or by dataclasses.replace meets
 the same rules and messages as a file. Each rule has one home, which the
 library's entry points share: core.check_number for the real numbers (via
 SimConfig for ode_step and fp_tol), engine.check_seed and check_n_paths,
-and MarketModel for the sizes.
+and engine.MarketModel for the market's fields and their sizes, since a
+ScenarioConfig extends MarketModel.
 """
 
 from __future__ import annotations
@@ -54,16 +55,12 @@ _FAMILIES = {
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """One scenario. Its rules are checked here, however it is built (from a
-    file, in code, or by dataclasses.replace, as the CLI's --seed and
-    --paths overrides are), with messages that name the file's keys."""
+class ScenarioConfig(MarketModel):
+    """One scenario: a market (MarketModel's fields) plus run parameters, so
+    it goes wherever a MarketModel does. Its rules are checked however it is
+    built (from a file, in code, or by dataclasses.replace, as the CLI's
+    --seed and --paths overrides are), with messages naming the file's keys."""
 
-    grid: StateGrid
-    generator: GeneratorMatrix
-    arrival_rate: float
-    noise: NoiseModel
-    initial_belief: Belief
     horizon: float
     seed: int
     ode_step: float = DEFAULT_ODE_STEP
@@ -76,16 +73,10 @@ class ScenarioConfig:
         self.sim_config()  # ode_step and fp_tol, with SimConfig's messages
         check_seed(self.seed)
         check_n_paths(self.n_paths)
-        self.model()  # the sizes, with MarketModel's messages
+        super().__post_init__()  # the sizes, with MarketModel's messages
 
     def model(self) -> MarketModel:
-        return MarketModel(
-            grid=self.grid,
-            generator=self.generator,
-            arrival_rate=self.arrival_rate,
-            noise=self.noise,
-            initial_belief=self.initial_belief,
-        )
+        return self
 
     def sim_config(
         self,

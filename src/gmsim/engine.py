@@ -59,7 +59,8 @@ class Outcome(Enum):
 @dataclass(frozen=True)
 class MarketModel:
     """Static description of one market: value grid and chain, arrival rate,
-    noise family, and the prior (which is also the law of X_0)."""
+    noise family, and the prior (which is also the law of X_0). A
+    config.ScenarioConfig is one, with a horizon and run settings added."""
 
     grid: StateGrid
     generator: GeneratorMatrix
@@ -265,12 +266,13 @@ def sample_arrival_times(
     t = 0.0
     chunk = min(max(16, int(lam * horizon * 1.5)), ARRIVAL_CHUNK)
     while True:
-        gaps = rng.exponential(1.0 / lam, size=chunk)
-        for g in gaps:
-            t += g
-            if t >= horizon:
-                return np.array(out)
-            out.append(t)
+        # cumsum adds in order, so each time is the running sum of its gaps
+        times = np.cumsum(np.concatenate(([t], rng.exponential(1.0 / lam, size=chunk))))[1:]
+        end = int(np.searchsorted(times, horizon))
+        out.append(times[:end])
+        if end < chunk:
+            return np.concatenate(out)
+        t = float(times[-1])
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +307,12 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 def _sample_times(arrivals, sample_dt, horizon):
     """The times of a path's sample rows in time order, an array: 0, each
     arrival, the horizon, and each m * sample_dt in between, unless it lies
-    within 1e-12 * max(1, |t|) of the arrival or horizon t before or after it."""
+    within 1e-12 * max(1, |t|) of the arrival or horizon t before or after it.
+    A grid of more than MAX_EXPECTED_ARRIVALS rows is refused before any
+    allocation."""
+    if not horizon / sample_dt <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"sample_dt: horizon / sample_dt = {horizon / sample_dt:g} sample "
+                          f"rows, above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
     stops = np.concatenate(([0.0], arrivals, [horizon]))
     grid = np.arange(1, math.ceil(horizon / sample_dt) + 1) * sample_dt
     grid = grid[grid < horizon]

@@ -148,7 +148,8 @@ class UniquenessReport:
 
 def transition_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     """exp(rates * dt) by scaling and squaring of a Taylor series truncated
-    after MATRIX_EXP_TERMS terms."""
+    after MATRIX_EXP_TERMS terms. dt must be finite and nonnegative."""
+    check_number("dt", dt, "nonnegative")
     b = np.asarray(rates, dtype=float) * dt
     norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
     squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
@@ -638,7 +639,7 @@ def _entry(report) -> dict:
     return {"status": "pass" if fields.pop("passed") else "fail", **fields}
 
 
-def _filter_check(cfg, model, perturb_ask, force) -> dict:
+def _filter_check(cfg, perturb_ask, force) -> dict:
     """Engine against the oracle filter on path 0, plus the oracle's own
     first-order convergence over h, h/2, h/4 (end-point gap ratio near 2).
     The engine steps at the scenario's ode_step; sampling at h/4 reads its
@@ -647,10 +648,10 @@ def _filter_check(cfg, model, perturb_ask, force) -> dict:
     h = 1e-3
     horizon = min(cfg.horizon, 2.0)
     sim = cfg.sim_config(sample_dt=h / 4, perturb_ask=perturb_ask, force=force)
-    rec = simulate_gmps_path(model, horizon, sim, seed=cfg.seed, offset=0)
+    rec = simulate_gmps_path(cfg, horizon, sim, seed=cfg.seed, offset=0)
     steps = (h, h / 2, h / 4)
     times, beliefs = zip(
-        *(oracle_filter(rec, model, OracleFilterConfig(h=step)) for step in steps)
+        *(oracle_filter(rec, cfg, OracleFilterConfig(h=step)) for step in steps)
     )
     cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times[0], beliefs[0])
     gap_coarse = float(abs(beliefs[0][-1] - beliefs[1][-1]).sum())
@@ -672,22 +673,22 @@ def _filter_check(cfg, model, perturb_ask, force) -> dict:
     }
 
 
-def _intensity_check(model, seed) -> dict:
+def _intensity_check(cfg) -> dict:
     """intensity_test at three frozen (quote, state) pairs, each run long
     enough for about 30 expected trades on its thinner side."""
-    w = model.grid.width
-    x0 = model.grid.x_min
-    xn = model.grid.x_max
+    w = cfg.grid.width
+    x0 = cfg.grid.x_min
+    xn = cfg.grid.x_max
     pairs = [
         (Quote(ask=x0, bid=x0), x0),  # survival(0) symmetry point
         (Quote(ask=xn + w / 4, bid=xn - w / 4), xn),
         (Quote(ask=x0 + w / 2, bid=x0 - w / 4), x0),
     ]
-    lam = model.arrival_rate
+    lam = cfg.arrival_rate
     if lam <= 0.0:
         raise InsufficientData("arrival rate is zero; no trades to count")
     p_min = min(
-        min(model.noise.survival(q.ask - x), model.noise.cdf(q.bid - x))
+        min(cfg.noise.survival(q.ask - x), cfg.noise.cdf(q.bid - x))
         for q, x in pairs
     )
     if p_min <= 0.0:
@@ -700,7 +701,7 @@ def _intensity_check(model, seed) -> dict:
                                f"arrivals per trial, above {MAX_EXPECTED_ARRIVALS:g}")
     results = []
     for k, (quote, x) in enumerate(pairs):
-        report = intensity_test(model, quote, x, horizon, n_trials=150, seed=seed + k)
+        report = intensity_test(cfg, quote, x, horizon, n_trials=150, seed=cfg.seed + k)
         results.append(
             {
                 "ask": quote.ask,
@@ -728,14 +729,13 @@ def run_verify(cfg: ScenarioConfig, perturb_ask: float = 0.0, force: bool = Fals
     that raises InsufficientData is reported as skipped, with its reason;
     passed is true when no check failed.
     """
-    model = cfg.model()
     sim = cfg.sim_config(perturb_ask=perturb_ask, force=force)
-    records = simulate_paths(model, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
+    records = simulate_paths(cfg, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
     runs = {
         "zero_profit": lambda: _entry(zero_profit_test(records)),
         "consistency": lambda: _entry(consistency_check(records, cfg.grid)),
-        "filter_oracle": lambda: _filter_check(cfg, model, perturb_ask, force),
-        "intensity": lambda: _intensity_check(model, cfg.seed),
+        "filter_oracle": lambda: _filter_check(cfg, perturb_ask, force),
+        "intensity": lambda: _intensity_check(cfg),
     }
     checks = {}
     for name, run in runs.items():

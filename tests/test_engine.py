@@ -20,6 +20,7 @@ from gmsim.beliefs import (
     make_filter_state,
     segment,
 )
+from gmsim.config import ScenarioConfig
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
     MarketModel,
@@ -53,7 +54,13 @@ from gmsim.noise import (
     check_gm_condition,
 )
 
-from oracles import expm_reference, hermite_reference, ks_statistic, sample_times_reference
+from oracles import (
+    arrival_times_reference,
+    expm_reference,
+    hermite_reference,
+    ks_statistic,
+    sample_times_reference,
+)
 
 GRID = StateGrid([0.0, 1.0])
 Q = GeneratorMatrix([[-0.5, 0.5], [0.8, -0.8]])
@@ -160,6 +167,24 @@ def test_arrival_times_do_not_depend_on_the_draw_chunk(monkeypatch):
     monkeypatch.setattr(gmsim.engine, "ARRIVAL_CHUNK", 16)
     chunked = sample_arrival_times(50.0, 200.0, np.random.default_rng(4))
     assert len(whole) > 9000 and np.array_equal(chunked, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.3, 500.0), st.floats(0.5, 4.0), st.integers(0, 2**32),
+       st.sampled_from([16, 64, gmsim.engine.ARRIVAL_CHUNK]))
+@example(lam=3.0, horizon=2.0, seed=1, chunk=gmsim.engine.ARRIVAL_CHUNK)
+@example(lam=1000.0, horizon=200.0, seed=2, chunk=gmsim.engine.ARRIVAL_CHUNK)
+def test_arrival_times_are_the_running_sum_of_the_gaps(lam, horizon, seed, chunk):
+    """The arrival times equal the gaps added one by one, bit for bit, over
+    one draw chunk or several (the 2e5 expected arrivals of the second
+    example span four ARRIVAL_CHUNKs)."""
+    expected = lam * horizon
+    first = min(max(16, int(expected * 1.5)), chunk)
+    want = arrival_times_reference(lam, horizon, np.random.default_rng(seed), first)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gmsim.engine, "ARRIVAL_CHUNK", chunk)
+        got = sample_arrival_times(lam, horizon, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lam, horizon", [(1e21, 0.3), (2e6, 0.5000001), (1e300, 1e300)])
@@ -438,6 +463,15 @@ def test_sample_grid_covers_run_and_respects_quotes():
     assert np.all(means <= rec.sample_asks + 1e-9)
     row_sums = rec.sample_beliefs.sum(axis=1)
     np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("sample_dt", [1e-15, 5e-324])
+def test_a_sample_grid_no_path_can_hold_is_refused(sample_dt):
+    """More than MAX_EXPECTED_ARRIVALS sample rows (petabytes at 1e-15, an
+    infinite count at 5e-324) is refused, naming sample_dt, before the grid
+    is allocated."""
+    with pytest.raises(ConfigError, match=r"^sample_dt: horizon / sample_dt = ([\d.e+]+|inf) "):
+        simulate_gmps_path(MODEL, 1.0, SimConfig(sample_dt=sample_dt, ode_step=0.02))
 
 
 def test_sample_point_on_an_arrival_is_recorded_once():
@@ -986,6 +1020,30 @@ def test_lockstep_paths_equal_solo_runs(model, cfg):
     assert _path_digest(batch) == _path_digest(solo)
     if model is STIFF_MODEL:
         assert min(r.diagnostics.min_component for r in solo) < 0.0
+
+
+SCENARIO = ScenarioConfig(grid=GRID, generator=Q, arrival_rate=4.0, noise=NOISE,
+                          initial_belief=PRIOR, horizon=1.0, seed=7, ode_step=0.02)
+
+
+@pytest.mark.parametrize("n_paths", [4, 40], ids=["solo", "lockstep"])
+def test_a_scenario_runs_as_its_own_market(n_paths):
+    """A ScenarioConfig is a MarketModel: passed where a model goes, its
+    paths equal those of the market built from its five fields."""
+    assert SCENARIO.model() is SCENARIO and isinstance(SCENARIO, MarketModel)
+    market = MarketModel(SCENARIO.grid, SCENARIO.generator, SCENARIO.arrival_rate,
+                         SCENARIO.noise, SCENARIO.initial_belief)
+    runs = [simulate_paths(m, SCENARIO.horizon, SCENARIO.sim_config(), seed=SCENARIO.seed,
+                           n_paths=n_paths) for m in (SCENARIO, market)]
+    assert _path_digest(runs[0]) == _path_digest(runs[1])
+
+
+def test_a_scenario_checks_its_fields_before_the_market_sizes():
+    wrong = Belief([0.2, 0.3, 0.5])
+    with pytest.raises(ConfigError, match=r"^lambda: must be nonnegative, got -1.0$"):
+        replace(SCENARIO, arrival_rate=-1.0, initial_belief=wrong)
+    with pytest.raises(ConfigError, match=r"^initial belief length does not match the grid$"):
+        replace(SCENARIO, initial_belief=wrong)
 
 
 def _two_point_model(grid, q, noise):

@@ -90,6 +90,16 @@ def test_transition_matrix_matches_reference():
             np.testing.assert_allclose(got, expm_reference(q * dt), atol=1e-10)
 
 
+@pytest.mark.parametrize("dt, message", [
+    (float("nan"), "must be finite, got nan"),
+    (float("inf"), "must be finite, got inf"),
+    (-1.0, "must be nonnegative, got -1.0"),
+])
+def test_transition_matrix_refuses_a_bad_dt(dt, message):
+    with pytest.raises(ConfigError, match=f"^dt: {message}$"):
+        transition_matrix(MODEL2.generator.rates, dt)
+
+
 def test_transition_matrix_rows_stay_stochastic():
     q = np.array([[-2.0, 1.5, 0.5], [0.3, -0.6, 0.3], [1.0, 2.0, -3.0]])
     p = transition_matrix(q, 2.5)
@@ -241,7 +251,7 @@ def test_filter_check_sees_the_engine_step():
     max_l1 = []
     for ode_step in (0.02, 0.25, 1.0):
         run = replace(cfg, ode_step=ode_step)
-        entry = verification._filter_check(run, run.model(), 0.0, False)
+        entry = verification._filter_check(run, 0.0, False)
         assert entry["ode_step"] == ode_step
         assert entry["status"] == "pass"
         max_l1.append(entry["max_l1"])
@@ -594,10 +604,11 @@ def test_intensity_check_skips_trials_no_path_can_hold():
     needs about 2e12 arrivals per trial for 30 trades: past
     MAX_EXPECTED_ARRIVALS, so verify's intensity check is skipped, as it is
     for a side that cannot trade at all."""
-    thin = replace(MODEL2, noise=Logistic(0.01))
+    thin = ScenarioConfig(MODEL2.grid, MODEL2.generator, MODEL2.arrival_rate, Logistic(0.01),
+                          MODEL2.initial_belief, horizon=1.0, seed=0)
     with pytest.raises(InsufficientData, match=r"^30 trades on the thinner side need "
                        r"[\d.e+]+ expected arrivals per trial, above 1e\+06$"):
-        verification._intensity_check(thin, seed=0)
+        verification._intensity_check(thin)
 
 
 def test_intensity_refuses_a_fractional_seed():
