@@ -197,7 +197,9 @@ def path_streams(seed: int, offset: int):
 
 # A path keeps each arrival as an event of about 0.6 kB and draws each jump
 # of the value chain in a Python loop, so an expected count of either above
-# this is refused. ARRIVAL_CHUNK caps one draw of gaps; numpy's Generator
+# this is refused. A sampled path's grid of horizon / sample_dt rows is held
+# to the same bound: each row costs a quote solve and keeps a belief row, as
+# an arrival does. ARRIVAL_CHUNK caps one draw of gaps; numpy's Generator
 # draws the same gaps however they are chunked.
 MAX_EXPECTED_ARRIVALS = 1e6
 ARRIVAL_CHUNK = 1 << 16
@@ -266,13 +268,12 @@ def sample_arrival_times(
     t = 0.0
     chunk = min(max(16, int(lam * horizon * 1.5)), ARRIVAL_CHUNK)
     while True:
-        # cumsum adds in order, so each time is the running sum of its gaps
-        times = np.cumsum(np.concatenate(([t], rng.exponential(1.0 / lam, size=chunk))))[1:]
-        end = int(np.searchsorted(times, horizon))
-        out.append(times[:end])
-        if end < chunk:
-            return np.concatenate(out)
-        t = float(times[-1])
+        gaps = rng.exponential(1.0 / lam, size=chunk)
+        for g in gaps:
+            t += g
+            if t >= horizon:
+                return np.array(out)
+            out.append(t)
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,9 @@ Everything here is deliberately written from different formulas (or a
 different library) than the production code it checks: a series/continued-
 fraction erfc in arbitrary precision, a bisection fixed-point solver, the
 scipy matrix exponential, and a plain Kolmogorov-Smirnov statistic. The
-exception is three scalar rules that the package now takes as arrays, kept
-here in their scalar form: the dense output of an RK4 step, the times of a
-path's sample rows and the running sum of its arrival gaps, which the array
-forms must equal bit for bit.
+exception is two scalar rules that the package now takes as arrays, kept
+here in their scalar form: the dense output of an RK4 step and the times of
+a path's sample rows, which the array forms must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -116,19 +115,6 @@ def hermite_reference(s, h, p0, k0, p1, k1):
         p = [v if v > 0.0 else 0.0 for v in p]
         total = sum(p)
     return [v / total for v in p]
-
-
-def arrival_times_reference(lam, horizon, rng, chunk):
-    """Poisson arrival times on (0, horizon), the exponential gaps drawn
-    chunk at a time and added one by one."""
-    out = []
-    t = 0.0
-    while True:
-        for g in rng.exponential(1.0 / lam, size=chunk):
-            t += g
-            if t >= horizon:
-                return np.array(out)
-            out.append(t)
 
 
 def sample_times_reference(arrivals, sample_dt, horizon):

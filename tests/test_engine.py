@@ -54,13 +54,7 @@ from gmsim.noise import (
     check_gm_condition,
 )
 
-from oracles import (
-    arrival_times_reference,
-    expm_reference,
-    hermite_reference,
-    ks_statistic,
-    sample_times_reference,
-)
+from oracles import expm_reference, hermite_reference, ks_statistic, sample_times_reference
 
 GRID = StateGrid([0.0, 1.0])
 Q = GeneratorMatrix([[-0.5, 0.5], [0.8, -0.8]])
@@ -167,24 +161,6 @@ def test_arrival_times_do_not_depend_on_the_draw_chunk(monkeypatch):
     monkeypatch.setattr(gmsim.engine, "ARRIVAL_CHUNK", 16)
     chunked = sample_arrival_times(50.0, 200.0, np.random.default_rng(4))
     assert len(whole) > 9000 and np.array_equal(chunked, whole)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.3, 500.0), st.floats(0.5, 4.0), st.integers(0, 2**32),
-       st.sampled_from([16, 64, gmsim.engine.ARRIVAL_CHUNK]))
-@example(lam=3.0, horizon=2.0, seed=1, chunk=gmsim.engine.ARRIVAL_CHUNK)
-@example(lam=1000.0, horizon=200.0, seed=2, chunk=gmsim.engine.ARRIVAL_CHUNK)
-def test_arrival_times_are_the_running_sum_of_the_gaps(lam, horizon, seed, chunk):
-    """The arrival times equal the gaps added one by one, bit for bit, over
-    one draw chunk or several (the 2e5 expected arrivals of the second
-    example span four ARRIVAL_CHUNKs)."""
-    expected = lam * horizon
-    first = min(max(16, int(expected * 1.5)), chunk)
-    want = arrival_times_reference(lam, horizon, np.random.default_rng(seed), first)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gmsim.engine, "ARRIVAL_CHUNK", chunk)
-        got = sample_arrival_times(lam, horizon, np.random.default_rng(seed))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lam, horizon", [(1e21, 0.3), (2e6, 0.5000001), (1e300, 1e300)])
