@@ -204,24 +204,16 @@ class _FilterKernel:
     def drift(self, probs, ask, bid):
         """Right-hand side of the no-trade filter ODE at the given quotes."""
         lam = self.lam
-        n = len(probs)
-        if lam > 0.0:
-            a = [self.cdf(bid - x) + self.survival(ask - x) for x in self.xs]
-            a_bar = 0.0
-            for p, ai in zip(probs, a):
-                a_bar += p * ai
-        out = [0.0] * n
-        for i in range(n):
+        a = [self.cdf(bid - x) + self.survival(ask - x) for x in self.xs]
+        a_bar = 0.0
+        for p, ai in zip(probs, a):
+            a_bar += p * ai
+        out = []
+        for pi, ai, col in zip(probs, a, self.q_cols):
             kol = 0.0
-            col = self.q_cols[i]
-            for j in range(n):
-                pj = probs[j]
-                if pj != 0.0:
-                    kol += pj * col[j]
-            if lam > 0.0:
-                out[i] = lam * probs[i] * (a_bar - a[i]) + kol
-            else:
-                out[i] = kol
+            for pj, qji in zip(probs, col):
+                kol += pj * qji
+            out.append(lam * pi * (a_bar - ai) + kol)
         return out
 
     def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0, trail=None):
@@ -234,16 +226,15 @@ class _FilterKernel:
 
         trail, when given, is a list that gets (belief, drift, ask, bid) at
         the segment's start and after each step: the clamped belief, the
-        drift at it and the quotes solved there (with lam = 0, the segment's
-        first). Each step-end drift is the next step's first; only the last
-        step's is extra, and only with a trail."""
+        drift at it and the quotes solved there. Each step-end drift is the
+        next step's first; only the last step's is extra, and only with a
+        trail."""
         if dt <= 0.0:
             return probs, ask, bid
         n_steps, h = segment(dt, ode_step)
         n = len(probs)
         p = probs
         drift, quotes = self.drift, self.quotes
-        informative = self.lam > 0.0  # with lam = 0 the quotes never enter the drift
         sixth = h / 6.0
         steps = (0.5 * h, 0.5 * h, h)
         k1 = drift(p, ask + ask_shift, bid)
@@ -254,8 +245,7 @@ class _FilterKernel:
             ks = []
             for step in steps:
                 stage = [p[i] + step * k[i] for i in range(n)]
-                if informative:
-                    ask, bid = quotes(stage, ask, bid)
+                ask, bid = quotes(stage, ask, bid)
                 k = drift(stage, ask + ask_shift, bid)
                 ks.append(k)
             k2, k3, k4 = ks
@@ -264,14 +254,11 @@ class _FilterKernel:
             p, sum_error, low = _onto_simplex(p)
             diag.absorb(sum_error, low)
 
-            if informative:
-                ask, bid = quotes(p, ask, bid)
+            ask, bid = quotes(p, ask, bid)
             if j + 1 < n_steps or trail is not None:
                 k1 = drift(p, ask + ask_shift, bid)
                 if trail is not None:
                     trail.append((p, k1, ask, bid))
-        if not informative:
-            ask, bid = quotes(p, ask, bid)
         return p, ask, bid
 
     # The same arithmetic on a batch: probs is an (rows, n) array, ask, bid
@@ -294,10 +281,8 @@ class _FilterKernel:
 
     def drift_rows(self, probs, ask, bid):
         """drift() for every row, with the stacked tails at (ask, bid) it
-        used (None without arrivals, where the quotes do not enter)."""
+        used."""
         kol = _column_sum(probs[:, :, None] * self.q_rows)
-        if not self.lam > 0.0:
-            return kol, None
         n = len(probs)
         tails = self.side_tails_grid(np.concatenate((ask, bid))[:, None] - self.xs_row,
                                      _signs(n, n))
@@ -307,14 +292,12 @@ class _FilterKernel:
 
     def step_rows(self, probs, ask, bid, h, ask_shift=0.0):
         """One RK4 step of integrate() for every row, row r with step h[r],
-        including the clamp and renormalisation and, with arrivals, the
-        quotes at the new belief. Returns (probs, ask, bid, sum_error, low):
-        sum_error and low are what integrate() hands
-        SimplexDiagnostics.absorb. Each quote solve starts from the quotes
-        the drift before it saw, so without an ask shift it reuses that
-        drift's tails."""
+        including the clamp and renormalisation and the quotes at the new
+        belief. Returns (probs, ask, bid, sum_error, low): sum_error and low
+        are what integrate() hands SimplexDiagnostics.absorb. Each quote
+        solve starts from the quotes the drift before it saw, so without an
+        ask shift it reuses that drift's tails."""
         drift, quotes = self.drift_rows, self.quotes_rows
-        informative = self.lam > 0.0
         reuse = ask_shift == 0.0
         half = 0.5 * h
         k1, tails = drift(probs, ask + ask_shift, bid)
@@ -322,8 +305,7 @@ class _FilterKernel:
         ks = []
         for step in (half, half, h):
             stage = probs + step[:, None] * k
-            if informative:
-                ask, bid = quotes(stage, ask, bid, tails if reuse else None)
+            ask, bid = quotes(stage, ask, bid, tails if reuse else None)
             k, tails = drift(stage, ask + ask_shift, bid)
             ks.append(k)
         k2, k3, k4 = ks
@@ -331,8 +313,7 @@ class _FilterKernel:
         p = probs + (h / 6.0)[:, None] * (k1 + 2.0 * (k2 + k3) + k4)
         p, sum_error, low = _onto_simplex_rows(p)
 
-        if informative:
-            ask, bid = quotes(p, ask, bid, tails if reuse else None)
+        ask, bid = quotes(p, ask, bid, tails if reuse else None)
         return p, ask, bid, sum_error, low
 
 

@@ -54,8 +54,10 @@ class StateGrid:
             raise ConfigError("state grid needs at least two values")
         if not np.all(np.isfinite(arr)):
             raise ConfigError("state grid values must be finite")
-        if not np.all(np.diff(arr) > 0):
+        if not np.all(arr[1:] > arr[:-1]):
             raise ConfigError("state grid values must be strictly increasing")
+        if not math.isfinite(float(arr[-1]) - float(arr[0])):
+            raise ConfigError("state grid width x_n - x_1 must be finite, got inf")
         object.__setattr__(self, "values", _frozen_array(arr))
 
     @property
@@ -170,17 +172,22 @@ class GeneratorMatrix:
         off = arr - np.diag(np.diag(arr))
         if np.any(off < 0.0):
             raise ConfigError("generator off-diagonal rates must be >= 0")
-        diag = np.diag(arr)
-        if np.any(diag != 0.0):
-            scale = max(1.0, float(np.abs(arr).max()))
+        with np.errstate(over="ignore"):  # a sum that overflows is refused below
+            exits = off.sum(axis=1)
             row_sums = arr.sum(axis=1)
+        if not np.all(np.isfinite(exits)):
+            row = int(np.argmin(np.isfinite(exits)))
+            raise ConfigError(f"generator row {row}: its exit rate, the sum of its "
+                              "off-diagonal rates, overflows to inf")
+        if np.any(np.diag(arr) != 0.0):
+            scale = max(1.0, float(np.abs(arr).max()))
             if np.any(np.abs(row_sums) > ROW_SUM_TOL * scale):
                 worst = int(np.argmax(np.abs(row_sums)))
                 raise ConfigError(
                     f"generator row {worst} sums to {row_sums[worst]:.3e}, not 0"
                 )
         out = off.copy()
-        out[np.arange(n), np.arange(n)] = -off.sum(axis=1)
+        out[np.arange(n), np.arange(n)] = -exits
         object.__setattr__(self, "rates", _frozen_array(out))
 
     @property

@@ -138,11 +138,6 @@ class PathRecord:
     def n_trades(self) -> int:
         return self.n_buys + self.n_sells
 
-    def trade_profits(self, outcome: Outcome) -> np.ndarray:
-        return np.array(
-            [e.profit for e in self.events if e.outcome is outcome], dtype=float
-        )
-
 
 # --------------------------------------------------------------------------
 # Random elements
@@ -601,8 +596,6 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
             probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
             steps -= 1
             due = np.flatnonzero(steps == 0)
-            if due.size and not kernel.lam > 0.0:  # integrate() solves once, at the end
-                ask[due], bid[due] = kernel.quotes_rows(probs[due], ask[due], bid[due])
         except (ZeroBuyProbability, ZeroSellProbability) as exc:
             _blame_the_step(exc, model, ode_step)
             raise

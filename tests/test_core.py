@@ -42,6 +42,14 @@ def test_state_grid_validation():
         StateGrid([0.0, np.inf])
 
 
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+def test_state_grid_refuses_a_width_beyond_the_largest_float(values):
+    """Finite values whose width x_n - x_1 overflows are refused as a
+    ConfigError, with no numpy overflow warning before it."""
+    with pytest.raises(ConfigError, match="width"):
+        StateGrid(values)
+
+
 def test_belief_renormalizes_exactly():
     belief = Belief([2.0, 6.0])
     assert np.allclose(belief.probs, [0.25, 0.75])
@@ -90,6 +98,18 @@ def test_generator_accepts_consistent_diagonals():
 def test_generator_rejects_bad_row_sums():
     with pytest.raises(ConfigError, match="row"):
         GeneratorMatrix([[-0.5, 0.3], [0.7, -0.7]])
+
+
+@pytest.mark.parametrize("rates, row", [
+    ([[0.0, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0),
+    ([[-1e308, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 0),
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]], 2),
+], ids=["zero_diagonal", "given_diagonal", "last_row"])
+def test_generator_refuses_an_exit_rate_beyond_the_largest_float(rates, row):
+    """Finite rates whose off-diagonal row sum overflows are refused as a
+    ConfigError naming the row, with no numpy overflow warning before it."""
+    with pytest.raises(ConfigError, match=f"row {row}: its exit rate"):
+        GeneratorMatrix(rates)
 
 
 def test_generator_rejects_negative_rates():
