@@ -89,8 +89,9 @@ class SimplexDiagnostics:
 
 
 def segment(dt, ode_step):
-    """(n_steps, h) for dt > 0 of trade-free time, in both engines: the
-    fewest equal RK4 steps h = dt / n_steps no longer than ode_step."""
+    """(n_steps, h) for dt >= 0 of trade-free time, in both engines: the
+    fewest equal RK4 steps h = dt / n_steps no longer than ode_step, at
+    least one, so dt = 0 gives one step of length 0."""
     n_steps = max(1, math.ceil(dt / ode_step))
     return n_steps, dt / n_steps
 
@@ -217,10 +218,11 @@ class _FilterKernel:
         return out
 
     def integrate(self, probs, dt, ask, bid, ode_step, diag, ask_shift=0.0, trail=None):
-        """Advance the filter ODE by dt. probs is consumed and a new list is
-        returned along with the fixed-point quotes at the terminal belief.
-        ask/bid must be the fixed points at the initial belief. ask_shift is
-        added to the ask inside the drift only (a maker posting
+        """Advance the filter ODE by dt >= 0 in segment(dt, ode_step)'s
+        steps, one step of length 0 when dt = 0. probs is consumed and a new
+        list is returned along with the fixed-point quotes at the terminal
+        belief. ask/bid must be the fixed points at the initial belief.
+        ask_shift is added to the ask inside the drift only (a maker posting
         off-equilibrium asks still conditions on the prices actually
         quoted); the solved and returned quotes stay unshifted.
 
@@ -229,8 +231,6 @@ class _FilterKernel:
         drift at it and the quotes solved there. Each step-end drift is the
         next step's first; only the last step's is extra, and only with a
         trail."""
-        if dt <= 0.0:
-            return probs, ask, bid
         n_steps, h = segment(dt, ode_step)
         n = len(probs)
         p = probs

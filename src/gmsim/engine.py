@@ -407,9 +407,9 @@ class _Path:
 
     def next_segment(self, ode_step):
         """Move on to the next stop. Returns the segment to it, (n_steps, h)
-        as _FilterKernel.integrate steps it; n_steps = 0 when the stop lies
-        no time past the last one, and None after the last stop. On a
-        sampled path, takes the segment's sample times, those strictly
+        as _FilterKernel.integrate steps it (one step of length 0 when the
+        stop lies no time past the last one), and None after the last stop.
+        On a sampled path, takes the segment's sample times, those strictly
         between the two stops, and opens a trail if there are any."""
         self.trail = None
         if self.pending is not None:
@@ -418,8 +418,6 @@ class _Path:
         if self.pending is None:
             return None
         t_prev, t_stop = self.t_prev, self.pending[0]
-        if not t_stop > t_prev:
-            return 0, 0.0
         self.n_steps, self.h = segment(t_stop - t_prev, ode_step)
         if self.sampled:
             times = self.sample_times
@@ -535,30 +533,19 @@ def simulate_gmps_path(
     return path.finish()
 
 
-def _next_segments(live, rows, steps, h, ode_step):
-    """Set steps and h of every row in rows to its path's next segment,
-    steps 0 after the last stop. Returns the rows whose next stop lies no
-    time ahead, which are due at once."""
-    due = []
-    for r in rows.tolist():
-        segment = live[r].next_segment(ode_step)
-        steps[r], h[r] = (0, 0.0) if segment is None else segment
-        if segment is not None and segment[0] == 0:
-            due.append(r)
-    return np.array(due, dtype=np.int64)
-
-
 def _simulate_lockstep(model, horizon, config, seed, n_paths):
     """simulate_paths with the paths advancing together; unsampled batches only.
 
     Each unfinished path is one row of a (probs, ask, bid) array with its
     own step h and remaining step count; a tick is one
-    _FilterKernel.step_rows over every row. Each row whose segment ends
-    takes its stop through the solo engine's scalar _Path.stop, and then its
-    next segment. Every path equals its solo run bit for bit. A failing batch
-    raises an error that one of its failing paths raises solo, where the
-    solo runs one by one raise the lowest failing offset's: the same error
-    whenever every failing path fails the same way.
+    _FilterKernel.step_rows over every row, a segment of no time one step
+    of length 0. After each tick, each row whose steps reached 0 takes its
+    stop through the solo engine's scalar _Path.stop, and then its next
+    segment; a row past its last stop leaves the batch. Every path equals
+    its solo run bit for bit. A failing batch raises an error that one of
+    its failing paths raises solo, where the solo runs one by one raise the
+    lowest failing offset's: the same error whenever every failing path
+    fails the same way.
     """
     kernel, probs0, ask0, bid0 = _start(model, horizon, config, seed)
     ode_step = config.ode_step
@@ -568,19 +555,23 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
     probs = np.array([probs0] * n_paths)
     ask = np.full(n_paths, ask0)
     bid = np.full(n_paths, bid0)
-    steps = np.zeros(n_paths, dtype=np.int64)
-    h = np.zeros(n_paths)
+    steps, h = map(np.array, zip(*(path.next_segment(ode_step) for path in paths)))
     sum_error = np.zeros(n_paths)
     low = np.zeros(n_paths)
     perturb = paths[0].perturb
-    due = _next_segments(live, np.arange(n_paths), steps, h, ode_step)
-    while True:
-        while due.size:
-            for r in due.tolist():
-                probs[r], ask[r], bid[r] = live[r].stop(
-                    probs[r].tolist(), float(ask[r]), float(bid[r])
-                )
-            due = _next_segments(live, due, steps, h, ode_step)
+    while live:
+        try:
+            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
+        except (ZeroBuyProbability, ZeroSellProbability) as exc:
+            _blame_the_step(exc, model, ode_step)
+            raise
+        np.fmax(sum_error, err, out=sum_error)
+        np.fmin(low, lo, out=low)
+        steps -= 1
+        for r in np.flatnonzero(steps == 0).tolist():
+            path = live[r]
+            probs[r], ask[r], bid[r] = path.stop(probs[r].tolist(), float(ask[r]), float(bid[r]))
+            steps[r], h[r] = path.next_segment(ode_step) or (0, 0.0)
         done = steps == 0
         if done.any():
             for r in np.flatnonzero(done).tolist():
@@ -590,17 +581,7 @@ def _simulate_lockstep(model, horizon, config, seed, n_paths):
             probs, ask, bid, steps, h, sum_error, low = (
                 v[keep] for v in (probs, ask, bid, steps, h, sum_error, low)
             )
-        if not live:
-            return [path.finish() for path in paths]
-        try:
-            probs, ask, bid, err, lo = kernel.step_rows(probs, ask, bid, h, perturb)
-            steps -= 1
-            due = np.flatnonzero(steps == 0)
-        except (ZeroBuyProbability, ZeroSellProbability) as exc:
-            _blame_the_step(exc, model, ode_step)
-            raise
-        np.fmax(sum_error, err, out=sum_error)
-        np.fmin(low, lo, out=low)
+    return [path.finish() for path in paths]
 
 
 # Unsampled batches of at least this many paths run the lockstep engine;

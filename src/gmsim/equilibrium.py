@@ -77,10 +77,9 @@ def _conditional_mean(s, xs, probs, tail, no_mass):
     num = 0.0
     den = 0.0
     for x, p in zip(xs, probs):
-        if p != 0.0:
-            w = p * tail(s - x)
-            num += w * x
-            den += w
+        w = p * tail(s - x)
+        num += w * x
+        den += w
     if den <= 0.0:
         raise no_mass(f"no trade mass at price {s}")
     return num / den
@@ -129,17 +128,16 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0
 
 def _conditional_mean_terms(s, xs, probs, tail, no_mass):
     """_conditional_mean, bit for bit, with its denominator and the terms
-    (x, p, tail(s - x)) of the states it summed."""
+    (x, p, tail(s - x)) of every state."""
     num = 0.0
     den = 0.0
     terms = []
     for x, p in zip(xs, probs):
-        if p != 0.0:
-            f = tail(s - x)
-            w = p * f
-            num += w * x
-            den += w
-            terms.append((x, p, f))
+        f = tail(s - x)
+        w = p * f
+        num += w * x
+        den += w
+        terms.append((x, p, f))
     if den <= 0.0:
         raise no_mass(f"no trade mass at price {s}")
     return num / den, den, terms
@@ -160,10 +158,7 @@ def _newton(s, g, dg, lo, hi):
 def _column_sum(m):
     """Sum each row of m over its columns (its second axis) in state order,
     starting from +0.0. This is the row form of the scalar loops'
-    `total = 0.0; total += v`, and it equals them bit for bit. Where a
-    scalar loop skips a zero-probability state, the row adds that state's
-    zero term, which leaves the sum unchanged: +0.0 plus -0.0 is +0.0, so a
-    sum of zeros stays +0.0, as in the scalar loop."""
+    `total = 0.0; total += v`, and it equals them bit for bit."""
     total = 0.0 + m[:, 0]
     for i in range(1, m.shape[1]):
         total = total + m[:, i]
@@ -400,21 +395,16 @@ def find_fixed_points(
     roots: list[float] = []
 
     def push(candidate):
-        for r in roots:
-            if abs(r - candidate) <= max(10 * ROOT_TOL, 1e-9 * scale):
-                return
-        roots.append(candidate)
+        if all(abs(r - candidate) > max(10 * ROOT_TOL, 1e-9 * scale) for r in roots):
+            roots.append(candidate)
 
-    prev_s = lo
-    prev_r = residual(lo)
-    if prev_r == 0.0:
-        push(lo)
-    for i in range(1, ROOT_SCAN_POINTS):
+    prev_s, prev_r = lo, math.nan  # a nan residual brackets nothing: nan * r < 0 is False
+    for i in range(ROOT_SCAN_POINTS):
         s = lo + i * step if i < ROOT_SCAN_POINTS - 1 else hi
         r = residual(s)
         if r == 0.0:
             push(s)
-        elif not (math.isnan(r) or math.isnan(prev_r)) and prev_r * r < 0.0:
+        elif prev_r * r < 0.0:
             a, b = prev_s, s
             ra = prev_r
             while b - a > 1e-3 * ROOT_TOL:

@@ -322,6 +322,8 @@ def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
             f"{type(noise).__name__} is static-only"
         )
     check_number("width", width, "positive")
+    if not math.isfinite(2.0 * float(width)):
+        raise ConfigError(f"width: the scan interval [-width, width] overflows, got {width!r}")
 
     ys = np.linspace(-width, width, CONDITION_GRID_POINTS)
     sv = noise.survival_grid(ys)

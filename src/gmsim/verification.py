@@ -228,32 +228,27 @@ def oracle_filter(
     p_mats = [transition_matrix(model.generator.rates, float(dt)) for dt in lengths]
     chain = [p_mats[i] for i in length_of]
 
-    factors = np.ones((m, n))
-    if lam > 0.0:
-        idx = np.maximum(np.searchsorted(logged_t, starts + 1e-12) - 1, 0)
-        # in blocks of sub-steps, so the tails' temporaries stay small
-        for lo in range(0, m, REPLAY_BLOCK):
-            block = idx[lo:lo + REPLAY_BLOCK]
-            size = len(block)
-            prices = np.concatenate(
-                [record.sample_asks[block, None] - xs, record.sample_bids[block, None] - xs]
-            )
-            tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
-            rate = tails[:size] + tails[size:]
-            factors[lo:lo + size] = np.exp(-lam * rate * dts[lo:lo + size, None])
+    factors = np.empty((m, n))  # exp(-lam * rate * dt), exactly 1.0 where lam = 0
+    idx = np.maximum(np.searchsorted(logged_t, starts + 1e-12) - 1, 0)
+    # in blocks of sub-steps, so the tails' temporaries stay small
+    for lo in range(0, m, REPLAY_BLOCK):
+        block = idx[lo:lo + REPLAY_BLOCK]
+        size = len(block)
+        prices = np.concatenate(
+            [record.sample_asks[block, None] - xs, record.sample_bids[block, None] - xs]
+        )
+        tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
+        rate = tails[:size] + tails[size:]
+        factors[lo:lo + size] = np.exp(-lam * rate * dts[lo:lo + size, None])
 
     # one event per time: the last one logged there
     events_at = {e.t: e for e in record.events}
     trades = [e for e in events_at.values() if e.outcome is not Outcome.NO_TRADE]
-    jump_at = {}
-    if trades:
-        buys = np.array([e.outcome is Outcome.BUY for e in trades])
-        prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
-        weights = noise.side_tails_grid(
-            prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None]
-        )
-        rows = np.searchsorted(checkpoints, [e.t for e in trades])
-        jump_at = {int(k): (e, w) for k, e, w in zip(rows, trades, weights)}
+    buys = np.array([e.outcome is Outcome.BUY for e in trades])
+    prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
+    weights = noise.side_tails_grid(prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None])
+    rows = np.searchsorted(checkpoints, [e.t for e in trades])
+    jump_at = {int(k): (e, w) for k, e, w in zip(rows, trades, weights)}
 
     beliefs = np.empty((m + 1, n))
     belief = model.initial_belief.probs

@@ -616,10 +616,12 @@ def test_commands_run_without_scipy(command, verdict, write_scenario):
     ({"generator": [[0.0, 1.0e308, 1.0e308], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
       "states": [0.0, 0.5, 1.0], "initial_belief": [0.4, 0.3, 0.3]},
      "error: generator: generator row 0: its exit rate"),
-], ids=["states", "generator"])
+    ({"states": [-1.0e308, 0.0]}, "error: width: the scan interval [-width, width] overflows"),
+], ids=["states", "generator", "scan_interval"])
 def test_overflowing_scenario_prints_only_its_error_line(override, message, write_scenario):
-    """A scenario whose grid width or exit rate overflows exits 2, and
-    stderr holds the one error line: no numpy warning comes before it."""
+    """A scenario whose grid width, exit rate or admissibility scan
+    interval [-width, width] overflows exits 2, and stderr holds the one
+    error line: no numpy warning or traceback comes before it."""
     proc = run_python("-m", "gmsim.cli", "check", "--config", write_scenario(**override))
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -23,6 +23,7 @@ from gmsim.beliefs import (
 from gmsim.config import ScenarioConfig
 from gmsim.core import Belief, GeneratorMatrix, Quote, StateGrid
 from gmsim.engine import (
+    LOCKSTEP_MIN_PATHS,
     MarketModel,
     Outcome,
     SimConfig,
@@ -508,11 +509,9 @@ def test_sample_times_equal_the_stop_by_stop_rule(schedule):
     assert [t.hex() for t in got] == [t.hex() for t in sample_times_reference(*schedule)]
 
 
-def test_equal_arrivals_keep_their_time_once_per_stop(monkeypatch):
-    """Two arrivals at one float make a segment of no time. Their time is a
-    sample row once per stop, each the state after that stop, and the
-    segment after them does not read it again; the events are the
-    unsampled run's."""
+def _double_the_third_arrival(monkeypatch):
+    """Make every path's third arrival two arrivals at one float, so the
+    segment between them takes no time."""
     draw = gmsim.engine.sample_arrival_times
 
     def doubled(lam, horizon, rng):
@@ -520,6 +519,14 @@ def test_equal_arrivals_keep_their_time_once_per_stop(monkeypatch):
         return np.insert(times, 2, times[2])
 
     monkeypatch.setattr(gmsim.engine, "sample_arrival_times", doubled)
+
+
+def test_equal_arrivals_keep_their_time_once_per_stop(monkeypatch):
+    """Two arrivals at one float make a segment of no time. Their time is a
+    sample row once per stop, each the state after that stop, and the
+    segment after them does not read it again; the events are the
+    unsampled run's."""
+    _double_the_third_arrival(monkeypatch)
     cfg = SimConfig(ode_step=0.02)
     unsampled = simulate_gmps_path(MODEL, 3.0, cfg, seed=42)
     events = unsampled.events
@@ -531,6 +538,20 @@ def test_equal_arrivals_keep_their_time_once_per_stop(monkeypatch):
     assert np.array_equal(sampled.sample_beliefs[at[0]], events[2].belief_after)
     assert np.array_equal(sampled.sample_beliefs[at[1]], events[3].belief_after)
     assert np.count_nonzero(np.diff(sampled.sample_times) <= 0) == 1
+
+
+def test_lockstep_steps_a_segment_of_no_time_as_the_solo_run(monkeypatch):
+    """A lockstep batch whose paths each meet two arrivals at one float
+    takes the segment of no time between them as one RK4 step of length 0,
+    as each solo run does: events, beliefs and SimplexDiagnostics equal the
+    solo runs' bit for bit."""
+    _double_the_third_arrival(monkeypatch)
+    cfg = SimConfig(ode_step=0.02)
+    batch = gmsim.engine._simulate_lockstep(MODEL, 3.0, cfg, 42, LOCKSTEP_MIN_PATHS)
+    solo = [simulate_gmps_path(MODEL, 3.0, cfg, seed=42, offset=k)
+            for k in range(LOCKSTEP_MIN_PATHS)]
+    assert all(r.events[2].t == r.events[3].t for r in batch)
+    assert _path_digest(batch) == _path_digest(solo)
 
 
 def test_sampled_values_follow_the_chain():

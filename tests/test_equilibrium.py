@@ -515,6 +515,20 @@ def test_scan_agrees_with_picard_for_contractive_map():
     assert bid_roots[0] == pytest.approx(solve_bid(HALF, UNIT_GRID, LOGI), abs=1e-10)
 
 
+@pytest.mark.parametrize("grid, noise", [
+    (UNIT_GRID, LOGI),
+    (StateGrid([-1.0, 0.5, 2.0]), Gaussian(1.0)),
+], ids=["logistic", "gaussian"])
+def test_scan_finds_roots_on_its_first_and_last_points(grid, noise):
+    """A point-mass belief on x_1 (or x_n) has g(s) = x_1 (or x_n) on both
+    sides, so its one root is the scan's first (or last) point."""
+    for k in (0, grid.n - 1):
+        belief = Belief(np.eye(grid.n)[k])
+        for buy_side in (True, False):
+            roots = find_fixed_points(belief, grid, noise, buy_side=buy_side)
+            assert roots == [grid.values[k]]
+
+
 # --------------------------------------------------------------------------
 # Uniqueness constants
 

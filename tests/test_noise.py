@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,18 @@ def test_gaussian_condition_pass_and_fail():
     report = check_gm_condition(Gaussian(0.3), 1.0)
     assert not report.passes
     assert report.K > 1.0
+
+
+@pytest.mark.parametrize("noise", [Logistic(2.0), Gaussian(1.0e308), Laplace(1.0e308)],
+                         ids=["logistic", "gaussian", "laplace"])
+def test_condition_refuses_a_width_whose_scan_interval_overflows(noise):
+    """A finite width above about 8.99e307 makes [-width, width] overflow:
+    a ConfigError naming the width, before any numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for width in (9.0e307, 1.0e308, np.finfo(float).max):
+            with pytest.raises(ConfigError, match=r"^width: the scan interval"):
+                check_gm_condition(noise, width)
 
 
 def test_condition_refuses_static_families():
