@@ -140,7 +140,7 @@ class Quote:
     bid: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.ask) and np.isfinite(self.bid)):
+        if not (math.isfinite(self.ask) and math.isfinite(self.bid)):
             raise ConfigError("quote prices must be finite")
         if self.bid > self.ask:
             raise ConfigError(f"bid {self.bid} above ask {self.ask}")
@@ -201,13 +201,13 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of the admissibility scan for one (noise, C) pair.
+    """Outcome of the admissibility check for one (noise, C) pair.
 
     K is the smallest constant with -Phi'(y) <= (K/C) * min(Phi(y), Psi(y))
     on [-C, C]; the condition holds when K < 1 and 0 < Phi(0) < 1. M is the
-    largest density value on the same scan grid, reused by the uniqueness
-    constants. phi_at_c_floor is the guaranteed lower bound (1-K) * Phi(0)
-    for Phi(C); it is reported so callers can see the buy-probability margin.
+    density at 0, reused by the uniqueness constants. phi_at_c_floor is the
+    guaranteed lower bound (1-K) * Phi(0) for Phi(C); it is reported so
+    callers can see the buy-probability margin.
     """
 
     K: float
@@ -216,16 +216,16 @@ class ConditionReport:
     phi_at_c: float
     phi_at_c_floor: float
     passes: bool
-    grid_points: int
 
 
 @dataclass(frozen=True)
 class ContractionConstants:
     """Constants of the local-uniqueness estimate for one market model.
 
-    K comes from the admissibility scan, L bounds the belief-sensitivity of
-    the static prices, K1 = 12 * L * n * lam * M bounds the drift mismatch,
-    and quote paths agree on [0, t_star] with t_star = (1-K) / (2*K1).
+    K comes from the admissibility check, M is the density at 0, L bounds
+    the belief-sensitivity of the static prices, K1 = 12 * L * n * lam * M
+    bounds the drift mismatch, and quote paths agree on [0, t_star] with
+    t_star = (1-K) / (2*K1).
     """
 
     K: float

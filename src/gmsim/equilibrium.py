@@ -435,7 +435,7 @@ def contraction_constants(grid: StateGrid, noise: NoiseModel, lam: float) -> Con
 
     K is the contraction modulus of the price maps, L the Lipschitz constant
     of the static prices in the belief (L = 2 * max|x| / Phi(C)^2), M the
-    density peak, K1 = 12 * L * n * lam * M the drift-mismatch rate, and any
+    density at 0, K1 = 12 * L * n * lam * M the drift-mismatch rate, and any
     two solutions of the filter/quote system started together agree on
     [0, t_star] with t_star = (1 - K) / (2 * K1).
     """

@@ -13,9 +13,15 @@ to the tails:
 
     -Phi'(y) <= (K / C) * min(Phi(y), 1 - Phi(y))  on [-C, C],  K < 1,
 
-with C the width of the value grid. check_gm_condition scans that ratio on a
-fixed grid (plus the exact supremum for the logistic family, where
-K = C / scale) and reports the certificate constants used downstream.
+with C the width of the value grid. Each continuous family gives the
+smallest such K and the peak density M in closed form (condition_constants),
+and check_gm_condition reports them. The ratio -Phi' / min(Phi, 1 - Phi) is
+even in y. It is 1/scale for the Laplace and max(Phi, 1 - Phi) / scale <
+1/scale for the logistic, so K = C / scale for both. For the Gaussian it is
+the standard normal hazard phi(z) / (1 - N(z)) over sigma at z = |y| / sigma,
+which increases in z (the inverse Mills ratio; Sampford, Ann. Math. Statist.
+24, 1953), so its supremum sits at y = C. M is the density at 0. Each
+formula divides in steps, so that a scale near 1e308 overflows nothing.
 
 Scalar methods use plain math calls (math.erfc for the Gaussian tail)
 because the simulator evaluates them one price at a time inside tight loops;
@@ -56,8 +62,6 @@ import numpy as np
 from .core import ConditionReport, check_number
 from .errors import ConfigError, GmsimError, NotDifferentiable
 
-CONDITION_GRID_POINTS = 10_001
-
 # --------------------------------------------------------------------------
 # Families
 
@@ -69,7 +73,7 @@ def _elementwise(fn, ys) -> np.ndarray:
 
 
 class NoiseModel:
-    """Common interface: survival Phi, cdf Psi, density, and sampling."""
+    """Common interface: survival Phi, cdf Psi, sampling, certificate K, M."""
 
     static_only = False
 
@@ -79,10 +83,6 @@ class NoiseModel:
 
     def cdf(self, y: float) -> float:
         """Psi(y) = P[eps <= y]."""
-        raise NotImplementedError
-
-    def density(self, y: float) -> float:
-        """-Phi'(y), defined for the continuous families only."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -107,9 +107,10 @@ class NoiseModel:
         sign is -1 (sign broadcasts against ys, one entry per row)."""
         return np.where(sign > 0, self.survival_grid(ys), _elementwise(self.cdf, ys))
 
-    def analytic_condition_constant(self, width: float) -> float | None:
-        """Exact supremum K for the admissibility ratio, where known."""
-        return None
+    def condition_constants(self, width: float) -> tuple[float, float]:
+        """(K, M) of the certificate on [-width, width], in closed form: K as in
+        the module docstring, M the density at 0. Continuous families only."""
+        raise NotImplementedError
 
 
 class _Symmetric(NoiseModel):
@@ -140,10 +141,6 @@ class Logistic(_Symmetric):
             return e / (1.0 + e)
         return 1.0 / (1.0 + math.exp(z))
 
-    def density(self, y: float) -> float:
-        e = math.exp(-abs(y) / self.scale)
-        return e / (self.scale * (1.0 + e) ** 2)
-
     def survival_grid(self, ys):
         with np.errstate(over="ignore"):
             z = np.asarray(ys, dtype=float) / self.scale
@@ -160,10 +157,10 @@ class Logistic(_Symmetric):
     def sample(self, rng, size):
         return rng.logistic(0.0, self.scale, size)
 
-    def analytic_condition_constant(self, width: float) -> float:
+    def condition_constants(self, width: float) -> tuple[float, float]:
         # -Phi' = Phi * (1 - Phi) / scale <= min(Phi, 1 - Phi) / scale,
         # and the bound is approached as |y| grows, so K = C / scale exactly.
-        return width / self.scale
+        return width / self.scale, 0.25 / self.scale
 
 
 @dataclass(frozen=True)
@@ -189,9 +186,12 @@ class Gaussian(_Symmetric):
             z = np.asarray(ys, dtype=float) / self._root2_sigma
         return 0.5 * _elementwise(math.erfc, z)
 
-    def density(self, y: float) -> float:
-        z = y / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+    def condition_constants(self, width: float) -> tuple[float, float]:
+        # z * hazard(z) at z = C / sigma, inf where the tail underflows to 0
+        tail = self.survival(width)
+        z = width / self.sigma
+        hazard = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / tail if tail else math.inf
+        return z * hazard, 1.0 / self.sigma / math.sqrt(2.0 * math.pi)
 
     def sample(self, rng, size):
         return rng.normal(0.0, self.sigma, size)
@@ -212,9 +212,6 @@ class Laplace(_Symmetric):
             return 0.5 * math.exp(-y / self.scale)
         return 1.0 - 0.5 * math.exp(y / self.scale)
 
-    def density(self, y: float) -> float:
-        return math.exp(-abs(y) / self.scale) / (2.0 * self.scale)
-
     def survival_grid(self, ys):
         ys = np.asarray(ys, dtype=float)
         with np.errstate(over="ignore"):
@@ -228,6 +225,9 @@ class Laplace(_Symmetric):
     def slope_grid(self, fs):
         with np.errstate(over="ignore"):
             return np.minimum(fs, 1.0 - fs) / self.scale
+
+    def condition_constants(self, width: float) -> tuple[float, float]:
+        return width / self.scale, 0.5 / self.scale
 
     def sample(self, rng, size):
         return rng.laplace(0.0, self.scale, size)
@@ -264,9 +264,6 @@ class TwoPointDiscrete(NoiseModel):
             return 1.0 - self.prob
         return 1.0
 
-    def density(self, y: float) -> float:
-        raise NotDifferentiable("two-point noise has no density")
-
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.prob, self.value, -self.value)
 
@@ -291,9 +288,6 @@ class NoiseTraderMix(NoiseModel):
     def cdf(self, y: float) -> float:
         return 1.0 - self.buy_prob
 
-    def density(self, y: float) -> float:
-        raise NotDifferentiable("noise-trader mix has no density")
-
     def sample(self, rng, size):
         return np.where(rng.random(size) < self.buy_prob, math.inf, -math.inf)
 
@@ -304,14 +298,13 @@ class NoiseTraderMix(NoiseModel):
 
 @lru_cache(maxsize=None)
 def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
-    """Scan the zero-profit admissibility condition on [-width, width].
+    """The zero-profit admissibility condition on [-width, width].
 
     Returns the certificate constants: the smallest K with
-    -Phi'(y) <= (K / width) * min(Phi(y), 1 - Phi(y)) on the scan grid
-    (replaced by the exact supremum for families that know it), the maximum
-    density M on the same grid, and the tail values Phi(0), Phi(width).
-    The condition passes when K < 1 and 0 < Phi(0) < 1. The scan grid has
-    CONDITION_GRID_POINTS points.
+    -Phi'(y) <= (K / width) * min(Phi(y), 1 - Phi(y)) on [-width, width] and
+    the density at 0, M, both by the family's formula (condition_constants),
+    and the tail values Phi(0), Phi(width). The condition passes when K < 1
+    and 0 < Phi(0) < 1.
 
     Results are cached per (noise, width); the families are frozen, so the
     cache key is a value key.
@@ -325,19 +318,7 @@ def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
     if not math.isfinite(2.0 * float(width)):
         raise ConfigError(f"width: the scan interval [-width, width] overflows, got {width!r}")
 
-    ys = np.linspace(-width, width, CONDITION_GRID_POINTS)
-    sv = noise.survival_grid(ys)
-    dens = _elementwise(noise.density, ys)
-    small_tail = np.minimum(sv, 1.0 - sv)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = dens / small_tail
-    ratio = ratio[~np.isnan(ratio)]  # 0/0 deep in a tail: dominated elsewhere
-    k_value = width * float(ratio.max())
-
-    exact = noise.analytic_condition_constant(width)
-    if exact is not None:
-        k_value = max(k_value, exact)
-
+    k_value, m_value = noise.condition_constants(width)
     phi_zero = noise.survival(0.0)
     phi_c = noise.survival(width)
     floor = (1.0 - k_value) * phi_zero if k_value < 1.0 else 0.0
@@ -348,10 +329,9 @@ def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
         )
     return ConditionReport(
         K=k_value,
-        M=float(dens.max()),
+        M=m_value,
         phi_at_zero=phi_zero,
         phi_at_c=phi_c,
         phi_at_c_floor=floor,
         passes=passes,
-        grid_points=CONDITION_GRID_POINTS,
     )

@@ -3,7 +3,8 @@
 Everything here is deliberately written from different formulas (or a
 different library) than the production code it checks: a series/continued-
 fraction erfc in arbitrary precision, a bisection fixed-point solver, the
-scipy matrix exponential, and a plain Kolmogorov-Smirnov statistic. The
+scipy matrix exponential, the scipy.stats densities and tails of the
+continuous noise families, and a plain Kolmogorov-Smirnov statistic. The
 exception is two scalar rules that the package now takes as arrays, kept
 here in their scalar form: the dense output of an RK4 step and the times of
 a path's sample rows, which the array forms must equal bit for bit.
@@ -16,6 +17,7 @@ import math
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.stats
 
 
 def erfc_reference(x: float) -> float:
@@ -55,6 +57,16 @@ def normal_survival_reference(y: float, sigma: float) -> float:
             mpmath.mpf(0.5)
             * mpmath.mpf(erfc_reference(y / (sigma * np.sqrt(2.0))))
         )
+
+
+def scipy_noise(noise):
+    """The scipy.stats distribution of a continuous gmsim noise family,
+    frozen at its scale: its pdf is -Phi' and its sf is Phi."""
+    name = type(noise).__name__
+    if name == "Gaussian":
+        return scipy.stats.norm(scale=noise.sigma)
+    return {"Logistic": scipy.stats.logistic, "Laplace": scipy.stats.laplace}[name](
+        scale=noise.scale)
 
 
 def bisect_root(func, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):

@@ -628,6 +628,23 @@ def test_overflowing_scenario_prints_only_its_error_line(override, message, writ
     assert proc.stderr.startswith(message), proc.stderr
 
 
+@pytest.mark.parametrize("noise, code, lines", [
+    ({"family": "gaussian", "sigma": 1.0e308}, 1, ["K        = 1.09392181535"]),
+    ({"family": "laplace", "scale": 1.0e308}, 0,
+     ["L        = inf", "K1       = inf", "t_star   = 0", "condition: PASS"]),
+], ids=["gaussian", "laplace"])
+def test_check_at_a_scale_near_the_float_limit(noise, code, lines, write_scenario):
+    """Width 8e307 and scale 1e308: the certificate's formulas overflow no
+    intermediate value, so check gives its verdict (K = 1.0939 fails, K =
+    0.8 passes) and stderr stays empty, warnings as errors included."""
+    cfg = write_scenario(states=[0.0, 8.0e307], noise=noise)
+    proc = run_python("-W", "error", "-m", "gmsim.cli", "check", "--config", cfg)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    for line in lines:
+        assert line in proc.stdout.splitlines(), proc.stdout
+
+
 def test_importing_gmsim_loads_no_scipy():
     proc = run_python("-c", "import sys, gmsim, gmsim.cli; print(sorted("
                       "m for m in sys.modules if m.partition('.')[0] == 'scipy'))")

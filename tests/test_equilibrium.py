@@ -34,7 +34,7 @@ from gmsim.noise import (
     TwoPointDiscrete,
     check_gm_condition,
 )
-from oracles import bisect_root
+from oracles import bisect_root, scipy_noise
 
 TWO_POINT_GRID = StateGrid([1.0, 3.0])
 TWO_POINT_BELIEF = Belief([0.75, 0.25])
@@ -85,11 +85,12 @@ def test_noise_trader_mix_prices_are_prior_mean():
 
 
 def test_sell_mean_matches_quadrature_oracle():
-    """h(0.4) on the unit grid, with Psi rebuilt by integrating the density."""
+    """h(0.4) on the unit grid, with Psi rebuilt by integrating scipy's
+    logistic density."""
 
     def psi_quadrature(y):
         val, err = scipy.integrate.quad(
-            lambda t: LOGI.density(t), -np.inf, y, epsabs=1e-14, epsrel=1e-13
+            scipy_noise(LOGI).pdf, -np.inf, y, epsabs=1e-14, epsrel=1e-13
         )
         assert err < 1e-12
         return val

@@ -1,4 +1,4 @@
-"""Noise families: tail functions, densities, condition scan, sampling."""
+"""Noise families: tail functions, densities, condition certificate, sampling."""
 
 import dataclasses
 import math
@@ -19,7 +19,7 @@ from gmsim.noise import (
     _Symmetric,
     check_gm_condition,
 )
-from oracles import erfc_reference, ks_statistic, normal_survival_reference
+from oracles import erfc_reference, ks_statistic, normal_survival_reference, scipy_noise
 
 CONTINUOUS = [Logistic(2.0), Logistic(0.37), Gaussian(1.0), Gaussian(2.5), Laplace(0.8)]
 
@@ -105,22 +105,25 @@ def test_survival_monotone_nonincreasing(noise):
     ids=["logistic2", "logistic0.6", "gaussian1.3"],
 )
 def test_density_is_minus_survival_slope(noise, f2_bound):
-    """Central difference of Phi equals -density up to the h^2 bound."""
+    """Central difference of Phi equals minus scipy's density up to the h^2
+    bound."""
     h = 1e-4
+    pdf = scipy_noise(noise).pdf
     for y in np.linspace(-3.0, 3.0, 61):
         diff = (noise.survival(y + h) - noise.survival(y - h)) / (2 * h)
-        assert abs(diff + noise.density(y)) <= 10 * h * h * f2_bound
+        assert abs(diff + pdf(y)) <= 10 * h * h * f2_bound
 
 
 def test_laplace_density_slope_away_from_kink():
     noise = Laplace(0.9)
     h = 1e-4
     f2_bound = 1.0 / (2 * 0.9**3)
+    pdf = scipy_noise(noise).pdf
     for y in np.linspace(-3.0, 3.0, 61):
         if abs(y) < 0.05:  # Phi'' jumps at 0; the h^2 bound needs smoothness
             continue
         diff = (noise.survival(y + h) - noise.survival(y - h)) / (2 * h)
-        assert abs(diff + noise.density(y)) <= 10 * h * h * f2_bound
+        assert abs(diff + pdf(y)) <= 10 * h * h * f2_bound
 
 
 @pytest.mark.parametrize(
@@ -193,13 +196,61 @@ def test_laplace_condition_constant_exact():
 
 
 def test_condition_certificate_holds_on_grid():
-    """-Phi' <= (K/C) * min(Phi, 1-Phi) at every scanned point."""
+    """-Phi' <= (K/C) * min(Phi, 1-Phi) at every scanned point, with the
+    family's own tails and scipy's density."""
     for noise, width in [(Logistic(2.0), 1.0), (Gaussian(2.0), 1.0), (Laplace(1.5), 1.0)]:
         report = check_gm_condition(noise, width)
-        ys = np.linspace(-width, width, report.grid_points)
-        dens = np.array([noise.density(y) for y in ys.tolist()])
+        ys = np.linspace(-width, width, 10_001)
+        dens = scipy_noise(noise).pdf(ys)
         small = np.minimum(noise.survival_grid(ys), 1.0 - noise.survival_grid(ys))
         assert np.all(dens <= (report.K / width) * small * (1 + 1e-12))
+
+
+def _scan_ratio(noise, reach, points=100_001):
+    """-Phi'(y) / min(Phi(y), 1 - Phi(y)) by scipy.stats at `points` points
+    of [-reach, reach], the smaller tail taken as the survival at |y| so
+    that no 1 - Phi loses digits. Points whose smaller tail is below the
+    smallest normal float are dropped: a ratio of subnormals or zeros has
+    no digits left. Returns the kept ratios and whether every point was
+    kept."""
+    dist = scipy_noise(noise)
+    ys = np.linspace(-reach, reach, points)
+    with np.errstate(all="ignore"):  # y / scale overflows at a tiny scale
+        small = dist.sf(np.abs(ys))
+        keep = small >= np.finfo(float).tiny
+        return dist.pdf(ys[keep]) / small[keep], bool(keep.all())
+
+
+CERTIFICATE_SCALES = [1e-300, 0.37, 1.0, 2.5, 1e308]
+CERTIFICATE_WIDTHS = [0.25, 1.0, 3.0, 8e307]
+
+
+@pytest.mark.parametrize("family", [Logistic, Gaussian, Laplace], ids=lambda f: f.__name__)
+def test_condition_constants_match_a_dense_scan(family):
+    """The closed-form K bounds scipy's ratio at every point of a
+    100,001-point scan of [-C, C], scales and widths near the float limits
+    included, and is its supremum within 1e-9 wherever every point of the
+    scan keeps its digits: for the Gaussian and Laplace the supremum on
+    [-C, C], for the logistic the supremum over the whole line (the ratio
+    tends to 1/scale, and is within 1e-17 of it at |y| = 40 scale). M is
+    scipy's density at 0."""
+    cases = [(s, w) for s in CERTIFICATE_SCALES for w in CERTIFICATE_WIDTHS]
+    compared = 0
+    for scale, width in cases + [(1e-300, 1e-300)]:
+        noise = family(scale)
+        k_value, m_value = noise.condition_constants(width)
+        assert m_value == pytest.approx(scipy_noise(noise).pdf(0.0), rel=1e-12)
+        ratio, every_point = _scan_ratio(noise, width)
+        assert np.all(ratio <= (k_value / width) * (1 + 1e-12)), (scale, width)
+        if family is Logistic:
+            reach = max(width, 40.0 * scale)
+            if not 2.0 * reach < math.inf:
+                continue
+            ratio, every_point = _scan_ratio(noise, reach)
+        if every_point:
+            compared += 1
+            assert k_value == pytest.approx(width * ratio.max(), rel=1e-9), (scale, width)
+    assert compared >= 6
 
 
 def test_condition_m_is_peak_density():
@@ -243,29 +294,19 @@ def test_condition_refuses_static_families():
         check_gm_condition(NoiseTraderMix(0.5), 1.0)
 
 
-class _ZeroDensityLogistic(Logistic):
-    """A logistic tail with an inconsistent density and condition constant."""
+class _OverclaimingLogistic(Logistic):
+    """A logistic tail that claims a condition constant its tails break."""
 
-    def density(self, y):
-        return 0.0
-
-    def analytic_condition_constant(self, width):
-        return 0.01
+    def condition_constants(self, width):
+        return 0.01, 0.25 / self.scale
 
 
 def test_condition_inconsistency_is_a_gmsim_error():
     """A family whose claimed K disagrees with its tails fails as gmsim's
     own error (the CLI's exit 3), not as a bare RuntimeError."""
-    noise = _ZeroDensityLogistic(2.0)
+    noise = _OverclaimingLogistic(2.0)
     with pytest.raises(GmsimError, match=r"Phi\(C\) fell below \(1-K\) \* Phi\(0\)"):
         check_gm_condition(noise, 1.0)
-
-
-def test_static_density_raises():
-    with pytest.raises(NotDifferentiable):
-        TwoPointDiscrete(1.0, 0.5).density(0.0)
-    with pytest.raises(NotDifferentiable):
-        NoiseTraderMix(0.3).density(0.0)
 
 
 # --------------------------------------------------------------------------
