@@ -166,8 +166,11 @@ class _FilterKernel:
         self.xs_row = np.array(self.xs)
         if generator is not None:
             rates, n = generator.rates, generator.n
+            # each column's nonzero (j, q_ji) in state order: a zero term adds
+            # +-0.0, which leaves a sum started at +0.0 as it was
             self.q_cols = tuple(
-                tuple(float(rates[j, i]) for j in range(n)) for i in range(n)
+                tuple((j, float(rates[j, i])) for j in range(n) if rates[j, i] != 0.0)
+                for i in range(n)
             )
             self.q_rows = np.array(rates, dtype=float)
         self.lam = lam
@@ -212,8 +215,8 @@ class _FilterKernel:
         out = []
         for pi, ai, col in zip(probs, a, self.q_cols):
             kol = 0.0
-            for pj, qji in zip(probs, col):
-                kol += pj * qji
+            for j, qji in col:
+                kol += probs[j] * qji
             out.append(lam * pi * (a_bar - ai) + kol)
         return out
 

@@ -85,11 +85,22 @@ def _conditional_mean(s, xs, probs, tail, no_mass):
     return num / den
 
 
-def _no_convergence(max_iter):
-    return NoConvergence(
-        f"fixed-point iteration still moving after {max_iter} steps; "
-        "a violated admissibility precondition is the usual cause"
-    )
+def _no_convergence(max_iter, tol, price):
+    """NoConvergence for a solve still moving at price after max_iter steps.
+    The stop test |g(s) - s| <= tol is absolute, and g(s) rounds by a few
+    float spacings of the price, so a tol under four spacings may never be
+    met: at tol 1e-12 on states [x0, x0 + 1], x0 from 1e3 to 1e6, the
+    solves failed for every x0 above about 3,300 (tol 2.2 spacings or
+    fewer) and never where tol was 4.4 spacings. The message then names tol
+    and the spacing."""
+    steps = f"fixed-point iteration still moving after {max_iter} steps; "
+    spacing = math.ulp(abs(price))
+    if tol < 4.0 * spacing:
+        return NoConvergence(
+            f"{steps}fp_tol {tol:g} is absolute, and prices near {price:.10g} are "
+            f"{spacing:.2g} apart as floats: raise fp_tol above a few such spacings"
+        )
+    return NoConvergence(f"{steps}a violated admissibility precondition is the usual cause")
 
 
 def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0):
@@ -123,7 +134,7 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0
             for x, p, f in terms:
                 dsum += (x - g) * (p * slope(f))
             s = _newton(s, g, -sign * dsum / den, lo, hi)
-    raise _no_convergence(max_iter)
+    raise _no_convergence(max_iter, tol, s)
 
 
 def _conditional_mean_terms(s, xs, probs, tail, no_mass):
@@ -226,7 +237,7 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
                 d = 1.0 - dg
                 step = s - (s - g) / d
             s = np.where((d > 0.0) & (lo <= step) & (step <= hi), step, g)
-    raise _no_convergence(max_iter)
+    raise _no_convergence(max_iter, tol, float(np.max(np.abs(s))))
 
 
 def _iteration_ceiling(noise, grid, tol, force):

@@ -316,7 +316,8 @@ def check_gm_condition(noise: NoiseModel, width: float) -> ConditionReport:
         )
     check_number("width", width, "positive")
     if not math.isfinite(2.0 * float(width)):
-        raise ConfigError(f"width: the scan interval [-width, width] overflows, got {width!r}")
+        raise ConfigError(f"width: [-width, width] overflows, which the quote solves and "
+                          f"verify's statistics cannot take, got {width!r}")
 
     k_value, m_value = noise.condition_constants(width)
     phi_zero = noise.survival(0.0)

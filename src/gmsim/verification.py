@@ -9,8 +9,11 @@ path), never the engine's drift or ODE code, so agreement between the two is
 evidence rather than tautology. The logged quotes do not depend on the
 replayed belief, so the no-trade tails and factors of every sub-step, the
 transition matrices and the trade likelihoods are arrays computed before
-the replay; its loop does only the recursion. compare_filters matches the
-two paths' times and takes their L1 distances as arrays too.
+the replay, each trade's likelihood folded into the factors of the sub-step
+that ends at it. The loop carries the unnormalised belief, one chain step
+and one factor product per sub-step, and the rows are normalised once at
+the end. compare_filters matches the two paths' times and takes their L1
+distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
@@ -41,7 +44,6 @@ from .engine import (
     PathRecord,
     SimConfig,
     buy_intensity,
-    decide_trade,
     path_streams,
     sample_arrival_times,
     sell_intensity,
@@ -58,6 +60,9 @@ MATRIX_EXP_TERMS = 12
 TIME_TOL = 1e-9
 # sub-steps whose no-trade factors the reference filter takes at once
 REPLAY_BLOCK = 1024
+# the reference filter renormalises its carried belief before a lower bound
+# on the belief's mass falls below this
+_MASS_FLOOR = 2.0**-600
 # level of intensity_test's chi-square tests
 INTENSITY_ALPHA = 0.01
 # spacing of the sample grid on which uniqueness_diagnostic compares quotes
@@ -182,8 +187,11 @@ def oracle_filter(
     as arrays first: each sub-step's logged quote, its no-trade factors
     exp(-lam * rate * dt) from one side_tails_grid call, one transition
     matrix per distinct sub-step length, and each logged trade's likelihood
-    weights. The loop then does only the chain step, the no-trade factor,
-    the normalisation and the jumps.
+    weights, multiplied into the factors of the sub-step that ends at the
+    trade. The loop then carries the unnormalised belief: the chain step and
+    the factors, in place, renormalising only where the belief's mass could
+    underflow. Every row is divided by its own sum once the loop is done; a
+    trade whose row sums to zero raises GridMismatch.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
@@ -248,26 +256,42 @@ def oracle_filter(
     prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
     weights = noise.side_tails_grid(prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None])
     rows = np.searchsorted(checkpoints, [e.t for e in trades])
-    jump_at = {int(k): (e, w) for k, e, w in zip(rows, trades, weights)}
+    # a trade's likelihood joins the factors of the sub-step that ends at it;
+    # a trade at checkpoint 0 ends no sub-step, so its jump is not applied
+    ends = rows > 0
+    factors[rows[ends] - 1] *= weights[ends]
 
+    # The loop carries the unnormalised belief. A transition row sums to 1,
+    # so a sub-step keeps at least its smallest factor of the mass: the
+    # product of those since the last renormalisation bounds the mass from
+    # below, and the row is renormalised before that bound reaches
+    # _MASS_FLOOR. Every factor is at most 1, so nothing overflows.
     beliefs = np.empty((m + 1, n))
-    belief = model.initial_belief.probs
-    beliefs[0] = belief
-    for k, (p_mat, factor) in enumerate(zip(chain, factors), start=1):
-        belief = belief @ p_mat * factor
-        belief = belief / belief.sum()
-        jump = jump_at.get(k)
-        if jump is not None:
-            event, w = jump
-            belief = belief * w
-            total = belief.sum()
-            if total <= 0.0:
-                raise GridMismatch(
-                    f"logged {event.outcome.value} at t={event.t:.6f} has zero "
-                    "likelihood under the replayed belief"
-                )
-            belief = belief / total
-        beliefs[k] = belief
+    beliefs[0] = model.initial_belief.probs
+    prev = beliefs[0]
+    bound = 1.0
+    lows = factors.min(axis=1).tolist()
+    for row, p_mat, factor, low in zip(beliefs[1:], chain, factors, lows):
+        np.matmul(prev, p_mat, out=row)
+        np.multiply(row, factor, out=row)
+        bound *= low
+        if bound < _MASS_FLOOR:
+            total = row.sum()
+            if total > 0.0:  # a zero row stays zero for the check below
+                row /= total
+            bound = 1.0
+        prev = row
+
+    totals = beliefs[1:].sum(axis=1)
+    empty = np.flatnonzero(~(totals > 0.0))
+    if len(empty):
+        event = dict(zip(rows.tolist(), trades)).get(int(empty[0]) + 1)
+        if event is not None:
+            raise GridMismatch(
+                f"logged {event.outcome.value} at t={event.t:.6f} has zero "
+                "likelihood under the replayed belief"
+            )
+    beliefs[1:] /= totals[:, None]
 
     times = checkpoints.copy()
     times[0] = 0.0
@@ -468,9 +492,10 @@ def intensity_test(
     """Frozen-quote, frozen-state trade-count test.
 
     Holds the true value at state_value and the posted quote fixed, runs the
-    actual arrival and decision mechanics n_trials times over [0, horizon],
-    and chi-square-tests the per-trial buy counts at level INTENSITY_ALPHA
-    against Poisson(lambda * survival(ask - x) * horizon), dually for sells.
+    actual arrival draws and decide_trade's rule n_trials times over
+    [0, horizon], each trial's decisions as one array, and chi-square-tests
+    the per-trial buy counts at level INTENSITY_ALPHA against
+    Poisson(lambda * survival(ask - x) * horizon), dually for sells.
     """
     try:
         n_trials = operator.index(n_trials)
@@ -493,13 +518,12 @@ def intensity_test(
     for trial in range(n_trials):
         _, arrival_rng, noise_rng = path_streams(seed, trial)
         arrivals = sample_arrival_times(lam, horizon, arrival_rng)
-        eps = noise.sample(noise_rng, len(arrivals))
-        for e in eps:
-            outcome = decide_trade(state_value + float(e), quote)
-            if outcome is Outcome.BUY:
-                buys[trial] += 1
-            elif outcome is Outcome.SELL:
-                sells[trial] += 1
+        valuations = state_value + noise.sample(noise_rng, len(arrivals))
+        # decide_trade on every arrival: a buy at or above the ask first, so
+        # a valuation at a degenerate ask == bid quote buys
+        buy = valuations >= quote.ask
+        buys[trial] = np.count_nonzero(buy)
+        sells[trial] = np.count_nonzero((valuations <= quote.bid) & ~buy)
     return IntensityReport(
         buy=_poisson_gof(buys, mu_buy, INTENSITY_ALPHA),
         sell=_poisson_gof(sells, mu_sell, INTENSITY_ALPHA),

@@ -335,6 +335,23 @@ def test_simulate_crossed_quotes_exit_3(write_scenario, tmp_path, capsys):
     assert "error: crossed quotes at t=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--paths", "2"], ["simulate", "--paths", "40"], ["verify", "--paths", "8"],
+], ids=["simulate_solo", "simulate_lockstep", "verify"])
+def test_fp_tol_below_the_price_spacing_is_named(command, write_scenario, tmp_path, capsys):
+    """On states [5000, 5001] prices are 9.1e-13 apart as floats, so the
+    default fp_tol 1e-12, which is absolute, is about one spacing and the
+    quote solves, scalar and row alike, seldom meet it: exit 3 with an error
+    naming fp_tol and that spacing. With fp_tol 1e-11 the command runs."""
+    cfg = write_scenario(states=[5000.0, 5001.0])
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixed-point iteration still moving after ")
+    assert "fp_tol 1e-12 is absolute" in err and "9.1e-13 apart as floats" in err
+    cfg = write_scenario("tol.yaml", states=[5000.0, 5001.0], fp_tol=1.0e-11)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+
+
 # --------------------------------------------------------------------------
 # verify
 
@@ -411,22 +428,27 @@ def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):
 # re-recorded when the logistic quote solves moved to Newton steps: every
 # report field moved by at most 3.8e-7 (convergence_ratio; the rest by at
 # most 3.8e-14), the clean stdout's quote_gap line with it, and no verdict
-# changed.
+# changed. All three report digests, and the no_arrivals stdout digest, were
+# re-recorded when the oracle replay came to normalise once at the end: in
+# filter_oracle max_l1 moved by at most 2.8e-15 (the no_arrivals one, the
+# oracle's own roundoff, printed as 1.30e-14 before and 1.02e-14 after),
+# the self gaps by at most 1.1e-14 and convergence_ratio by at most 1.2e-6;
+# every other field and every verdict stayed the same.
 VERIFY_PINS = {
     "clean": (
         {}, [],
         "046c2daae4824d78f46a767ac469746e0897bef1a6eecdfee9619076049a3cd3",
-        "6b2a4aaeaa0caf0495ec3a9fa1ebe69cc8d63ec456fa842c982ff3152774ee13",
+        "51f47e8b0279ef9f0b8817773d38cd084f87bdc01096f349d39c7f7d8f113a55",
     ),
     "perturbed": (
         {}, ["--perturb-ask", "0.15"],
         "0e18a93ad3b1e4cb99d803eddc24acd438a49e6c13d44d614f4c7a2fc718335d",
-        "708c47b28a7af7709a57b4bd5ded0e9b7b14886f405dfeacb5c0bb0a879bdc99",
+        "a3a8c628ec545f425de8c53001cf9b610806a4948be48da62e4392c37fc1cb39",
     ),
     "no_arrivals": (
         {"lambda": 0.0}, [],
-        "a7ec9dc252dee91c981f9a6436926b0cb92fadb87788c1e31070614d8086f675",
-        "1cf81fb1c0372685fa55aae653e1544df46297b1022c657d191e7af26fd175c7",
+        "eff9fb3695b17433d0f18ad3e4a3f860309022dae4860de51a8487f95a914a4b",
+        "98351962d156b43a418c8d3a4ad361f94f1e090c7bc796a06687348ad3c2c75b",
     ),
 }
 
@@ -616,11 +638,12 @@ def test_commands_run_without_scipy(command, verdict, write_scenario):
     ({"generator": [[0.0, 1.0e308, 1.0e308], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
       "states": [0.0, 0.5, 1.0], "initial_belief": [0.4, 0.3, 0.3]},
      "error: generator: generator row 0: its exit rate"),
-    ({"states": [-1.0e308, 0.0]}, "error: width: the scan interval [-width, width] overflows"),
+    ({"states": [-1.0e308, 0.0]}, "error: width: [-width, width] overflows, which the quote "
+                                  "solves and verify's statistics cannot take"),
 ], ids=["states", "generator", "scan_interval"])
 def test_overflowing_scenario_prints_only_its_error_line(override, message, write_scenario):
-    """A scenario whose grid width, exit rate or admissibility scan
-    interval [-width, width] overflows exits 2, and stderr holds the one
+    """A scenario whose grid width, exit rate or interval [-width, width]
+    overflows exits 2, and stderr holds the one
     error line: no numpy warning or traceback comes before it."""
     proc = run_python("-m", "gmsim.cli", "check", "--config", write_scenario(**override))
     assert proc.returncode == 2

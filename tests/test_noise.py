@@ -278,12 +278,16 @@ def test_gaussian_condition_pass_and_fail():
 @pytest.mark.parametrize("noise", [Logistic(2.0), Gaussian(1.0e308), Laplace(1.0e308)],
                          ids=["logistic", "gaussian", "laplace"])
 def test_condition_refuses_a_width_whose_scan_interval_overflows(noise):
-    """A finite width above about 8.99e307 makes [-width, width] overflow:
-    a ConfigError naming the width, before any numpy warning."""
+    """A finite width above about 8.99e307 makes [-width, width] overflow.
+    The closed-form certificate would take it, but the quote solves and
+    verify's statistics cannot (without the refusal, states [-1e308, 0]
+    made simulate exit 3 for the logistic and Laplace families, and verify
+    overflow in its profit statistics for the Gaussian): a ConfigError
+    naming the width, before any numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for width in (9.0e307, 1.0e308, np.finfo(float).max):
-            with pytest.raises(ConfigError, match=r"^width: the scan interval"):
+            with pytest.raises(ConfigError, match=r"^width: \[-width, width\] overflows, which "):
                 check_gm_condition(noise, width)
 
 

@@ -19,6 +19,9 @@ from gmsim.engine import (
     Outcome,
     PathRecord,
     SimConfig,
+    decide_trade,
+    path_streams,
+    sample_arrival_times,
     simulate_gmps_path,
     simulate_paths,
 )
@@ -28,7 +31,14 @@ from gmsim.errors import (
     GridMismatch,
     InsufficientData,
 )
-from gmsim.noise import Gaussian, Laplace, Logistic, NoiseTraderMix, check_gm_condition
+from gmsim.noise import (
+    Gaussian,
+    Laplace,
+    Logistic,
+    NoiseTraderMix,
+    TwoPointDiscrete,
+    check_gm_condition,
+)
 from gmsim.verification import (
     OracleFilterConfig,
     compare_filters,
@@ -306,7 +316,11 @@ def test_oracle_refuses_a_model_with_another_state_count():
 # The oracle as it was first written, one checkpoint at a time: the quote
 # lookup, the scalar tails, the factor and the jump all inside the loop, and
 # one matrix per step length from a dict. oracle_filter takes everything but
-# the recursion as arrays and must equal it bit for bit.
+# the recursion as arrays, folds each trade's likelihood into the factors and
+# normalises once at the end, so its products round in another order: its
+# times must equal the loop's, and its beliefs lie within REPLAY_TOL of the
+# loop's, 512 ulps of 1.0, fixed from the dtype.
+REPLAY_TOL = 512 * np.finfo(float).eps
 
 
 def _reference_replay(record, model, h):
@@ -372,7 +386,7 @@ def _assert_replays_match_reference(rec, model, h):
         times, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=step))
         ref_times, ref_beliefs = _reference_replay(rec, model, step)
         np.testing.assert_array_equal(times, ref_times)
-        np.testing.assert_array_equal(beliefs, ref_beliefs)
+        np.testing.assert_allclose(beliefs, ref_beliefs, rtol=0.0, atol=REPLAY_TOL)
     cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times, beliefs)
     ref = _reference_compare(rec.sample_times, rec.sample_beliefs, times, beliefs)
     assert (cmp.n_matched, cmp.max_l1, cmp.argmax_time) == ref
@@ -431,6 +445,42 @@ def test_oracle_replay_equals_the_loop_where_an_event_meets_a_grid_time():
     _assert_replays_match_reference(rec, MODEL2, 1e-3)
     times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=1e-3))
     assert 0.25 not in times and times[250] == 0.25 + 4e-13
+
+
+def test_oracle_replay_renormalises_before_the_mass_underflows():
+    """At lambda = 5000 each 1e-3 sub-step keeps about exp(-5) of the mass,
+    so an unnormalised belief would underflow to zero after about 150
+    sub-steps; the replay stays finite and equal to the loop."""
+    events = [
+        EventRecord(
+            t=t, x=0.0, eps=0.0, ask=0.6, bid=0.3, outcome=o,
+            belief_before=np.array([0.5, 0.5]), belief_after=np.array([0.5, 0.5]),
+            profit=0.0,
+        )
+        for t, o in ((0.3, Outcome.BUY), (0.55, Outcome.SELL), (0.8, Outcome.NO_TRADE))
+    ]
+    rec = _synthetic_record(1.0, events, 2.5e-4, 0.6, 0.3)
+    model = replace(MODEL2, arrival_rate=5000.0)
+    _assert_replays_match_reference(rec, model, 1e-3)
+    _, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=2.5e-4))
+    assert np.all(np.isfinite(beliefs))
+    np.testing.assert_allclose(beliefs.sum(axis=1), 1.0, rtol=0.0, atol=REPLAY_TOL)
+
+
+def test_oracle_refuses_a_trade_of_zero_likelihood():
+    """Gaussian(0.01) noise and a buy logged at ask 10 on a grid in [0, 1]:
+    every state's tail underflows to 0, so the replayed belief cannot take
+    the trade, and the error names it."""
+    event = EventRecord(
+        t=0.4, x=0.0, eps=0.0, ask=10.0, bid=-10.0, outcome=Outcome.BUY,
+        belief_before=np.array([0.5, 0.5]), belief_after=np.array([0.5, 0.5]),
+        profit=10.0,
+    )
+    rec = _synthetic_record(1.0, [event], 1e-3, 10.0, -10.0)
+    model = replace(MODEL2, noise=Gaussian(0.01))
+    with pytest.raises(GridMismatch, match=r"^logged buy at t=0\.400000 has zero likelihood "
+                       r"under the replayed belief$"):
+        oracle_filter(rec, model, OracleFilterConfig(h=1e-3))
 
 
 @st.composite
@@ -589,6 +639,37 @@ def test_intensity_logistic_offset_ask():
         MODEL2.arrival_rate * 60.0 * phi_1, rel=1e-12
     )
     assert report.passed
+
+
+@pytest.mark.parametrize("noise, quote", [
+    (NOISE, Quote(ask=0.6, bid=0.4)),
+    (TwoPointDiscrete(1.0, 0.5), Quote(ask=1.0, bid=1.0)),
+    (NoiseTraderMix(0.3), Quote(ask=0.5, bid=0.5)),
+], ids=["logistic", "two_point_at_ask_equal_bid", "noise_traders"])
+def test_intensity_counts_equal_the_decide_trade_loop(noise, quote, monkeypatch):
+    """Each trial's counts are decide_trade's on its arrivals, one by one.
+    With two-point noise half the valuations land exactly on an ask == bid
+    quote, and decide_trade counts them as buys, never as sells too."""
+    model = replace(MODEL2, noise=noise)
+    counts = []
+
+    def recording_gof(observed, mu, alpha):
+        counts.append(observed.copy())
+        return _poisson_gof(observed, mu, alpha)
+
+    monkeypatch.setattr(verification, "_poisson_gof", recording_gof)
+    intensity_test(model, quote, 0.0, horizon=30.0, n_trials=40, seed=17)
+    buys, sells = [], []
+    for trial in range(40):
+        _, arrival_rng, noise_rng = path_streams(17, trial)
+        arrivals = sample_arrival_times(model.arrival_rate, 30.0, arrival_rng)
+        outcomes = [decide_trade(0.0 + float(e), quote)
+                    for e in noise.sample(noise_rng, len(arrivals))]
+        buys.append(outcomes.count(Outcome.BUY))
+        sells.append(outcomes.count(Outcome.SELL))
+    np.testing.assert_array_equal(counts[0], buys)
+    np.testing.assert_array_equal(counts[1], sells)
+    assert sum(buys) > 0 and sum(sells) > 0
 
 
 def test_intensity_refuses_underpowered_setup():
