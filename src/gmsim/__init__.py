@@ -80,7 +80,6 @@ from .verification import (
     FilterComparison,
     IntensityReport,
     OracleFilterConfig,
-    UniquenessReport,
     ZeroProfitReport,
     compare_filters,
     consistency_check,
@@ -88,7 +87,6 @@ from .verification import (
     oracle_filter,
     run_verify,
     transition_matrix,
-    uniqueness_diagnostic,
     zero_profit_test,
 )
 

@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_number, check_sizes
+from .core import (
+    MAX_EXPECTED_ARRIVALS, Belief, GeneratorMatrix, Quote, StateGrid, check_number, check_sizes,
+)
 from .equilibrium import (
     DEFAULT_TOL,
     _column_sum,
@@ -53,7 +55,7 @@ from .equilibrium import (
     _picard_rows,
     solve_static_quotes,
 )
-from .errors import ZeroBuyProbability, ZeroSellProbability
+from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
 DEFAULT_ODE_STEP = 1e-3
@@ -94,6 +96,15 @@ def segment(dt, ode_step):
     least one, so dt = 0 gives one step of length 0."""
     n_steps = max(1, math.ceil(dt / ode_step))
     return n_steps, dt / n_steps
+
+
+def _check_steps(name, dt, ode_step):
+    """Refuse dt / ode_step RK4 steps above MAX_EXPECTED_ARRIVALS, with a
+    ConfigError that names ode_step; name is what dt is called."""
+    steps = dt / ode_step
+    if not steps <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"ode_step: {name} / ode_step = {steps:g} RK4 steps, "
+                          f"above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
 
 
 def _clamp(p):
@@ -394,6 +405,7 @@ def integrate_between_events(
     if dt == 0.0:
         return state
     check_number("ode_step", ode_step, "positive")
+    _check_steps("dt", dt, ode_step)
     check_sizes(state.belief, grid, q)
     check_number("lam", lam, "nonnegative")
     kernel = _FilterKernel(grid, noise, q, lam, fp_tol, force)

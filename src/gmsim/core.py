@@ -23,6 +23,16 @@ from .errors import ConfigError
 NEG_TOL = 1e-9
 ROW_SUM_TOL = 1e-9
 
+# A path keeps each arrival as an event of about 0.6 kB and draws each jump
+# of the value chain in a Python loop, so an expected count of either above
+# this is refused. A sampled path's grid of horizon / sample_dt rows is held
+# to the same bound: each row costs a quote solve and keeps a belief row, as
+# an arrival does. So are a path's horizon / ode_step RK4 steps: a sampled
+# segment's trail keeps one entry per step, about the size of an event, and
+# `gmsim simulate` always samples path 0 for plot.csv; at 85-120 us a step
+# (README market, one CPU of a 2-core Xeon), 1e6 steps take 85 s or more.
+MAX_EXPECTED_ARRIVALS = 1e6
+
 
 def check_number(name: str, value: float, sign: str | None = None) -> None:
     """Raise ConfigError unless value is finite and, for sign "positive" or
@@ -108,7 +118,10 @@ class Belief:
                 f"belief entry {arr.min():.3e} below -{NEG_TOL:g}; not roundoff"
             )
         arr = np.where(arr < 0.0, 0.0, arr)
-        total = arr.sum()
+        with np.errstate(over="ignore"):
+            total = arr.sum()
+        if not math.isfinite(total):
+            raise ConfigError("belief total mass overflows the float range")
         if total <= 0.0:
             raise ConfigError("belief must have positive total mass")
         object.__setattr__(self, "probs", _frozen_array(arr / total))

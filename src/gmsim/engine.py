@@ -41,8 +41,10 @@ from enum import Enum
 
 import numpy as np
 
-from .beliefs import DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, hermite, segment
-from .core import Belief, GeneratorMatrix, Quote, StateGrid, check_number
+from .beliefs import (
+    DEFAULT_ODE_STEP, SimplexDiagnostics, _FilterKernel, _check_steps, hermite, segment,
+)
+from .core import MAX_EXPECTED_ARRIVALS, Belief, GeneratorMatrix, Quote, StateGrid, check_number
 from .equilibrium import DEFAULT_TOL
 from .errors import ConditionFailed, ConfigError, ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
@@ -190,13 +192,8 @@ def path_streams(seed: int, offset: int):
     return tuple(np.random.default_rng(c) for c in children)
 
 
-# A path keeps each arrival as an event of about 0.6 kB and draws each jump
-# of the value chain in a Python loop, so an expected count of either above
-# this is refused. A sampled path's grid of horizon / sample_dt rows is held
-# to the same bound: each row costs a quote solve and keeps a belief row, as
-# an arrival does. ARRIVAL_CHUNK caps one draw of gaps; numpy's Generator
-# draws the same gaps however they are chunked.
-MAX_EXPECTED_ARRIVALS = 1e6
+# ARRIVAL_CHUNK caps one draw of gaps; numpy's Generator draws the same
+# gaps however they are chunked.
 ARRIVAL_CHUNK = 1 << 16
 
 
@@ -481,9 +478,11 @@ def _blame_the_step(exc, model, ode_step):
 
 
 def _start(model, horizon, config, seed):
-    """Check a run's horizon and seed; return the model's kernel and the
-    opening filter state (prior, and its quotes solved from the prior mean)."""
+    """Check a run's horizon, its RK4 step count and its seed; return the
+    model's kernel and the opening filter state (prior, and its quotes
+    solved from the prior mean)."""
     check_number("horizon", horizon, "positive")
+    _check_steps("horizon", horizon, config.ode_step)
     check_seed(seed)
     kernel = _FilterKernel(
         model.grid, model.noise, model.generator, model.arrival_rate,

@@ -17,11 +17,10 @@ distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
-quoting), trade counts against their predicted Poisson law under frozen
-quotes, and a common-random-numbers illustration of quote uniqueness. The
-Poisson law is tested with Pearson chi-square, whose p-value comes from the
-closed-form chi-square tail for integer degrees of freedom (_chi2_sf), so the
-package needs no statistics library.
+quoting) and trade counts against their predicted Poisson law under frozen
+quotes. The Poisson law is tested with Pearson chi-square, whose p-value
+comes from the closed-form chi-square tail for integer degrees of freedom
+(_chi2_sf), so the package needs no statistics library.
 
 run_verify bundles the checks behind `gmsim verify`, with their pass/fail
 policy, into one report.
@@ -31,18 +30,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .core import Belief, Quote, StateGrid, check_number
+from .core import Quote, StateGrid, check_number
 from .engine import (
     MAX_EXPECTED_ARRIVALS,
     MarketModel,
     Outcome,
     PathRecord,
-    SimConfig,
     buy_intensity,
     path_streams,
     sample_arrival_times,
@@ -50,7 +48,6 @@ from .engine import (
     simulate_gmps_path,
     simulate_paths,
 )
-from .equilibrium import ContractionConstants, contraction_constants
 from .errors import ConfigError, GridMismatch, InsufficientData
 
 
@@ -65,8 +62,6 @@ REPLAY_BLOCK = 1024
 _MASS_FLOOR = 2.0**-600
 # level of intensity_test's chi-square tests
 INTENSITY_ALPHA = 0.01
-# spacing of the sample grid on which uniqueness_diagnostic compares quotes
-UNIQUENESS_SAMPLE_DT = 0.05
 
 
 @dataclass(frozen=True)
@@ -126,25 +121,6 @@ class FilterComparison:
     n_matched: int
     max_l1: float
     argmax_time: float
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Contraction constants plus a twin-run quote-gap profile.
-
-    When n_outcome_mismatches is zero the two runs saw the identical trade
-    sequence and the gap profile illustrates filter merging; once an arrival
-    lands between the two posted asks the histories fork and the profile
-    stops being a contraction illustration.
-    """
-
-    constants: ContractionConstants
-    times: np.ndarray
-    quote_gaps: np.ndarray
-    max_gap: float
-    final_gap: float
-    n_events: int
-    n_outcome_mismatches: int
 
 
 # --------------------------------------------------------------------------
@@ -215,15 +191,14 @@ def oracle_filter(
     n_grid = math.ceil(horizon / h)
     grid_times = np.minimum(np.arange(n_grid + 1) * h, horizon)
     event_times = np.array([e.t for e in record.events])
-    if len(event_times):
-        # grid points yield to nearby event times so each jump lands on the
-        # exact float the engine logged; the event nearest a grid time is one
-        # of its two neighbours in time order
-        ordered = np.sort(event_times)
-        pos = np.searchsorted(ordered, grid_times)
-        gap_above = np.abs(grid_times - ordered[np.minimum(pos, len(ordered) - 1)])
-        gap_below = np.abs(grid_times - ordered[np.maximum(pos - 1, 0)])
-        grid_times = grid_times[np.minimum(gap_above, gap_below) > 1e-12]
+    # grid points yield to nearby event times so each jump lands on the
+    # exact float the engine logged; the event nearest a grid time is one of
+    # its two neighbours in time order, and the infinite pads stand in for a
+    # missing neighbour
+    ordered = np.concatenate([[-np.inf], np.sort(event_times), [np.inf]])
+    pos = np.searchsorted(ordered, grid_times)
+    gap = np.minimum(ordered[pos] - grid_times, grid_times - ordered[pos - 1])
+    grid_times = grid_times[gap > 1e-12]
     checkpoints = np.unique(np.concatenate([grid_times, event_times, [horizon]]))
     starts = checkpoints[:-1]
     dts = np.diff(checkpoints)
@@ -527,59 +502,6 @@ def intensity_test(
     return IntensityReport(
         buy=_poisson_gof(buys, mu_buy, INTENSITY_ALPHA),
         sell=_poisson_gof(sells, mu_sell, INTENSITY_ALPHA),
-    )
-
-
-# --------------------------------------------------------------------------
-# Uniqueness illustration
-
-
-def uniqueness_diagnostic(
-    model: MarketModel,
-    horizon: float,
-    belief_spread: float = 0.1,
-    seed: int = 0,
-    config: SimConfig | None = None,
-) -> UniquenessReport:
-    """Contraction constants plus a twin-run gap profile.
-
-    Runs the engine twice under common random numbers: once from the model's
-    prior and once from the prior mixed with the uniform distribution at
-    weight belief_spread. Reports |ask gap| + |bid gap| along the shared
-    sample grid, UNIQUENESS_SAMPLE_DT apart. With belief_spread = 0 the gap
-    is identically zero. This illustrates the contraction that makes the
-    quote process unique; it proves nothing by itself.
-    """
-    constants = contraction_constants(model.grid, model.noise, model.arrival_rate)
-    if not 0.0 <= belief_spread <= 1.0:
-        raise ConfigError("belief_spread must lie in [0, 1]")
-    cfg = replace(SimConfig() if config is None else config, sample_dt=UNIQUENESS_SAMPLE_DT)
-    n = model.grid.n
-    mixed = (1.0 - belief_spread) * model.initial_belief.probs + belief_spread / n
-    twin = replace(model, initial_belief=Belief(mixed))
-
-    rec_a = simulate_gmps_path(model, horizon, cfg, seed=seed, offset=0)
-    rec_b = simulate_gmps_path(twin, horizon, cfg, seed=seed, offset=0)
-
-    # the twins share (seed, offset), so they stop at the same arrivals and
-    # sample at the same times
-    times = rec_a.sample_times
-    gaps = np.abs(rec_a.sample_asks - rec_b.sample_asks) + np.abs(
-        rec_a.sample_bids - rec_b.sample_bids
-    )
-    mismatches = sum(
-        1
-        for ea, eb in zip(rec_a.events, rec_b.events)
-        if ea.outcome is not eb.outcome
-    )
-    return UniquenessReport(
-        constants=constants,
-        times=times,
-        quote_gaps=gaps,
-        max_gap=float(gaps.max()),
-        final_gap=float(gaps[-1]),
-        n_events=len(rec_a.events),
-        n_outcome_mismatches=mismatches,
     )
 
 

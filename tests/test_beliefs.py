@@ -305,6 +305,17 @@ def test_segment_takes_the_fewest_steps_within_ode_step():
         assert segment(1e6 * ode_step, ode_step) == (10**6, ode_step)
 
 
+@pytest.mark.parametrize("dt, ode_step", [(1e300, 0.02), (1e300, 1e-10), (1.0, 0.999999e-6)])
+def test_integrate_refuses_a_step_count_no_path_can_hold(dt, ode_step):
+    """dt / ode_step above MAX_EXPECTED_ARRIVALS RK4 steps is refused,
+    naming ode_step, where it would never end or overflow math.ceil."""
+    state = make_filter_state(HALF, UNIT_GRID, LOGI)
+    with pytest.raises(ConfigError, match=r"^ode_step: dt / ode_step = ([\d.e+]+|inf) RK4"):
+        integrate_between_events(
+            state, dt, 0.0, GeneratorMatrix.zero(2), UNIT_GRID, LOGI, ode_step=ode_step
+        )
+
+
 def test_integrate_rejects_bad_arguments():
     state = make_filter_state(HALF, UNIT_GRID, LOGI)
     with pytest.raises(ConfigError):

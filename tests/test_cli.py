@@ -651,6 +651,34 @@ def test_overflowing_scenario_prints_only_its_error_line(override, message, writ
     assert proc.stderr.startswith(message), proc.stderr
 
 
+SILENT = {"lambda": 0.0, "generator": [[0.0, 0.0], [0.0, 0.0]], "horizon": 1.0e300}
+
+
+@pytest.mark.parametrize("command, override, message", [
+    (["simulate"], {**SILENT, "ode_step": 0.02},
+     "error: ode_step: horizon / ode_step = 5e+301 RK4 steps, above the 1e+06 that one "
+     "path can hold"),
+    (["verify"], {**SILENT, "ode_step": 0.02}, "error: ode_step: horizon / ode_step = 5e+301"),
+    (["simulate"], {**SILENT, "ode_step": 1.0e-10}, "error: ode_step: horizon / ode_step = inf"),
+    (["solve-static"], {"initial_belief": [1.0e308, 1.0e308]},
+     "error: initial_belief: belief total mass overflows"),
+    (["simulate"], {"initial_belief": [1.0e308, 1.0e308]},
+     "error: initial_belief: belief total mass overflows"),
+], ids=["steps-simulate", "steps-verify", "steps-inf", "mass-solve-static", "mass-simulate"])
+def test_a_run_no_path_can_hold_prints_only_its_error_line(command, override, message,
+                                                           write_scenario, tmp_path):
+    """A silent market over a horizon of 1e300 passes every field check, but
+    its RK4 steps would never end (ode_step 0.02) or overflow (1e-10); a
+    prior whose mass overflows would divide to a zero vector. Each exits 2
+    with the one error line: no numpy warning or traceback before it."""
+    cfg = write_scenario(**override)
+    out = [] if command == ["solve-static"] else ["--out", str(tmp_path / "run")]
+    proc = run_python("-m", "gmsim.cli", *command, "--config", cfg, *out)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(message), proc.stderr
+
+
 @pytest.mark.parametrize("noise, code, lines", [
     ({"family": "gaussian", "sigma": 1.0e308}, 1, ["K        = 1.09392181535"]),
     ({"family": "laplace", "scale": 1.0e308}, 0,

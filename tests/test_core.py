@@ -71,6 +71,15 @@ def test_belief_rejects_real_negatives_and_zero_mass():
         Belief([np.nan, 1.0])
 
 
+def test_belief_refuses_a_total_mass_that_overflows():
+    """Entries whose sum overflows are refused, without a numpy warning;
+    summed as before, they would divide to a zero vector."""
+    with pytest.raises(ConfigError, match="^belief total mass overflows"):
+        Belief([1e308, 1e308])
+    big = np.array([1e308, 1e307])
+    np.testing.assert_array_equal(Belief(big).probs, big / big.sum())
+
+
 def test_belief_mean():
     grid = StateGrid([0.0, 1.0, 4.0])
     belief = Belief([0.25, 0.5, 0.25])

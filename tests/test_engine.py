@@ -441,6 +441,23 @@ def test_sample_grid_covers_run_and_respects_quotes():
     np.testing.assert_allclose(row_sums, 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("horizon, ode_step", [(1e300, 0.02), (1e300, 1e-10), (1.0, 0.999999e-6)])
+@pytest.mark.parametrize("n_paths", [1, LOCKSTEP_MIN_PATHS])
+def test_a_step_count_no_path_can_hold_is_refused(horizon, ode_step, n_paths, monkeypatch):
+    """More than MAX_EXPECTED_ARRIVALS RK4 steps (5e301 at 0.02, an infinite
+    count at 1e-10) is refused in both engines, naming ode_step, before any
+    draw: a silent market passes every arrival and jump bound at any
+    horizon, and its one segment would never end or overflow math.ceil."""
+    silent = replace(MODEL, generator=GeneratorMatrix.zero(2), arrival_rate=0.0)
+
+    def no_draws(*args):
+        raise AssertionError("a refused run drew its streams")
+
+    monkeypatch.setattr(gmsim.engine, "path_streams", no_draws)
+    with pytest.raises(ConfigError, match=r"^ode_step: horizon / ode_step = ([\d.e+]+|inf) RK4"):
+        simulate_paths(silent, horizon, SimConfig(ode_step=ode_step), n_paths=n_paths)
+
+
 @pytest.mark.parametrize("sample_dt", [1e-15, 5e-324])
 def test_a_sample_grid_no_path_can_hold_is_refused(sample_dt):
     """More than MAX_EXPECTED_ARRIVALS sample rows (petabytes at 1e-15, an

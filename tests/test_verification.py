@@ -26,7 +26,6 @@ from gmsim.engine import (
     simulate_paths,
 )
 from gmsim.errors import (
-    ConditionFailed,
     ConfigError,
     GridMismatch,
     InsufficientData,
@@ -46,7 +45,6 @@ from gmsim.verification import (
     intensity_test,
     oracle_filter,
     transition_matrix,
-    uniqueness_diagnostic,
     zero_profit_test,
     _chi2_sf,
     _poisson_gof,
@@ -737,66 +735,6 @@ def test_chi2_tail_matches_scipy():
         normal = ref >= 1e-300
         assert not normal.all()  # the grid reaches past the smallest normal tail
         assert np.all(np.abs(ours - ref)[normal] <= 1e-12 * ref[normal])
-
-
-# --------------------------------------------------------------------------
-# Uniqueness diagnostic
-
-
-def test_uniqueness_constants_cross_check():
-    report = uniqueness_diagnostic(MODEL2, horizon=1.0, belief_spread=0.0, seed=0)
-    c = report.constants
-    assert c.t_star == pytest.approx((1.0 - c.K) / (2.0 * c.K1), rel=1e-12)
-    assert c.K == pytest.approx(0.5, abs=1e-6)
-
-
-def test_uniqueness_identical_beliefs_zero_gap():
-    report = uniqueness_diagnostic(MODEL2, horizon=1.5, belief_spread=0.0, seed=6)
-    assert len(report.quote_gaps) > 10
-    assert np.all(report.quote_gaps == 0.0)
-    assert report.max_gap == 0.0 and report.final_gap == 0.0
-
-
-def test_uniqueness_perturbed_beliefs_converge():
-    from dataclasses import replace
-
-    skewed = replace(MODEL2, initial_belief=Belief([0.85, 0.15]))
-    report = uniqueness_diagnostic(
-        skewed, horizon=2.0, belief_spread=0.2, seed=3,
-        config=SimConfig(ode_step=0.01),
-    )
-    # the twin runs saw the same trade sequence, so the gap illustrates
-    # filter merging
-    assert report.n_outcome_mismatches == 0
-    assert report.n_events >= 5
-    assert report.quote_gaps[0] > 0.1
-    assert report.final_gap < 0.1 * report.quote_gaps[0]
-    assert report.max_gap >= report.quote_gaps[0]
-
-
-def test_uniqueness_reports_forked_histories():
-    """Once an arrival falls between the two posted asks the runs disagree
-    on an outcome and the report must say so."""
-    from dataclasses import replace
-
-    skewed = replace(MODEL2, initial_belief=Belief([0.85, 0.15]))
-    report = uniqueness_diagnostic(
-        skewed, horizon=2.0, belief_spread=0.2, seed=6,
-        config=SimConfig(ode_step=0.01),
-    )
-    assert report.n_outcome_mismatches >= 1
-
-
-def test_uniqueness_requires_the_condition():
-    model = MarketModel(
-        grid=GRID2,
-        generator=MODEL2.generator,
-        arrival_rate=1.0,
-        noise=Logistic(0.5),
-        initial_belief=Belief([0.5, 0.5]),
-    )
-    with pytest.raises(ConditionFailed):
-        uniqueness_diagnostic(model, horizon=1.0)
 
 
 # --------------------------------------------------------------------------
