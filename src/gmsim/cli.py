@@ -14,13 +14,15 @@ write files; what a check runs and when it passes lives in the library
 Exit codes: 0 success, 1 a verification or condition check failed, 2 bad
 configuration or usage (including a negative seed or an unwritable --out),
 3 numerical failure (no convergence, degenerate probabilities, insufficient
-data). All randomness flows from the scenario seed; rerunning a command
-with the same inputs rewrites identical bytes.
+data). A command that fails removes the --out directories it created. All
+randomness flows from the scenario seed; rerunning a command with the same
+inputs rewrites identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -132,11 +134,14 @@ def _with_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     )
 
 
-def _make_out_dir(path: str) -> Path:
+def _make_out_dir(path: str, made: list[Path]) -> Path:
     """Create the output directory up front, so that an unwritable one
-    fails before any simulation runs."""
+    fails before any simulation runs; append to made each directory this
+    creates, outermost first, for main to remove if the command fails."""
     out_dir = Path(path)
+    missing = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
+    made.extend(reversed(missing))
     return out_dir
 
 
@@ -176,7 +181,7 @@ def _write_outputs(out_dir: Path, records: list[PathRecord], plot: PathRecord,
 
 def cmd_simulate(args) -> int:
     cfg = _with_overrides(load_scenario(args.config), args)
-    out_dir = _make_out_dir(args.out)
+    out_dir = _make_out_dir(args.out, args.made)
     sim = cfg.sim_config(perturb_ask=args.perturb_ask, force=args.force)
     records = simulate_paths(cfg, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
     # path 0 again for plot.csv, its filter state sampled on the horizon/400
@@ -200,7 +205,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _with_overrides(load_scenario(args.config), args)
-    out_dir = None if args.out is None else _make_out_dir(args.out)
+    out_dir = None if args.out is None else _make_out_dir(args.out, args.made)
     report = run_verify(cfg, perturb_ask=args.perturb_ask, force=args.force)
     for name, c in report["checks"].items():
         line = f"{c['status'].upper():7s} {name}"
@@ -280,18 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. If it fails, the --out directories it created are
+    removed again, innermost first, each only while it is empty."""
     args = build_parser().parse_args(argv)
+    args.made = []
+    code = 1  # an error that no clause below takes fails the command too
     try:
-        return args.handler(args)
-    except ConfigError as exc:
+        code = args.handler(args)
+    except (ConfigError, OSError) as exc:  # bad input, or a path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except GmsimError as exc:  # every other error is numerical
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:  # an unreadable or unwritable path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 3
+    finally:
+        if code != 0:
+            for path in reversed(args.made):
+                with contextlib.suppress(OSError):
+                    path.rmdir()
+    return code
 
 
 def entry() -> None:

@@ -299,13 +299,11 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 
 def _sample_times(arrivals, sample_dt, horizon):
     """The times of a path's sample rows in time order, an array: 0, each
-    arrival, the horizon, and each m * sample_dt in between, unless it lies
-    within 1e-12 * max(1, |t|) of the arrival or horizon t before or after it.
-    A grid of more than MAX_EXPECTED_ARRIVALS rows is refused before any
-    allocation."""
-    if not horizon / sample_dt <= MAX_EXPECTED_ARRIVALS:
-        raise ConfigError(f"sample_dt: horizon / sample_dt = {horizon / sample_dt:g} sample "
-                          f"rows, above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
+    arrival (sorted, in [0, horizon]), the horizon, and each m * sample_dt
+    in between, unless it lies within 1e-12 * max(1, |t|) of the arrival or
+    horizon t before or after it. The reference filter takes its checkpoints
+    from this rule too; _start refuses a sample_dt whose grid no path can
+    hold before a path calls it."""
     stops = np.concatenate(([0.0], arrivals, [horizon]))
     grid = np.arange(1, math.ceil(horizon / sample_dt) + 1) * sample_dt
     grid = grid[grid < horizon]
@@ -478,11 +476,15 @@ def _blame_the_step(exc, model, ode_step):
 
 
 def _start(model, horizon, config, seed):
-    """Check a run's horizon, its RK4 step count and its seed; return the
-    model's kernel and the opening filter state (prior, and its quotes
-    solved from the prior mean)."""
+    """Check a run's horizon, its RK4 step count, its sample row count and
+    its seed, before anything is drawn; return the model's kernel and the
+    opening filter state (prior, and its quotes solved from the prior mean)."""
     check_number("horizon", horizon, "positive")
     _check_steps("horizon", horizon, config.ode_step)
+    rows = 0.0 if config.sample_dt is None else horizon / config.sample_dt
+    if not rows <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"sample_dt: horizon / sample_dt = {rows:g} sample rows, "
+                          f"above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
     check_seed(seed)
     kernel = _FilterKernel(
         model.grid, model.noise, model.generator, model.arrival_rate,

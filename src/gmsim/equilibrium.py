@@ -253,7 +253,7 @@ def _iteration_ceiling(noise, grid, tol, force):
         if not force:
             raise ConditionFailed(
                 f"{type(noise).__name__} is static-only; the fixed point may "
-                "not be unique. Pass force=True to iterate anyway."
+                "not be unique. Pass force=True (--force) to iterate anyway."
             )
         return FALLBACK_MAX_ITER
     report = check_gm_condition(noise, grid.width)
@@ -261,7 +261,7 @@ def _iteration_ceiling(noise, grid, tol, force):
         if not force:
             raise ConditionFailed(
                 f"admissibility condition fails (K = {report.K:.6g} >= 1); "
-                "pass force=True to iterate anyway"
+                "pass force=True (--force) to iterate anyway"
             )
         return FALLBACK_MAX_ITER
     if report.K <= 0.0:

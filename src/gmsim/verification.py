@@ -6,14 +6,15 @@ transition (truncated-series matrix exponential) with the per-state no-trade
 survival likelihood, applying exact Bayes updates at logged trade times. It
 consumes only what the engine logged (event records and the sampled quote
 path), never the engine's drift or ODE code, so agreement between the two is
-evidence rather than tautology. The logged quotes do not depend on the
-replayed belief, so the no-trade tails and factors of every sub-step, the
-transition matrices and the trade likelihoods are arrays computed before
-the replay, each trade's likelihood folded into the factors of the sub-step
-that ends at it. The loop carries the unnormalised belief, one chain step
-and one factor product per sub-step, and the rows are normalised once at
-the end. compare_filters matches the two paths' times and takes their L1
-distances as arrays too.
+evidence rather than tautology. It steps where a record sampled at its step
+logs a row, by the engine's sample-row rule, and applies every logged trade.
+The logged quotes do not depend on the replayed belief, so the no-trade
+tails and factors of every sub-step, the transition matrices and the trade
+likelihoods are arrays computed before the replay, each trade's likelihood
+folded into the factor row of its checkpoint. The loop carries the
+unnormalised belief, one chain step and one factor product per sub-step,
+and the rows are normalised once at the end. compare_filters matches the
+two paths' times and takes their L1 distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
@@ -43,6 +44,7 @@ from .engine import (
     PathRecord,
     buy_intensity,
     path_streams,
+    _sample_times,
     sample_arrival_times,
     sell_intensity,
     simulate_gmps_path,
@@ -153,21 +155,24 @@ def oracle_filter(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay a logged path through the split-step reference filter.
 
-    Returns (times, beliefs): the filter's state at every multiple of cfg.h,
-    at every logged event time (after its jump), and at the horizon. The
-    no-trade likelihood over each sub-step uses the quote the engine logged
-    at the sub-step's left endpoint, so the record must carry a sampled
-    quote path at least as fine as cfg.h.
+    Returns (times, beliefs): the filter's state at the times a record
+    sampled at cfg.h logs, one per time (engine._sample_times): 0, every
+    logged event time (after its jumps), the horizon, and every multiple of
+    cfg.h not within 1e-12 * max(1, |t|) of one of them. The no-trade
+    likelihood over each sub-step uses the quote the engine logged at the
+    sub-step's left endpoint, so the record must carry a sampled quote path
+    at least as fine as cfg.h, and its events must lie in [0, horizon].
 
     Nothing but the recursion depends on the belief, so the rest is taken
-    as arrays first: each sub-step's logged quote, its no-trade factors
-    exp(-lam * rate * dt) from one side_tails_grid call, one transition
-    matrix per distinct sub-step length, and each logged trade's likelihood
-    weights, multiplied into the factors of the sub-step that ends at the
-    trade. The loop then carries the unnormalised belief: the chain step and
-    the factors, in place, renormalising only where the belief's mass could
-    underflow. Every row is divided by its own sum once the loop is done; a
-    trade whose row sums to zero raises GridMismatch.
+    as arrays first: one factor row per checkpoint, each sub-step's no-trade
+    factors exp(-lam * rate * dt) from one side_tails_grid call at its
+    logged quote, one transition matrix per distinct sub-step length, and
+    the likelihood weights of every logged trade, multiplied into the row
+    of its checkpoint (row 0, the prior's, for a trade at 0). The loop then
+    carries the unnormalised belief: the chain step and the factors, in
+    place, renormalising only where the belief's mass could underflow.
+    Every row is divided by its own sum once the loop is done; a trade
+    whose row sums to zero raises GridMismatch.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
@@ -187,19 +192,13 @@ def oracle_filter(
         )
 
     horizon = record.horizon
-    h = cfg.h
-    n_grid = math.ceil(horizon / h)
-    grid_times = np.minimum(np.arange(n_grid + 1) * h, horizon)
     event_times = np.array([e.t for e in record.events])
-    # grid points yield to nearby event times so each jump lands on the
-    # exact float the engine logged; the event nearest a grid time is one of
-    # its two neighbours in time order, and the infinite pads stand in for a
-    # missing neighbour
-    ordered = np.concatenate([[-np.inf], np.sort(event_times), [np.inf]])
-    pos = np.searchsorted(ordered, grid_times)
-    gap = np.minimum(ordered[pos] - grid_times, grid_times - ordered[pos - 1])
-    grid_times = grid_times[gap > 1e-12]
-    checkpoints = np.unique(np.concatenate([grid_times, event_times, [horizon]]))
+    outside = event_times[~((event_times >= 0.0) & (event_times <= horizon))]
+    if len(outside):
+        raise GridMismatch(
+            f"logged event at t={float(outside[0])!r} lies outside [0, {horizon!r}]"
+        )
+    checkpoints = np.unique(_sample_times(np.sort(event_times), cfg.h, horizon))
     starts = checkpoints[:-1]
     dts = np.diff(checkpoints)
     m = len(dts)
@@ -211,7 +210,9 @@ def oracle_filter(
     p_mats = [transition_matrix(model.generator.rates, float(dt)) for dt in lengths]
     chain = [p_mats[i] for i in length_of]
 
-    factors = np.empty((m, n))  # exp(-lam * rate * dt), exactly 1.0 where lam = 0
+    # row k >= 1: exp(-lam * rate * dt) over the sub-step that ends at
+    # checkpoint k, exactly 1.0 where lam = 0; row 0 belongs to the prior
+    factors = np.ones((m + 1, n))
     idx = np.maximum(np.searchsorted(logged_t, starts + 1e-12) - 1, 0)
     # in blocks of sub-steps, so the tails' temporaries stay small
     for lo in range(0, m, REPLAY_BLOCK):
@@ -222,19 +223,16 @@ def oracle_filter(
         )
         tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
         rate = tails[:size] + tails[size:]
-        factors[lo:lo + size] = np.exp(-lam * rate * dts[lo:lo + size, None])
+        factors[lo + 1:lo + size + 1] = np.exp(-lam * rate * dts[lo:lo + size, None])
 
-    # one event per time: the last one logged there
-    events_at = {e.t: e for e in record.events}
-    trades = [e for e in events_at.values() if e.outcome is not Outcome.NO_TRADE]
+    # every trade's likelihood multiplies its checkpoint's row, so two trades
+    # at one float both apply, as the engine's two stops do
+    trades = [e for e in record.events if e.outcome is not Outcome.NO_TRADE]
     buys = np.array([e.outcome is Outcome.BUY for e in trades])
     prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
     weights = noise.side_tails_grid(prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None])
     rows = np.searchsorted(checkpoints, [e.t for e in trades])
-    # a trade's likelihood joins the factors of the sub-step that ends at it;
-    # a trade at checkpoint 0 ends no sub-step, so its jump is not applied
-    ends = rows > 0
-    factors[rows[ends] - 1] *= weights[ends]
+    np.multiply.at(factors, rows, weights)
 
     # The loop carries the unnormalised belief. A transition row sums to 1,
     # so a sub-step keeps at least its smallest factor of the mass: the
@@ -242,11 +240,11 @@ def oracle_filter(
     # below, and the row is renormalised before that bound reaches
     # _MASS_FLOOR. Every factor is at most 1, so nothing overflows.
     beliefs = np.empty((m + 1, n))
-    beliefs[0] = model.initial_belief.probs
+    beliefs[0] = model.initial_belief.probs * factors[0]
     prev = beliefs[0]
-    bound = 1.0
     lows = factors.min(axis=1).tolist()
-    for row, p_mat, factor, low in zip(beliefs[1:], chain, factors, lows):
+    bound = lows[0]
+    for row, p_mat, factor, low in zip(beliefs[1:], chain, factors[1:], lows[1:]):
         np.matmul(prev, p_mat, out=row)
         np.multiply(row, factor, out=row)
         bound *= low
@@ -257,20 +255,17 @@ def oracle_filter(
             bound = 1.0
         prev = row
 
-    totals = beliefs[1:].sum(axis=1)
+    totals = beliefs.sum(axis=1)
     empty = np.flatnonzero(~(totals > 0.0))
     if len(empty):
-        event = dict(zip(rows.tolist(), trades)).get(int(empty[0]) + 1)
+        event = dict(zip(rows.tolist(), trades)).get(int(empty[0]))
         if event is not None:
             raise GridMismatch(
                 f"logged {event.outcome.value} at t={event.t:.6f} has zero "
                 "likelihood under the replayed belief"
             )
-    beliefs[1:] /= totals[:, None]
-
-    times = checkpoints.copy()
-    times[0] = 0.0
-    return times, beliefs
+    beliefs /= totals[:, None]
+    return checkpoints, beliefs
 
 
 def compare_filters(

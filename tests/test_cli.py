@@ -679,6 +679,42 @@ def test_a_run_no_path_can_hold_prints_only_its_error_line(command, override, me
     assert proc.stderr.startswith(message), proc.stderr
 
 
+TWO_POINT = {"states": [1.0, 3.0], "initial_belief": [0.75, 0.25],
+             "noise": {"family": "two_point", "value": 1.0, "prob": 0.5}}
+
+
+@pytest.mark.parametrize("command, override, out, code", [
+    ("simulate", {**SILENT, "ode_step": 0.02}, "o_long", 2),
+    ("verify", {**SILENT, "ode_step": 0.02}, "o_v/deep", 2),
+    ("simulate", TWO_POINT, "o_tp", 3),
+], ids=["steps-simulate", "steps-verify-nested", "uncertified-simulate"])
+def test_a_failed_run_removes_the_out_directories_it_made(command, override, out, code,
+                                                          write_scenario, tmp_path, capsys):
+    """--out is created before the run, so that an unwritable one fails
+    first; a run that then fails removes the directories it created, and
+    leaves one that was there before, and its files, as they were."""
+    cfg = write_scenario(**override)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    for target in (tmp_path / out, kept / out, kept):
+        assert main([command, "--config", cfg, "--out", str(target)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "scenario.yaml"]
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "mine"
+
+
+@pytest.mark.parametrize("override", [TWO_POINT, {"noise": {"family": "logistic", "scale": 0.5}}],
+                         ids=["static_only", "condition_fails"])
+def test_a_refused_quote_solve_names_the_force_flag(override, write_scenario, capsys):
+    """A quote solve refused for want of a contraction certificate tells a
+    command-line user which flag iterates anyway."""
+    assert main(["solve-static", "--config", write_scenario(**override)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(--force) to iterate anyway" in err
+
+
 @pytest.mark.parametrize("noise, code, lines", [
     ({"family": "gaussian", "sigma": 1.0e308}, 1, ["K        = 1.09392181535"]),
     ({"family": "laplace", "scale": 1.0e308}, 0,

@@ -50,7 +50,7 @@ from gmsim.verification import (
     _poisson_gof,
 )
 
-from oracles import expm_reference
+from oracles import expm_reference, sample_times_reference
 
 GRID2 = StateGrid([0.0, 1.0])
 NOISE = Logistic(2.0)
@@ -313,29 +313,40 @@ def test_oracle_refuses_a_model_with_another_state_count():
 
 # The oracle as it was first written, one checkpoint at a time: the quote
 # lookup, the scalar tails, the factor and the jump all inside the loop, and
-# one matrix per step length from a dict. oracle_filter takes everything but
-# the recursion as arrays, folds each trade's likelihood into the factors and
-# normalises once at the end, so its products round in another order: its
-# times must equal the loop's, and its beliefs lie within REPLAY_TOL of the
-# loop's, 512 ulps of 1.0, fixed from the dtype.
+# one matrix per step length from a dict. Its checkpoints come from the
+# scalar sample-row rule, oracles.sample_times_reference, and every trade
+# logged at a checkpoint jumps there, one at 0 from the prior. oracle_filter
+# takes everything but the recursion as arrays, folds each trade's
+# likelihood into the factors and normalises once at the end, so its
+# products round in another order: its times must equal the loop's, and its
+# beliefs lie within REPLAY_TOL of the loop's, 512 ulps of 1.0, fixed from
+# the dtype.
 REPLAY_TOL = 512 * np.finfo(float).eps
 
 
 def _reference_replay(record, model, h):
     logged_t = record.sample_times
-    n_grid = math.ceil(record.horizon / h)
-    grid_times = np.minimum(np.arange(n_grid + 1) * h, record.horizon)
-    event_times = np.array([e.t for e in record.events])
-    if len(event_times):
-        near = np.min(np.abs(grid_times[:, None] - event_times[None, :]), axis=1)
-        grid_times = grid_times[near > 1e-12]
-    checkpoints = np.unique(np.concatenate([grid_times, event_times, [record.horizon]]))
-    events_at = {e.t: e for e in record.events}
+    event_times = sorted(e.t for e in record.events)
+    checkpoints = np.unique(sample_times_reference(event_times, h, record.horizon))
+    trades = [e for e in record.events if e.outcome is not Outcome.NO_TRADE]
     xs = model.grid.values
     noise = model.noise
     lam = model.arrival_rate
+
+    def jump(belief, t):
+        """Every trade logged at t, one Bayes update each."""
+        for event in trades:
+            if event.t == t:
+                if event.outcome is Outcome.BUY:
+                    weights = np.array([noise.survival(event.ask - x) for x in xs])
+                else:
+                    weights = np.array([noise.cdf(event.bid - x) for x in xs])
+                belief = belief * weights
+                belief = belief / belief.sum()
+        return belief
+
     cache = {}
-    belief = model.initial_belief.probs.copy()
+    belief = jump(model.initial_belief.probs.copy(), 0.0)
     out_times = [0.0]
     out_beliefs = [belief.copy()]
     for k in range(1, len(checkpoints)):
@@ -351,15 +362,7 @@ def _reference_replay(record, model, h):
             bid = float(record.sample_bids[idx])
             rate = np.array([noise.cdf(bid - x) + noise.survival(ask - x) for x in xs])
             belief = belief * np.exp(-lam * rate * dt)
-        belief = belief / belief.sum()
-        event = events_at.get(t1)
-        if event is not None and event.outcome is not Outcome.NO_TRADE:
-            if event.outcome is Outcome.BUY:
-                weights = np.array([noise.survival(event.ask - x) for x in xs])
-            else:
-                weights = np.array([noise.cdf(event.bid - x) for x in xs])
-            belief = belief * weights
-            belief = belief / belief.sum()
+        belief = jump(belief / belief.sum(), t1)
         out_times.append(t1)
         out_beliefs.append(belief.copy())
     return np.array(out_times), np.array(out_beliefs)
@@ -425,9 +428,9 @@ def test_oracle_replay_equals_the_per_checkpoint_loop(model, cfg, seed):
 
 
 def test_oracle_replay_equals_the_loop_where_an_event_meets_a_grid_time():
-    """Events within 1e-12 of a grid time take its place, the first and
-    last grid times included, and one event sits exactly on a grid time of
-    h/4 only."""
+    """Events within 1e-12 of a multiple of h take its place, the last one
+    included, 0 aside: 0 stays, and the trade at 5e-13 jumps after it. One
+    event sits exactly on a multiple of h/4 only."""
     times = (5e-13, 0.25 + 4e-13, 0.5 - 9e-13, 0.6 + 2.5e-4, 0.75 + 2e-12, 1.0 - 3e-13)
     outcomes = (Outcome.SELL, Outcome.BUY, Outcome.SELL, Outcome.NO_TRADE, Outcome.BUY,
                 Outcome.SELL)
@@ -442,7 +445,71 @@ def test_oracle_replay_equals_the_loop_where_an_event_meets_a_grid_time():
     rec = _synthetic_record(1.0, events, 2.5e-4, 0.6, 0.3)
     _assert_replays_match_reference(rec, MODEL2, 1e-3)
     times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=1e-3))
-    assert 0.25 not in times and times[250] == 0.25 + 4e-13
+    assert 0.25 not in times and times[251] == 0.25 + 4e-13
+
+
+def _buys(*times):
+    return [
+        EventRecord(
+            t=t, x=0.0, eps=0.0, ask=0.6, bid=0.3, outcome=Outcome.BUY,
+            belief_before=np.array([0.5, 0.5]), belief_after=np.array([0.5, 0.5]),
+            profit=0.0,
+        )
+        for t in times
+    ]
+
+
+def _logged_record(horizon, events, sample_dt):
+    """A synthetic record on the rows an engine record sampled at sample_dt
+    logs: 0, every event, the horizon and the multiples of sample_dt between."""
+    times = np.array(sample_times_reference(sorted(e.t for e in events), sample_dt, horizon))
+    n = len(times)
+    return replace(
+        _synthetic_record(horizon, events, sample_dt, 0.6, 0.3), sample_times=times,
+        sample_asks=np.full(n, 0.6), sample_bids=np.full(n, 0.3),
+        sample_values=np.zeros(n), sample_beliefs=np.full((n, 2), 0.5),
+    )
+
+
+@pytest.mark.parametrize("horizon, times, fewer", [
+    (2.0, (5e-13,), ()),
+    (1.0, (0.0,), ()),
+    (1.0, (0.3, 0.3), (0.3,)),
+], ids=["near_zero", "at_zero", "twice_at_one_time"])
+def test_oracle_applies_every_logged_trade(horizon, times, fewer):
+    """The engine logs each trade's jump in belief_after, so the replay
+    applies every one: a BUY at 0 or within 1e-12 of it jumps from the
+    prior, and two BUYs at one float both jump. The terminal belief moves
+    by about 1e-2 (near 0), 3.5e-2 (at 0) and 5e-2 (the second BUY) from
+    the record with fewer trades."""
+    h = 1e-3
+    rec = _logged_record(horizon, _buys(*times), h / 4)
+    _assert_replays_match_reference(rec, MODEL2, h)
+    _, beliefs = oracle_filter(rec, MODEL2, OracleFilterConfig(h=h))
+    _, fewer_beliefs = oracle_filter(_logged_record(horizon, _buys(*fewer), h / 4), MODEL2,
+                                     OracleFilterConfig(h=h))
+    assert np.abs(beliefs[-1] - fewer_beliefs[-1]).sum() > 5e-3
+
+
+def test_oracle_times_are_the_rows_a_record_sampled_at_h_logs():
+    """A BUY at 1.5 + 1.2e-12 lies within 1e-12 * 1.5 of the multiple 1.5
+    of h, so a record sampled at h / 8 logs no row at 1.5, and the oracle
+    takes no checkpoint there: every oracle time is one of the record's.
+    (On h / 4 rows, the gap h / 4 + 1.2e-12 around the missing row exceeds
+    what the spacing check allows an oracle step of h / 4.)"""
+    h = 1e-3
+    rec = _logged_record(2.0, _buys(1.5 + 1.2e-12), h / 8)
+    _assert_replays_match_reference(rec, MODEL2, h)
+    for step in (h, h / 2, h / 4):
+        times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=step))
+        assert np.isin(times, rec.sample_times).all()
+
+
+def test_oracle_refuses_an_event_outside_the_horizon():
+    for t in (-1e-3, 1.0 + 1e-3, math.nan):
+        rec = _synthetic_record(1.0, _buys(t), 1e-3, 0.6, 0.3)
+        with pytest.raises(GridMismatch, match=r"^logged event at t=.* lies outside \[0, 1\.0\]$"):
+            oracle_filter(rec, MODEL2, OracleFilterConfig(h=1e-3))
 
 
 def test_oracle_replay_renormalises_before_the_mass_underflows():
@@ -510,6 +577,23 @@ def test_oracle_replay_equals_the_loop_on_random_markets(run):
         model, horizon, SimConfig(ode_step=0.02, sample_dt=h / 4), seed=seed
     )
     _assert_replays_match_reference(rec, model, h)
+
+
+@settings(max_examples=40)
+@given(_small_markets())
+def test_oracle_times_lie_among_an_engine_records_rows(run):
+    """For a record sampled at h / 4, the oracle at h, h / 2 and h / 4 takes
+    its checkpoints among the record's times, and compare_filters matches
+    every one."""
+    model, h, horizon, seed = run
+    rec = simulate_gmps_path(
+        model, horizon, SimConfig(ode_step=0.02, sample_dt=h / 4), seed=seed
+    )
+    for step in (h, h / 2, h / 4):
+        times, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=step))
+        assert np.isin(times, rec.sample_times).all()
+        cmp = compare_filters(rec.sample_times, rec.sample_beliefs, times, beliefs)
+        assert cmp.n_matched == len(times)
 
 
 def test_compare_filters_equals_the_loop_on_partly_shared_times():
