@@ -25,16 +25,16 @@ All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
 through the equilibrium module's fixed-point loops with the noise's slope:
-Newton steps for the logistic and Laplace families, Picard steps for the
-Gaussian. Its *_rows methods do the RK4 steps and their quote solves on
-many beliefs at once, one numpy row each, in the same operation order (each
-sum over the states a _column_sum), so a row equals the scalar result bit
-for bit; a trade's jump and re-solve stay scalar in both engines. They take
-both sides of the book as one array, the ask rows stacked over the bid
-rows: a drift evaluates the tails at (ask, bid) once, the quote solve that
-follows it starts from those quotes and, without an ask shift, reuses those
-tails (and the slopes they give) as its first iterate, and the two sides
-share one row solve loop.
+Newton steps for the logistic and Laplace families, secant steps for the
+Gaussian, Picard steps for a forced static-only family. Its *_rows methods
+do the RK4 steps and their quote solves on many beliefs at once, one numpy
+row each, in the same operation order (each sum over the states a
+_column_sum), so a row equals the scalar result bit for bit; a trade's jump
+and re-solve stay scalar in both engines. They take both sides of the book
+as one array, the ask rows stacked over the bid rows: a drift evaluates the
+tails at (ask, bid) once, the quote solve that follows it starts from those
+quotes and, without an ask shift, reuses those tails (and the slopes they
+give) as its first iterate, and the two sides share one row solve loop.
 """
 
 from __future__ import annotations
@@ -188,16 +188,18 @@ class _FilterKernel:
         self.survival = noise.survival
         self.cdf = noise.cdf
         self.slope = noise.slope
+        self.secant = not noise.static_only
         self.side_tails_grid = noise.side_tails_grid
         self.slope_grid = noise.slope_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
-        xs, tol, max_iter, slope = self.xs, self.fp_tol, self.max_iter, self.slope
+        xs, tol, max_iter, slope, secant = (
+            self.xs, self.fp_tol, self.max_iter, self.slope, self.secant)
         ask, _ = _picard(self.survival, ZeroBuyProbability, xs, probs, ask, tol, max_iter,
-                         slope, 1.0)
+                         slope, 1.0, secant)
         bid, _ = _picard(self.cdf, ZeroSellProbability, xs, probs, bid, tol, max_iter,
-                         slope, -1.0)
+                         slope, -1.0, secant)
         return ask, bid
 
     def jump(self, probs, price, buy):
@@ -289,7 +291,7 @@ class _FilterKernel:
         prices = _picard_rows(
             self.side_tails_grid, self.xs_row, np.concatenate((probs, probs)),
             _signs(n, n), np.concatenate((ask, bid)), self.fp_tol, self.max_iter, tails,
-            self.slope_grid,
+            self.slope_grid, self.secant,
         )
         return prices[:n], prices[n:]
 

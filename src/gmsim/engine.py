@@ -297,17 +297,22 @@ def sell_intensity(quote: Quote, x: float, lam: float, noise: NoiseModel) -> flo
 # Path simulation
 
 
+# a multiple of sample_dt within _SAMPLE_TOL * max(1, |t|) of a stop at t
+# logs no row of its own
+_SAMPLE_TOL = 1e-12
+
+
 def _sample_times(arrivals, sample_dt, horizon):
     """The times of a path's sample rows in time order, an array: 0, each
     arrival (sorted, in [0, horizon]), the horizon, and each m * sample_dt
-    in between, unless it lies within 1e-12 * max(1, |t|) of the arrival or
-    horizon t before or after it. The reference filter takes its checkpoints
-    from this rule too; _start refuses a sample_dt whose grid no path can
-    hold before a path calls it."""
+    in between, unless it lies within _SAMPLE_TOL * max(1, |t|) of the
+    arrival or horizon t before or after it. The reference filter takes its
+    checkpoints from this rule too; _start refuses a sample_dt whose grid no
+    path can hold before a path calls it."""
     stops = np.concatenate(([0.0], arrivals, [horizon]))
     grid = np.arange(1, math.ceil(horizon / sample_dt) + 1) * sample_dt
     grid = grid[grid < horizon]
-    tol = 1e-12 * np.maximum(1.0, np.abs(stops))
+    tol = _SAMPLE_TOL * np.maximum(1.0, np.abs(stops))
     after = np.searchsorted(stops, grid)
     keep = (grid > (stops + tol)[after - 1]) & (grid < (stops - tol)[after])
     return np.insert(stops, after[keep], grid[keep])

@@ -24,9 +24,14 @@ Laplace) its slope g'(s) costs no further tail evaluation:
     g'(s) = -sum_i (x_i - g) pi_i phi_i / sum_i pi_i Phi(s - x_i)
 
 on the ask side, with phi_i = slope(Phi(s - x_i)), and the same with a plus
-sign and Psi on the bid side. A Newton step that would leave [x_1, x_n], or
-meets 1 - g' <= 0, is replaced by the Picard step g(s); the other families
-take Picard steps only. Either way a solve stops on |g(s) - s| <= tol and
+sign and Psi on the bid side. The Gaussian density would cost one more exp
+per state, so its solves take the secant slope through the last two
+evaluations instead, (g(s) - g(s_prev)) / (s - s_prev), which costs
+nothing: one Picard step, then secant steps (3.78 evaluations of g per
+solve fell to 2.45 on an 8-state Gaussian path). A step that would leave
+[x_1, x_n], meets 1 - g' <= 0 or has no slope (s == s_prev) is replaced by
+the Picard step g(s). The static-only families, whose maps jump, take
+Picard steps only. Either way a solve stops on |g(s) - s| <= tol and
 returns g(s), so the K * tol residual bound holds, and its iteration count
 is the number of evaluations of g.
 
@@ -35,7 +40,7 @@ sums raise ZeroBuyProbability / ZeroSellProbability.
 
 This module holds the package's only quote-solving path: _iteration_ceiling
 (the admissibility gate and the certified iteration ceiling) and _picard
-(one fixed-point loop for either side, given its tail and slope), with
+(one fixed-point loop for either side, given its tail and step rule), with
 _picard_rows, the same loop over many beliefs and both sides at once for
 the lockstep engine: the ask rows and the bid rows stacked, each row with
 its side's tail. The public solvers here and the belief filter's per-model
@@ -103,23 +108,32 @@ def _no_convergence(max_iter, tol, price):
     return NoConvergence(f"{steps}a violated admissibility precondition is the usual cause")
 
 
-def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0):
+def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0,
+            secant=False):
     """Solve s = g(s) from start, where g is _conditional_mean on tail.
 
     Each iteration evaluates g once, at s, and stops when |g(s) - s| <= tol
     by returning g(s); under a contraction with modulus K that price
-    satisfies |g(price) - price| <= K * tol <= tol. Otherwise, without a
-    slope, the next s is g(s): a Picard step. With the family's slope (its
-    density as a function of the tail value) and sign, +1 for the ask side
-    (tail the survival) or -1 for the bid side (tail the cdf), the next s
-    is _newton's step on s - g(s) = 0, whose slope
-    g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den
-    comes from the tails already taken.
+    satisfies |g(price) - price| <= K * tol <= tol. Otherwise the next s is
+    _newton's step on s - g(s) = 0, with one of two slopes:
+
+    - with the family's slope (its density as a function of the tail value)
+      and sign, +1 for the ask side (tail the survival) or -1 for the bid
+      side (tail the cdf),
+      g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den
+      from the tails already taken;
+    - without one, given secant (a continuous family), the secant slope
+      (g(s) - g(s_prev)) / (s - s_prev) through the last two evaluations.
+      The first step, and a step from s == s_prev, are Picard steps.
+
+    A static-only family (no slope, no secant) takes plain Picard steps,
+    s = g(s): its map jumps, so no slope tells where the root lies.
 
     Returns (price, evaluations of g).
     """
     lo, hi = xs[0], xs[-1]
     s = start
+    s_prev = g_prev = math.nan  # no evaluation yet: the first step is g(s)
     for i in range(1, max_iter + 1):
         if slope is None:
             g = _conditional_mean(s, xs, probs, tail, no_mass)
@@ -127,13 +141,17 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0
             g, den, terms = _conditional_mean_terms(s, xs, probs, tail, no_mass)
         if abs(g - s) <= tol:
             return g, i
-        if slope is None:
-            s = g
-        else:
+        if slope is not None:
             dsum = 0.0
             for x, p, f in terms:
                 dsum += (x - g) * (p * slope(f))
             s = _newton(s, g, -sign * dsum / den, lo, hi)
+        elif secant:  # a nan slope, the first step's or at s == s_prev, takes g
+            dg = (g - g_prev) / (s - s_prev) if s != s_prev else math.nan
+            s_prev, g_prev = s, g
+            s = _newton(s, g, dg, lo, hi)
+        else:
+            s = g
     raise _no_convergence(max_iter, tol, s)
 
 
@@ -156,8 +174,8 @@ def _conditional_mean_terms(s, xs, probs, tail, no_mass):
 
 def _newton(s, g, dg, lo, hi):
     """The Newton step s - (s - g) / (1 - dg) on s - g(s) = 0, from s with
-    g = g(s) and dg = g'(s); the Picard step g where 1 - dg <= 0 or the
-    Newton step leaves [lo, hi]."""
+    g = g(s) and dg = g'(s) or an estimate of it; the Picard step g where
+    1 - dg <= 0, dg is nan, or the Newton step leaves [lo, hi]."""
     d = 1.0 - dg
     if d > 0.0:
         step = s - (s - g) / d
@@ -176,7 +194,8 @@ def _column_sum(m):
     return total
 
 
-def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slopes=None):
+def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slopes=None,
+                 secant=False):
     """_picard on every row of probs at once, for both sides of the book:
     one belief and one warm price per row, sign a column that is +1 on the
     ask rows (the survival tail, ZeroBuyProbability) and -1 on the bid rows
@@ -184,7 +203,9 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
     xs the grid values as an array. first, when given, is the tails at
     start, which the first iterate then uses instead of evaluating them.
     slopes, when given, is the noise's slope_grid, and the rows take
-    _picard's Newton steps; without it, its Picard steps.
+    _picard's Newton steps; without it, given secant, its secant steps, each
+    row with its own last two evaluations (the tails at start count as the
+    first); without either, its Picard steps.
 
     A row leaves the loop when |g(s) - s| <= tol, so each row takes exactly
     the iterates _picard would take alone. Returns the prices. Raises what
@@ -196,6 +217,9 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
     prices = np.array(start, dtype=float)
     rows = np.arange(len(prices))  # the rows still moving
     s = prices
+    secant = secant and slopes is None
+    if secant:  # each row's last evaluation (s, g), nan before the first
+        s_prev = g_prev = np.full(len(prices), np.nan)
     lo, hi = xs[0], xs[-1]
     bid_error = None  # a bid row's zero mass, held until the ask rows finish
     for _ in range(max_iter):
@@ -215,6 +239,8 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
             rows, s, f, num, den, probs, sign = (
                 v[ask_rows] for v in (rows, s, f, num, den, probs, sign)
             )
+            if secant:
+                s_prev, g_prev = s_prev[ask_rows], g_prev[ask_rows]
         g = num / den
         done = np.abs(g - s) <= tol
         if done.all():
@@ -228,12 +254,18 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
             rows, s, g, f, den, probs, sign = (
                 v[moving] for v in (rows, s, g, f, den, probs, sign)
             )
-        if slopes is None:
+            if secant:
+                s_prev, g_prev = s_prev[moving], g_prev[moving]
+        if slopes is None and not secant:
             s = g
         else:  # _newton on every row; an inf or nan step takes the Picard step
             with np.errstate(all="ignore"):
-                dsum = _column_sum((xs - g[:, None]) * (probs * slopes(f)))
-                dg = -sign[:, 0] * dsum / den
+                if secant:  # nan on a first step, and 0 / 0 where s == s_prev
+                    dg = (g - g_prev) / (s - s_prev)
+                    s_prev, g_prev = s, g
+                else:
+                    dsum = _column_sum((xs - g[:, None]) * (probs * slopes(f)))
+                    dg = -sign[:, 0] * dsum / den
                 d = 1.0 - dg
                 step = s - (s - g) / d
             s = np.where((d > 0.0) & (lo <= step) & (step <= hi), step, g)
@@ -338,7 +370,7 @@ def _solve(belief, grid, noise, tol, start, force, sides):
     probs = [float(v) for v in belief.probs]
     return [
         _picard(*_side(noise, buy), xs, probs, start, tol, max_iter, noise.slope,
-                1.0 if buy else -1.0)
+                1.0 if buy else -1.0, not noise.static_only)
         for buy in sides
     ]
 

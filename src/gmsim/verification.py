@@ -44,6 +44,7 @@ from .engine import (
     PathRecord,
     buy_intensity,
     path_streams,
+    _SAMPLE_TOL,
     _sample_times,
     sample_arrival_times,
     sell_intensity,
@@ -131,20 +132,31 @@ class FilterComparison:
 
 def transition_matrix(rates: np.ndarray, dt: float) -> np.ndarray:
     """exp(rates * dt) by scaling and squaring of a Taylor series truncated
-    after MATRIX_EXP_TERMS terms. dt must be finite and nonnegative."""
+    after MATRIX_EXP_TERMS terms: _transition_matrices of one length. dt
+    must be finite and nonnegative."""
     check_number("dt", dt, "nonnegative")
-    b = np.asarray(rates, dtype=float) * dt
-    norm = float(np.max(np.sum(np.abs(b), axis=1))) if b.size else 0.0
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
-    b = b / (2.0**squarings)
-    n = b.shape[0]
-    acc = np.eye(n)
-    term = np.eye(n)
+    return _transition_matrices(rates, np.array([float(dt)]))[0]
+
+
+def _transition_matrices(rates, dts):
+    """transition_matrix(rates, dt) for every dt of the array dts, stacked
+    (len(dts), n, n): each length with its own squaring count, the series
+    of every length in one pass, and the squarings applied to the lengths
+    that still need them. Each matrix equals a one-length call bit for
+    bit."""
+    b = np.asarray(rates, dtype=float) * dts[:, None, None]
+    norms = np.max(np.sum(np.abs(b), axis=2), axis=1, initial=0.0)
+    squarings = np.array([max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+                          for norm in norms.tolist()], dtype=int)
+    b = b / (2.0**squarings)[:, None, None]
+    acc = np.broadcast_to(np.eye(b.shape[1]), b.shape).copy()
+    term = acc
     for k in range(1, MATRIX_EXP_TERMS + 1):
         term = term @ b / k
         acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
+    for j in range(int(squarings.max(initial=0))):
+        more = squarings > j
+        acc[more] = acc[more] @ acc[more]
     return acc
 
 
@@ -161,18 +173,20 @@ def oracle_filter(
     cfg.h not within 1e-12 * max(1, |t|) of one of them. The no-trade
     likelihood over each sub-step uses the quote the engine logged at the
     sub-step's left endpoint, so the record must carry a sampled quote path
-    at least as fine as cfg.h, and its events must lie in [0, horizon].
+    at least as fine as cfg.h (a gap may exceed cfg.h by the sample-row
+    rule's tolerance, where a row gave way to an event), and its events must
+    lie in [0, horizon].
 
     Nothing but the recursion depends on the belief, so the rest is taken
     as arrays first: one factor row per checkpoint, each sub-step's no-trade
     factors exp(-lam * rate * dt) from one side_tails_grid call at its
-    logged quote, one transition matrix per distinct sub-step length, and
-    the likelihood weights of every logged trade, multiplied into the row
-    of its checkpoint (row 0, the prior's, for a trade at 0). The loop then
-    carries the unnormalised belief: the chain step and the factors, in
-    place, renormalising only where the belief's mass could underflow.
-    Every row is divided by its own sum once the loop is done; a trade
-    whose row sums to zero raises GridMismatch.
+    logged quote, the transition matrices of every distinct sub-step length
+    in one stacked pass, and the likelihood weights of every logged trade,
+    multiplied into the row of its checkpoint (row 0, the prior's, for a
+    trade at 0). The loop then carries the unnormalised belief: the chain
+    step and the factors, in place, renormalising only where the belief's
+    mass could underflow. Every row is divided by its own sum once the loop
+    is done; a trade whose row sums to zero raises GridMismatch.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
@@ -185,7 +199,11 @@ def oracle_filter(
             f"record has {record.sample_beliefs.shape[1]} states, the model {n}"
         )
     spacing = float(np.max(np.diff(logged_t)))
-    if spacing > cfg.h * (1.0 + 1e-9) + 1e-15:
+    # a row that gives way to an event within the sample-row rule's
+    # tolerance widens its gap by up to that much; the times are sorted, so
+    # an end holds the largest |t|
+    row_tol = _SAMPLE_TOL * max(1.0, abs(float(logged_t[0])), abs(float(logged_t[-1])))
+    if spacing > cfg.h * (1.0 + 1e-9) + 1e-15 + row_tol:
         raise GridMismatch(
             f"logged quotes are spaced {spacing:.3e} apart, coarser than "
             f"the oracle step {cfg.h:.3e}"
@@ -207,7 +225,7 @@ def oracle_filter(
     noise = model.noise
     lam = model.arrival_rate
     lengths, length_of = np.unique(dts, return_inverse=True)
-    p_mats = [transition_matrix(model.generator.rates, float(dt)) for dt in lengths]
+    p_mats = _transition_matrices(model.generator.rates, lengths)
     chain = [p_mats[i] for i in length_of]
 
     # row k >= 1: exp(-lam * rate * dt) over the sub-step that ends at

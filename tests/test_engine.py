@@ -756,13 +756,16 @@ def test_silent_sampled_paths_are_bitwise_pinned():
 
 
 def test_gaussian_dense_filter_path_is_bitwise_pinned():
-    """The benchmark's 8-state Gaussian chain, one short sampled path: the
-    Gaussian solves take plain Picard steps, so this digest pins them."""
+    """The benchmark's 8-state Gaussian chain, one short sampled path: this
+    digest pins the Gaussian solves' secant steps. Re-recorded when they
+    replaced Picard steps: the events' quotes moved by at most 1.1e-15,
+    the sampled quotes by 2.9e-14 (within the solves' tol of 1e-12),
+    beliefs by 8.3e-17, and no trade outcome changed."""
     rec = simulate_gmps_path(EIGHT_STATE_MODEL, 0.5,
                              SimConfig(ode_step=0.01, sample_dt=0.05), seed=42)
     assert rec.n_trades > 5 and len(rec.sample_times) > 10
     assert _path_digest([rec]) == (
-        "3be13c9e44d2c796f1c20a9dd8d0b6139a8f2ffd4374cf73cb0c4f9da71f57c6"
+        "f1a4c70dba04d1cac2f086041aa1cd8c42bf01ce0d52ad10310ecb4737339b88"
     )
 
 
@@ -783,6 +786,25 @@ def test_readme_solves_take_fewer_than_three_evaluations(monkeypatch):
         simulate_gmps_path(MODEL, 3.0, SimConfig(ode_step=0.02), seed=42, offset=k)
     assert len(counts) > 5000
     assert sum(counts) / len(counts) < 3.0
+
+
+def test_dense_filter_solves_take_secant_steps(monkeypatch):
+    """Secant steps through the last two evaluations: on the benchmark's
+    dense-filter path (the 8-state Gaussian chain, seed 1, T = 2), the
+    quote solves evaluate g fewer than 2.6 times each on average (Picard
+    steps took 3.78)."""
+    counts = []
+    picard = gmsim.beliefs._picard
+
+    def spy(*args):
+        price, evaluations = picard(*args)
+        counts.append(evaluations)
+        return price, evaluations
+
+    monkeypatch.setattr(gmsim.beliefs, "_picard", spy)
+    simulate_gmps_path(EIGHT_STATE_MODEL, 2.0, SimConfig(ode_step=1e-3), seed=1)
+    assert len(counts) > 10_000
+    assert sum(counts) / len(counts) < 2.6
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import gmsim.equilibrium
 from gmsim.beliefs import buy_jump, sell_jump
@@ -185,9 +187,13 @@ def test_spread_strictly_positive_when_informative():
 
 
 def test_picard_iterates_contract_at_rate_k(monkeypatch):
-    """A family without a slope (the Gaussian) solves by Picard steps: the
-    solver evaluates g at s_0, g(s_0), g(g(s_0)), ..., and successive
-    steps shrink at rate K."""
+    """A continuous family without a slope (the Gaussian) takes one Picard
+    step and then secant steps: the solver evaluates g at s_0, then at
+    s_1 = g(s_0), and each later iterate is the root of the secant through
+    the last two evaluations, s - (s - g) / (1 - dg) with
+    dg = (g - g_prev) / (s - s_prev). The residual |g(s) - s| falls faster
+    than K per step, and the solve takes fewer evaluations than Picard
+    iteration from the same start."""
     noise = Gaussian(2.0)
     belief = Belief([0.3, 0.7])
     report = check_gm_condition(noise, UNIT_GRID.width)
@@ -201,14 +207,22 @@ def test_picard_iterates_contract_at_rate_k(monkeypatch):
 
     monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean", spy)
     price = solve_ask(belief, UNIT_GRID, noise, start=0.0)
-    iterates = seen + [price]
-    assert len(iterates) >= 6
-    for s, s_next in zip(iterates, iterates[1:]):
-        assert s_next == mean_given_buy(s, belief, UNIT_GRID, noise)
-    steps = [abs(b - a) for a, b in zip(iterates, iterates[1:])]
-    for prev, diff in zip(steps, steps[1:]):
-        if prev > 1e-10:
-            assert diff <= (report.K + 1e-6) * prev
+    monkeypatch.undo()
+    g = [mean_given_buy(s, belief, UNIT_GRID, noise) for s in seen]
+    assert len(seen) >= 4 and seen[0] == 0.0 and seen[1] == g[0]
+    for k in range(2, len(seen)):
+        s, s_prev = seen[k - 1], seen[k - 2]
+        dg = (g[k - 1] - g[k - 2]) / (s - s_prev)
+        assert seen[k] == s - (s - g[k - 1]) / (1.0 - dg)
+    assert price == g[-1] and abs(g[-1] - seen[-1]) <= 1e-12
+    residuals = [abs(gk - s) for s, gk in zip(seen, g)]
+    for prev, res in zip(residuals, residuals[1:]):
+        assert res < report.K * prev
+    picard_evaluations, s = 1, 0.0
+    while abs(mean_given_buy(s, belief, UNIT_GRID, noise) - s) > 1e-12:
+        s = mean_given_buy(s, belief, UNIT_GRID, noise)
+        picard_evaluations += 1
+    assert len(seen) < picard_evaluations
 
 
 def test_contraction_property_of_price_map():
@@ -272,21 +286,50 @@ def test_static_quotes_bundle():
 # Recorded (float.hex, iterations) before solve_static_quotes shared one gate
 # between its two sides. The logistic and Laplace rows were re-recorded when
 # their solves moved to Newton steps (prices by at most 2.2e-14, iterations
-# then counting evaluations of g); the Gaussian row takes Picard steps and
-# did not move.
+# then counting evaluations of g). The Gaussian row was re-recorded when its
+# solves moved to secant steps: 7 evaluations per side became 4, the ask
+# moved by 4.4e-16 and the bid by 1.3e-15.
 STATIC_PINS = [
     (HALF, UNIT_GRID, LOGI,
      ("0x1.205436ccadcf9p-1", "0x1.bf579266a460dp-2", 3, 3)),
     (Belief([0.2, 0.3, 0.5]), StateGrid([-1.0, 0.5, 2.0]), Laplace(4.0),
      ("0x1.3eeeab35e8ba1p+0", "0x1.48fc2989ecac6p-1", 4, 4)),
     (Belief([0.1, 0.2, 0.3, 0.4]), StateGrid([0.0, 1.0, 2.0, 3.0]), Gaussian(8.0),
-     ("0x1.0ccfc6bfe1568p+1", "0x1.e6583f13530b3p+0", 7, 7)),
+     ("0x1.0ccfc6bfe1569p+1", "0x1.e6583f13530adp+0", 4, 4)),
 ]
 
 
 @pytest.mark.parametrize("belief, grid, noise, pinned", STATIC_PINS)
 def test_static_quotes_are_bitwise_pinned(belief, grid, noise, pinned):
     q = solve_static_quotes(belief, grid, noise)
+    assert (q.ask.hex(), q.bid.hex(), q.ask_iterations, q.bid_iterations) == pinned
+
+
+# Forced solves of the static-only families, recorded (float.hex,
+# iterations) while every family without a slope took Picard steps. Their
+# maps jump, so they keep those steps; secant steps would keep these prices
+# but take one more evaluation on the side marked * of three cases.
+STATIC_ONLY_PINS = [
+    (TWO_POINT_BELIEF, TWO_POINT_GRID, TWO_POINT_NOISE,
+     ("0x1.ccccccccccccdp+0", "0x1.0000000000000p+0", 2, 2)),
+    (Belief([0.1, 0.2, 0.3, 0.4]), StateGrid([0.0, 1.0, 2.0, 3.0]),  # * the bid
+     TwoPointDiscrete(0.7, 0.3), ("0x1.8000000000000p+1", "0x1.5555555555556p-1", 3, 4)),
+    (Belief([0.4, 0.1, 0.2, 0.3]), StateGrid([-1.0, 0.0, 0.5, 2.0]), TwoPointDiscrete(0.4, 0.6),
+     ("0x1.0000000000000p+1", "-0x1.0000000000000p+0", 3, 3)),
+    (Belief([0.37, 0.19, 0.44]), StateGrid([-1.17, 0.64, 1.73]),  # * the ask
+     TwoPointDiscrete(1.11, 0.33), ("0x1.66b99ecd20053p+0", "-0x1.2b851eb851eb8p+0", 3, 3)),
+    (Belief([0.22, 0.36, 0.42]), StateGrid([0.63, 0.73, 1.28]),  # * the bid
+     TwoPointDiscrete(0.24, 0.71), ("0x1.47ae147ae147bp+0", "0x1.6256dd0af23aap-1", 3, 3)),
+    (Belief([0.2, 0.8]), UNIT_GRID, NoiseTraderMix(0.4),
+     ("0x1.999999999999ap-1", "0x1.999999999999ap-1", 1, 1)),
+    (Belief([0.1, 0.2, 0.3, 0.4]), StateGrid([0.0, 1.0, 2.0, 3.0]), NoiseTraderMix(0.7),
+     ("0x1.0000000000000p+1", "0x1.0000000000000p+1", 1, 1)),
+]
+
+
+@pytest.mark.parametrize("belief, grid, noise, pinned", STATIC_ONLY_PINS)
+def test_forced_static_only_quotes_are_pinned(belief, grid, noise, pinned):
+    q = solve_static_quotes(belief, grid, noise, force=True)
     assert (q.ask.hex(), q.bid.hex(), q.ask_iterations, q.bid_iterations) == pinned
 
 
@@ -350,13 +393,14 @@ def test_column_sum_equals_the_scalar_loop():
             assert float(got[r]).hex() == total.hex(), (n, row)
 
 
-def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None):
+def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None, secant=False):
     """_picard_rows on the ask rows stacked over the bid rows, with the
-    noise's slope_grid (Newton steps where the family has one)."""
+    noise's slope_grid (Newton steps where the family has one) and, given
+    secant, secant steps where it has none."""
     sign = np.repeat([1.0, -1.0], len(probs))[:, None]
     prices = gmsim.equilibrium._picard_rows(
         noise.side_tails_grid, xs, np.concatenate((probs, probs)), sign,
-        np.concatenate((ask, bid)), tol, max_iter, first, noise.slope_grid,
+        np.concatenate((ask, bid)), tol, max_iter, first, noise.slope_grid, secant,
     )
     return prices[:len(probs)], prices[len(probs):]
 
@@ -460,6 +504,123 @@ def test_forced_newton_falls_back_to_picard_steps(monkeypatch):
     with pytest.raises(NoConvergence):
         _picard(noise.survival, ZeroBuyProbability, xs, probs, 0.0, 1e-12,
                 evaluations - 1, noise.slope, 1.0)
+
+
+def _one_row_evaluations(tails, xs, probs, start, tol, max_iter):
+    """_picard_rows with secant steps on one ask row, and the points s where
+    it evaluated g (xs[0] is 0.0, so s is the first column of each tails
+    call). Returns (the price or the error raised, the points)."""
+    points = []
+
+    def spy(ys, sign):
+        points.append(float(ys[0, 0]))
+        return tails(ys, sign)
+
+    try:
+        price = gmsim.equilibrium._picard_rows(
+            spy, np.array(xs), np.array([probs]), np.array([[1.0]]), np.array([start]), tol,
+            max_iter, None, None, True)[0]
+    except NoConvergence as error:
+        return error, points
+    return price, points
+
+
+def test_secant_steps_outside_the_grid_take_picard_steps(monkeypatch):
+    """Forced Gaussian(0.5) on [0, 1], K = 4.7: the ask's second step from
+    0 meets a secant root above 1 and the bid's from 1 one below 0, and each
+    takes the Picard step g(s) there. The row solver evaluates g at the
+    ask's points and returns both prices bit for bit."""
+    noise = Gaussian(0.5)
+    assert not check_gm_condition(noise, UNIT_GRID.width).passes
+    steps = []
+    newton = gmsim.equilibrium._newton
+
+    def spy(s, g, dg, lo, hi):
+        steps.append((s, g, dg, newton(s, g, dg, lo, hi)))
+        return steps[-1][3]
+
+    monkeypatch.setattr(gmsim.equilibrium, "_newton", spy)
+    seen = []
+    mean = gmsim.equilibrium._conditional_mean
+    monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean",
+                        lambda s, *args: seen.append(s) or mean(s, *args))
+    ask = solve_ask(HALF, UNIT_GRID, noise, start=0.0, force=True)
+    ask_points, ask_steps = list(seen), list(steps)
+    bid = solve_bid(HALF, UNIT_GRID, noise, start=1.0, force=True)
+    monkeypatch.undo()
+    for side_steps in (ask_steps, steps[len(ask_steps):]):
+        s, g, dg, taken = side_steps[1]
+        assert 1.0 - dg > 0.0 and not 0.0 <= s - (s - g) / (1.0 - dg) <= 1.0
+        assert taken == g
+    assert _one_row_evaluations(noise.side_tails_grid, (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12,
+                                500) == (ask, ask_points)
+    asks, bids = _both_sides(noise, np.array([0.0, 1.0]), np.array([[0.5, 0.5]]),
+                             np.zeros(1), np.ones(1), 1e-12, 500, secant=True)
+    assert [asks[0].hex(), bids[0].hex()] == [ask.hex(), bid.hex()]
+
+
+def test_coincident_iterates_take_a_picard_step(monkeypatch):
+    """A step that lands on its own start leaves the secant no slope
+    (s == s_prev), and both solvers take the Picard step g(s) there. On
+    [0, 1] a synthetic tail makes g(s) = 1 / (1 + exp(1000 (s - 0.3))),
+    whose slope is about -210 at its fixed point 0.3008: with tol 1e-15 the
+    secant root rounds back onto s, and the solve cycles between two floats
+    until its ceiling. The scalar and row solvers evaluate g at the same
+    points and both raise NoConvergence."""
+
+    def tail(y):
+        return 1.0 if y < 0.0 else math.exp(1000.0 * (y - 0.3))
+
+    row_tail = np.vectorize(tail, otypes=[float])
+    xs, probs = (0.0, 1.0), [0.5, 0.5]
+    seen = []
+    mean = gmsim.equilibrium._conditional_mean
+    monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean",
+                        lambda s, *args: seen.append(s) or mean(s, *args))
+    with pytest.raises(NoConvergence):
+        _picard(tail, ZeroBuyProbability, xs, probs, 0.5, 1e-15, 30, None, 1.0, True)
+    monkeypatch.undo()
+    coincident = [k for k in range(1, len(seen) - 1) if seen[k] == seen[k - 1]]
+    assert len(coincident) >= 3
+    for k in coincident:
+        assert seen[k + 1] == mean(seen[k], xs, probs, tail, ZeroBuyProbability)
+    error, points = _one_row_evaluations(lambda ys, sign: row_tail(ys), xs, probs, 0.5,
+                                         1e-15, 30)
+    assert isinstance(error, NoConvergence) and points == seen
+
+
+@st.composite
+def gaussian_solves(draw):
+    """A random admissible Gaussian market on 2-8 states, a belief, a side
+    and a start anywhere on the grid."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    grid = StateGrid(np.cumsum([0.0] + gaps))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    assume(sum(weights) > 0.1)
+    noise = Gaussian(draw(st.floats(1.5, 6.0)) * grid.width)
+    assume(check_gm_condition(noise, grid.width).passes)
+    start = grid.x_min + draw(st.floats(0.0, 1.0)) * grid.width
+    return Belief(weights), grid, noise, draw(st.booleans()), start
+
+
+@given(gaussian_solves())
+def test_secant_solves_agree_with_picard_iteration(solve):
+    """A Gaussian solve ends at a price p with |g(p) - p| <= K * tol, and
+    within 2 * tol of plain Picard iteration from the same start."""
+    belief, grid, noise, buy, start = solve
+    tol = 1e-12
+    solver, g = (solve_ask, mean_given_buy) if buy else (solve_bid, mean_given_sell)
+    price = solver(belief, grid, noise, tol=tol, start=start)
+    report = check_gm_condition(noise, grid.width)
+    assert abs(g(price, belief, grid, noise) - price) <= report.K * tol
+    s = start
+    for _ in range(500):
+        step = g(s, belief, grid, noise)
+        if abs(step - s) <= tol:
+            break
+        s = step
+    assert abs(price - step) <= 2.0 * tol
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,40 @@ def test_transition_matrix_refuses_a_bad_dt(dt, message):
         transition_matrix(MODEL2.generator.rates, dt)
 
 
+def _scaling_and_squaring_loop(rates, dt):
+    """One matrix at a time, as the reference filter built them before it
+    stacked its lengths: the reference for the stacked form."""
+    b = np.asarray(rates, dtype=float) * dt
+    norm = float(np.max(np.sum(np.abs(b), axis=1)))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    b = b / (2.0**squarings)
+    acc = np.eye(b.shape[0])
+    term = np.eye(b.shape[0])
+    for k in range(1, verification.MATRIX_EXP_TERMS + 1):
+        term = term @ b / k
+        acc = acc + term
+    for _ in range(squarings):
+        acc = acc @ acc
+    return acc
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_stacked_transition_matrices_equal_the_one_length_loop(n):
+    """37 lengths, from sub-steps of a replay (no squaring) to lengths that
+    need 2 to 10 squarings, in one stacked pass: each matrix equals the
+    one-length loop and transition_matrix bit for bit."""
+    rng = np.random.default_rng(n)
+    off = rng.uniform(0.0, 3.0, (n, n))
+    rates = GeneratorMatrix(off - np.diag(np.diag(off))).rates
+    lengths = np.unique(np.concatenate([[0.0], rng.uniform(0.0, 1e-3, 18),
+                                        rng.uniform(0.01, 10.0, 18)]))
+    assert len(lengths) == 37
+    stacked = verification._transition_matrices(rates, lengths)
+    for dt, got in zip(lengths.tolist(), stacked):
+        np.testing.assert_array_equal(got, _scaling_and_squaring_loop(rates, dt))
+        np.testing.assert_array_equal(got, transition_matrix(rates, dt))
+
+
 def test_transition_matrix_rows_stay_stochastic():
     q = np.array([[-2.0, 1.5, 0.5], [0.3, -0.6, 0.3], [1.0, 2.0, -3.0]])
     p = transition_matrix(q, 2.5)
@@ -494,15 +528,31 @@ def test_oracle_applies_every_logged_trade(horizon, times, fewer):
 def test_oracle_times_are_the_rows_a_record_sampled_at_h_logs():
     """A BUY at 1.5 + 1.2e-12 lies within 1e-12 * 1.5 of the multiple 1.5
     of h, so a record sampled at h / 8 logs no row at 1.5, and the oracle
-    takes no checkpoint there: every oracle time is one of the record's.
-    (On h / 4 rows, the gap h / 4 + 1.2e-12 around the missing row exceeds
-    what the spacing check allows an oracle step of h / 4.)"""
+    takes no checkpoint there: every oracle time is one of the record's."""
     h = 1e-3
     rec = _logged_record(2.0, _buys(1.5 + 1.2e-12), h / 8)
     _assert_replays_match_reference(rec, MODEL2, h)
     for step in (h, h / 2, h / 4):
         times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=step))
         assert np.isin(times, rec.sample_times).all()
+
+
+def test_oracle_replays_a_record_at_the_step_it_was_sampled_at():
+    """On h / 4 rows, the BUY at 1.5 + 1.2e-12 takes the place of the row
+    at 1.5, so the gap before it is h / 4 + 1.2e-12: within the sample-row
+    rule's tolerance of 1e-12 * max(1, |t|), which the spacing check allows.
+    The record replays at h / 4 on its own rows, as the reference loop
+    does; a record sampled at 2 h is still refused at h."""
+    h = 1e-3
+    rec = _logged_record(2.0, _buys(1.5 + 1.2e-12), h / 4)
+    assert np.max(np.diff(rec.sample_times)) > h / 4 + 1e-12
+    _assert_replays_match_reference(rec, MODEL2, h)
+    times, _ = oracle_filter(rec, MODEL2, OracleFilterConfig(h=h / 4))
+    np.testing.assert_array_equal(times, rec.sample_times)
+    coarse = _logged_record(2.0, _buys(1.5 + 1.2e-12), 2 * h)
+    with pytest.raises(GridMismatch, match=r"^logged quotes are spaced 2\.000e-03 apart, "
+                                           r"coarser than the oracle step 1\.000e-03$"):
+        oracle_filter(coarse, MODEL2, OracleFilterConfig(h=h))
 
 
 def test_oracle_refuses_an_event_outside_the_horizon():
