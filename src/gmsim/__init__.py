@@ -20,8 +20,6 @@ from .config import (
     ScenarioConfig,
     load_scenario,
     noise_from_dict,
-    noise_to_dict,
-    save_scenario,
     scenario_from_dict,
 )
 from .core import (

@@ -24,9 +24,9 @@ steps that move it.
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
 Building it runs the admissibility gate once, and its quote solves go
-through the equilibrium module's fixed-point loops with the noise's slope:
-Newton steps for the logistic and Laplace families, secant steps for the
-Gaussian, Picard steps for a forced static-only family. Its *_rows methods
+through the equilibrium module's fixed-point loops, given the noise, which
+picks the step: Newton steps for the logistic and Laplace families, secant
+steps for the Gaussian, Picard steps for a forced static-only family. Its *_rows methods
 do the RK4 steps and their quote solves on many beliefs at once, one numpy
 row each, in the same operation order (each sum over the states a
 _column_sum), so a row equals the scalar result bit for bit; a trade's jump
@@ -162,10 +162,12 @@ def hermite(s, h, p0, k0, p1, k1):
 class _FilterKernel:
     """Quote and filter arithmetic for one model, built once and reused.
 
-    Holds the grid values, the generator's columns, the arrival rate and
-    the noise tails and slopes. Given fp_tol it also runs the admissibility
-    gate once and keeps the iteration ceiling, so that quotes() can solve;
-    without fp_tol it only jumps and drifts, which need no certificate.
+    Holds the grid values, the generator's columns, the arrival rate, the
+    noise, which the quote solves take whole (its family picks their step),
+    and the noise's tails for jump and the drifts. Given fp_tol it also
+    runs the admissibility gate once and keeps the iteration ceiling, so
+    that quotes() can solve; without fp_tol it only jumps and drifts, which
+    need no certificate.
     Beliefs are plain sequences of floats, and nothing is validated here.
     """
 
@@ -185,21 +187,16 @@ class _FilterKernel:
             )
             self.q_rows = np.array(rates, dtype=float)
         self.lam = lam
+        self.noise = noise
         self.survival = noise.survival
         self.cdf = noise.cdf
-        self.slope = noise.slope
-        self.secant = not noise.static_only
         self.side_tails_grid = noise.side_tails_grid
-        self.slope_grid = noise.slope_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
-        xs, tol, max_iter, slope, secant = (
-            self.xs, self.fp_tol, self.max_iter, self.slope, self.secant)
-        ask, _ = _picard(self.survival, ZeroBuyProbability, xs, probs, ask, tol, max_iter,
-                         slope, 1.0, secant)
-        bid, _ = _picard(self.cdf, ZeroSellProbability, xs, probs, bid, tol, max_iter,
-                         slope, -1.0, secant)
+        noise, xs, tol, max_iter = self.noise, self.xs, self.fp_tol, self.max_iter
+        ask, _ = _picard(noise, True, xs, probs, ask, tol, max_iter)
+        bid, _ = _picard(noise, False, xs, probs, bid, tol, max_iter)
         return ask, bid
 
     def jump(self, probs, price, buy):
@@ -289,9 +286,8 @@ class _FilterKernel:
         drift_rows returns, which the first iterate then reuses."""
         n = len(ask)
         prices = _picard_rows(
-            self.side_tails_grid, self.xs_row, np.concatenate((probs, probs)),
-            _signs(n, n), np.concatenate((ask, bid)), self.fp_tol, self.max_iter, tails,
-            self.slope_grid, self.secant,
+            self.noise, self.xs_row, np.concatenate((probs, probs)), _signs(n, n),
+            np.concatenate((ask, bid)), self.fp_tol, self.max_iter, tails,
         )
         return prices[:n], prices[n:]
 

@@ -83,7 +83,7 @@ def _parse_belief(text: str) -> Belief:
 
 def cmd_solve_static(args) -> int:
     cfg = load_scenario(args.config)
-    belief = _parse_belief(args.belief) if args.belief else cfg.initial_belief
+    belief = cfg.initial_belief if args.belief is None else _parse_belief(args.belief)
     if belief.n != cfg.grid.n:
         raise ConfigError(
             f"--belief: got {belief.n} entries for a {cfg.grid.n}-state grid"

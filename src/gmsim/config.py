@@ -17,8 +17,7 @@ A scenario file holds everything a reproducible run needs:
 
 Generator diagonals may be written as zeros (they are derived from the row
 sums) or spelled out, in which case each row must sum to zero. Error
-messages name the offending field. load/save round-trips reproduce the
-scenario exactly.
+messages name the offending field.
 
 This module is the only one that knows the file format: the keys, the noise
 families' names, and how a value is parsed. ScenarioConfig applies the
@@ -32,7 +31,7 @@ ScenarioConfig extends MarketModel.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -155,13 +154,6 @@ def noise_from_dict(spec: dict) -> NoiseModel:
     return _keyed("noise", _FAMILIES[family], **values)
 
 
-def noise_to_dict(noise: NoiseModel) -> dict:
-    for family, cls in _FAMILIES.items():
-        if type(noise) is cls:
-            return {"family": family, **asdict(noise)}
-    raise ConfigError(f"unknown noise family {type(noise).__name__}")
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a scenario from plain nested data. Only the keys and the types
     are checked here; ScenarioConfig checks the values."""
@@ -188,21 +180,6 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "states": [float(v) for v in cfg.grid.values],
-        "generator": [[float(v) for v in row] for row in cfg.generator.rates],
-        "lambda": cfg.arrival_rate,
-        "noise": noise_to_dict(cfg.noise),
-        "initial_belief": [float(v) for v in cfg.initial_belief.probs],
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-        "ode_step": cfg.ode_step,
-        "fp_tol": cfg.fp_tol,
-        "n_paths": cfg.n_paths,
-    }
-
-
 def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -214,8 +191,3 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: not valid YAML: {exc}")
     return scenario_from_dict(data)
 
-
-def save_scenario(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False)
-    )

@@ -28,10 +28,13 @@ sign and Psi on the bid side. The Gaussian density would cost one more exp
 per state, so its solves take the secant slope through the last two
 evaluations instead, (g(s) - g(s_prev)) / (s - s_prev), which costs
 nothing: one Picard step, then secant steps (3.78 evaluations of g per
-solve fell to 2.45 on an 8-state Gaussian path). A step that would leave
-[x_1, x_n], meets 1 - g' <= 0 or has no slope (s == s_prev) is replaced by
-the Picard step g(s). The static-only families, whose maps jump, take
-Picard steps only. Either way a solve stops on |g(s) - s| <= tol and
+solve fell to 2.45 on an 8-state Gaussian path). The static-only families,
+whose maps jump, take Picard steps only. The noise family picks its rule:
+the solvers read it off the family's slope and static_only, and no caller
+names it. Every step is one _newton step, and a step that would leave
+[x_1, x_n], meets 1 - g' <= 0 or has no slope (nan: a static-only family's,
+a secant's first step and a secant from s == s_prev) is replaced by the
+Picard step g(s). Either way a solve stops on |g(s) - s| <= tol and
 returns g(s), so the K * tol residual bound holds, and its iteration count
 is the number of evaluations of g.
 
@@ -40,7 +43,7 @@ sums raise ZeroBuyProbability / ZeroSellProbability.
 
 This module holds the package's only quote-solving path: _iteration_ceiling
 (the admissibility gate and the certified iteration ceiling) and _picard
-(one fixed-point loop for either side, given its tail and step rule), with
+(one fixed-point loop for either side, given the noise and the side), with
 _picard_rows, the same loop over many beliefs and both sides at once for
 the lockstep engine: the ask rows and the bid rows stacked, each row with
 its side's tail. The public solvers here and the belief filter's per-model
@@ -108,32 +111,39 @@ def _no_convergence(max_iter, tol, price):
     return NoConvergence(f"{steps}a violated admissibility precondition is the usual cause")
 
 
-def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0,
-            secant=False):
-    """Solve s = g(s) from start, where g is _conditional_mean on tail.
+def _picard(noise, buy, xs, probs, start, tol, max_iter):
+    """Solve s = g(s) from start on one side of the book: g is
+    _conditional_mean on noise's survival for the ask (buy) and on its cdf
+    for the bid.
 
     Each iteration evaluates g once, at s, and stops when |g(s) - s| <= tol
     by returning g(s); under a contraction with modulus K that price
     satisfies |g(price) - price| <= K * tol <= tol. Otherwise the next s is
-    _newton's step on s - g(s) = 0, with one of two slopes:
+    _newton's step on s - g(s) = 0, and the family picks the slope dg:
 
-    - with the family's slope (its density as a function of the tail value)
-      and sign, +1 for the ask side (tail the survival) or -1 for the bid
-      side (tail the cdf),
-      g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den
-      from the tails already taken;
-    - without one, given secant (a continuous family), the secant slope
-      (g(s) - g(s_prev)) / (s - s_prev) through the last two evaluations.
-      The first step, and a step from s == s_prev, are Picard steps.
-
-    A static-only family (no slope, no secant) takes plain Picard steps,
-    s = g(s): its map jumps, so no slope tells where the root lies.
+    - a family with a slope (its density as a function of the tail value)
+      gives g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den
+      from the tails already taken, sign +1 on the ask side and -1 on the
+      bid side: Newton steps;
+    - any other continuous family gives the secant slope
+      (g(s) - g(s_prev)) / (s - s_prev) through the last two evaluations,
+      nan on the first step and at s == s_prev: secant steps;
+    - a static-only family, whose map jumps so that no slope tells where
+      the root lies, gives nan on every step: Picard steps, s = g(s).
 
     Returns (price, evaluations of g).
     """
+    if buy:  # _side's choice, inline: this runs once per solve
+        tail, no_mass, sign = noise.survival, ZeroBuyProbability, 1.0
+    else:
+        tail, no_mass, sign = noise.cdf, ZeroSellProbability, -1.0
+    slope = noise.slope
+    secant = slope is None and not noise.static_only
     lo, hi = xs[0], xs[-1]
     s = start
-    s_prev = g_prev = math.nan  # no evaluation yet: the first step is g(s)
+    # no evaluation yet, so the first step is g(s); a static-only family's dg
+    # stays nan
+    s_prev = g_prev = dg = math.nan
     for i in range(1, max_iter + 1):
         if slope is None:
             g = _conditional_mean(s, xs, probs, tail, no_mass)
@@ -145,13 +155,11 @@ def _picard(tail, no_mass, xs, probs, start, tol, max_iter, slope=None, sign=1.0
             dsum = 0.0
             for x, p, f in terms:
                 dsum += (x - g) * (p * slope(f))
-            s = _newton(s, g, -sign * dsum / den, lo, hi)
-        elif secant:  # a nan slope, the first step's or at s == s_prev, takes g
+            dg = -sign * dsum / den
+        elif secant:
             dg = (g - g_prev) / (s - s_prev) if s != s_prev else math.nan
             s_prev, g_prev = s, g
-            s = _newton(s, g, dg, lo, hi)
-        else:
-            s = g
+        s = _newton(s, g, dg, lo, hi)
     raise _no_convergence(max_iter, tol, s)
 
 
@@ -194,18 +202,17 @@ def _column_sum(m):
     return total
 
 
-def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slopes=None,
-                 secant=False):
+def _picard_rows(noise, xs, probs, sign, start, tol, max_iter, first=None):
     """_picard on every row of probs at once, for both sides of the book:
     one belief and one warm price per row, sign a column that is +1 on the
     ask rows (the survival tail, ZeroBuyProbability) and -1 on the bid rows
-    (the cdf, ZeroSellProbability), tails the noise's side_tails_grid and
-    xs the grid values as an array. first, when given, is the tails at
-    start, which the first iterate then uses instead of evaluating them.
-    slopes, when given, is the noise's slope_grid, and the rows take
-    _picard's Newton steps; without it, given secant, its secant steps, each
-    row with its own last two evaluations (the tails at start count as the
-    first); without either, its Picard steps.
+    (the cdf, ZeroSellProbability), and xs the grid values as an array.
+    The tails come from the noise's side_tails_grid; first, when given, is
+    the tails at start, which the first iterate then uses instead of
+    evaluating them. Each row takes the step _picard takes for the family:
+    Newton steps from its slope_grid, secant steps each with the row's own
+    last two evaluations (the tails at start count as the first), or
+    Picard steps.
 
     A row leaves the loop when |g(s) - s| <= tol, so each row takes exactly
     the iterates _picard would take alone. Returns the prices. Raises what
@@ -214,10 +221,12 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
     ZeroSellProbability or NoConvergence only once every ask row has
     converged.
     """
+    tails, slopes = noise.side_tails_grid, noise.slope_grid
+    secant = slopes is None and not noise.static_only
     prices = np.array(start, dtype=float)
     rows = np.arange(len(prices))  # the rows still moving
     s = prices
-    secant = secant and slopes is None
+    dg = math.nan  # a static-only family's, on every step
     if secant:  # each row's last evaluation (s, g), nan before the first
         s_prev = g_prev = np.full(len(prices), np.nan)
     lo, hi = xs[0], xs[-1]
@@ -256,19 +265,17 @@ def _picard_rows(tails, xs, probs, sign, start, tol, max_iter, first=None, slope
             )
             if secant:
                 s_prev, g_prev = s_prev[moving], g_prev[moving]
-        if slopes is None and not secant:
-            s = g
-        else:  # _newton on every row; an inf or nan step takes the Picard step
-            with np.errstate(all="ignore"):
-                if secant:  # nan on a first step, and 0 / 0 where s == s_prev
-                    dg = (g - g_prev) / (s - s_prev)
-                    s_prev, g_prev = s, g
-                else:
-                    dsum = _column_sum((xs - g[:, None]) * (probs * slopes(f)))
-                    dg = -sign[:, 0] * dsum / den
-                d = 1.0 - dg
-                step = s - (s - g) / d
-            s = np.where((d > 0.0) & (lo <= step) & (step <= hi), step, g)
+        # _newton on every row; an inf or nan step takes the Picard step
+        with np.errstate(all="ignore"):
+            if slopes is not None:
+                dsum = _column_sum((xs - g[:, None]) * (probs * slopes(f)))
+                dg = -sign[:, 0] * dsum / den
+            elif secant:  # nan on a first step, and 0 / 0 where s == s_prev
+                dg = (g - g_prev) / (s - s_prev)
+                s_prev, g_prev = s, g
+            d = 1.0 - dg
+            step = s - (s - g) / d
+        s = np.where((d > 0.0) & (lo <= step) & (step <= hi), step, g)
     raise _no_convergence(max_iter, tol, float(np.max(np.abs(s))))
 
 
@@ -368,11 +375,7 @@ def _solve(belief, grid, noise, tol, start, force, sides):
     max_iter = _iteration_ceiling(noise, grid, tol, force)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    return [
-        _picard(*_side(noise, buy), xs, probs, start, tol, max_iter, noise.slope,
-                1.0 if buy else -1.0, not noise.static_only)
-        for buy in sides
-    ]
+    return [_picard(noise, buy, xs, probs, start, tol, max_iter) for buy in sides]
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,11 @@ The logistic and Laplace densities follow from the tail value alone:
 logistic and min(f, 1 - f) / scale for the Laplace. The quote solver's
 Newton step takes them from the tails it has already evaluated, at no
 extra exp; slope_grid is the same map over an array, bit for bit. The
-other families declare no slope (slope is None). The Gaussian's quote
-solves take secant steps, with the slope of the line through their last
-two evaluations; the static-only families' maps jump, and their solves
-stay plain Picard iteration.
+other families declare no slope (slope is None). slope and static_only are
+all the quote solvers read to pick a family's step: Newton steps where
+slope is set; secant steps, through the last two evaluations, for any other
+continuous family (the Gaussian); and plain Picard iteration for a
+static-only family, whose map jumps.
 """
 
 from __future__ import annotations

@@ -148,6 +148,16 @@ def test_solve_static_belief_size_mismatch_exits_2(write_scenario, capsys, belie
     assert "error: --belief: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("belief", ["", " "], ids=["empty", "blank"])
+def test_solve_static_empty_belief_exits_2(write_scenario, capsys, belief):
+    """An empty --belief is a bad belief, not an absent one: it exits 2 with
+    one error line and prints no quotes."""
+    code = main(["solve-static", "--config", write_scenario(), "--belief", belief])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: --belief: belief must be a nonempty vector"]
+
+
 def test_solve_static_refuses_uncertified_family(write_scenario, capsys):
     cfg = write_scenario(
         states=[1.0, 3.0],

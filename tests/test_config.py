@@ -1,4 +1,4 @@
-"""Scenario files: parsing, validation messages, and round-trips."""
+"""Scenario files: parsing, validation messages, and loading."""
 
 import math
 import re
@@ -11,9 +11,7 @@ import yaml
 from gmsim.config import (
     ScenarioConfig,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from gmsim.core import Belief
 from gmsim.errors import ConfigError
@@ -268,30 +266,23 @@ def test_seed_accepts_integral_float():
     assert isinstance(cfg.seed, int)
 
 
-def test_to_dict_round_trip_is_identity():
-    data = base_data() | {"ode_step": 0.005, "n_paths": 12}
-    cfg = scenario_from_dict(data)
-    out = scenario_to_dict(cfg)
-    again = scenario_from_dict(out)
-    assert scenario_to_dict(again) == out
-    assert all(isinstance(v, float) for v in out["states"])
-    assert all(isinstance(v, float) for row in out["generator"] for v in row)
-
-
-def test_to_dict_normalizes_belief():
+def test_initial_belief_is_normalized():
     cfg = scenario_from_dict(base_data() | {"initial_belief": [2.0, 1.0, 1.0]})
-    out = scenario_to_dict(cfg)
-    assert out["initial_belief"] == pytest.approx([0.5, 0.25, 0.25])
+    assert cfg.initial_belief.probs.tolist() == pytest.approx([0.5, 0.25, 0.25])
 
 
-def test_file_round_trip(tmp_path):
-    cfg = scenario_from_dict(base_data() | {"n_paths": 5})
+def test_file_loads_as_its_mapping(tmp_path):
+    """A scenario file loads as scenario_from_dict of the mapping it holds,
+    field by field."""
+    data = base_data() | {"n_paths": 5}
     path = tmp_path / "scenario.yaml"
-    save_scenario(cfg, path)
-    loaded = load_scenario(path)
-    assert scenario_to_dict(loaded) == scenario_to_dict(cfg)
-    raw = yaml.safe_load(path.read_text())
-    assert raw["noise"] == {"family": "logistic", "scale": 2.0}
+    path.write_text(yaml.safe_dump(data))
+    loaded, cfg = load_scenario(path), scenario_from_dict(data)
+    assert loaded.grid == cfg.grid and loaded.noise == Logistic(2.0)
+    assert np.array_equal(loaded.generator.rates, cfg.generator.rates)
+    assert np.array_equal(loaded.initial_belief.probs, cfg.initial_belief.probs)
+    scalars = ("arrival_rate", "horizon", "seed", "ode_step", "fp_tol", "n_paths")
+    assert [getattr(loaded, k) for k in scalars] == [getattr(cfg, k) for k in scalars]
 
 
 def test_load_missing_file_is_config_error(tmp_path):
@@ -313,11 +304,9 @@ def test_load_non_mapping_yaml_is_config_error(tmp_path):
         load_scenario(path)
 
 
-def test_gaussian_noise_round_trips(tmp_path):
-    data = base_data()
-    data["noise"] = {"family": "gaussian", "sigma": 1.5}
-    cfg = scenario_from_dict(data)
-    assert isinstance(cfg.noise, Gaussian)
+def test_gaussian_noise_file_loads_as_gaussian(tmp_path):
     path = tmp_path / "g.yaml"
-    save_scenario(cfg, path)
-    assert isinstance(load_scenario(path).noise, Gaussian)
+    path.write_text(yaml.safe_dump(base_data() | {"noise": {"family": "gaussian",
+                                                             "sigma": 1.5}}))
+    noise = load_scenario(path).noise
+    assert isinstance(noise, Gaussian) and noise == Gaussian(1.5)

@@ -32,6 +32,7 @@ from gmsim.noise import (
     Gaussian,
     Laplace,
     Logistic,
+    NoiseModel,
     NoiseTraderMix,
     TwoPointDiscrete,
     check_gm_condition,
@@ -369,8 +370,7 @@ def test_fixed_point_iteration_cap_raises():
     """A ceiling of one step, from a start whose first step moves far more
     than tol."""
     with pytest.raises(NoConvergence):
-        _picard(LOGI.survival, ZeroBuyProbability, (0.0, 1.0), [0.5, 0.5],
-                0.0, 1e-12, 1)
+        _picard(LOGI, True, (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12, 1)
 
 
 def test_column_sum_equals_the_scalar_loop():
@@ -393,14 +393,12 @@ def test_column_sum_equals_the_scalar_loop():
             assert float(got[r]).hex() == total.hex(), (n, row)
 
 
-def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None, secant=False):
-    """_picard_rows on the ask rows stacked over the bid rows, with the
-    noise's slope_grid (Newton steps where the family has one) and, given
-    secant, secant steps where it has none."""
+def _both_sides(noise, xs, probs, ask, bid, tol, max_iter, first=None):
+    """_picard_rows on the ask rows stacked over the bid rows."""
     sign = np.repeat([1.0, -1.0], len(probs))[:, None]
     prices = gmsim.equilibrium._picard_rows(
-        noise.side_tails_grid, xs, np.concatenate((probs, probs)), sign,
-        np.concatenate((ask, bid)), tol, max_iter, first, noise.slope_grid, secant,
+        noise, xs, np.concatenate((probs, probs)), sign, np.concatenate((ask, bid)), tol,
+        max_iter, first,
     )
     return prices[:len(probs)], prices[len(probs):]
 
@@ -419,8 +417,9 @@ def test_row_picard_equals_scalar_picard_per_row(noise):
     whether the loop evaluates the first iterate's tails or is given them.
     The logistic and Laplace rows take Newton steps with the family's
     slope (the forced logistic, K = 10, also its Picard fallbacks), the
-    others Picard steps. Rows that fail solo (the forced lattice leaves
-    some without trade mass) are left out."""
+    Gaussian rows secant steps and the static-only ones Picard steps. Rows
+    that fail solo (the forced lattice leaves some without trade mass) are
+    left out."""
     xs = np.array([0.0, 0.25, 1.0])
     probs = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5],
                       [0.6, -1e-18, 0.4], [1 / 3, 1 / 3, 1 / 3], [0.5, 0.0, 0.5]])
@@ -430,11 +429,8 @@ def test_row_picard_equals_scalar_picard_per_row(noise):
     for r in range(len(probs)):
         try:
             want.append([
-                _picard(tail, no_mass, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200,
-                        noise.slope, sign)[0]
-                for tail, no_mass, s, sign in (
-                    (noise.survival, ZeroBuyProbability, ask[r], 1.0),
-                    (noise.cdf, ZeroSellProbability, bid[r], -1.0))
+                _picard(noise, buy, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200)[0]
+                for buy, s in ((True, ask[r]), (False, bid[r]))
             ])
         except (ZeroBuyProbability, ZeroSellProbability, NoConvergence):
             want.append(None)
@@ -499,30 +495,90 @@ def test_forced_newton_falls_back_to_picard_steps(monkeypatch):
     assert taken2 == g2
     evaluations = len(steps) + 1
     xs, probs = (0.0, 1.0), [0.5, 0.5]
-    assert _picard(noise.survival, ZeroBuyProbability, xs, probs, 0.0, 1e-12,
-                   evaluations, noise.slope, 1.0) == (price, evaluations)
+    assert _picard(noise, True, xs, probs, 0.0, 1e-12, evaluations) == (price, evaluations)
     with pytest.raises(NoConvergence):
-        _picard(noise.survival, ZeroBuyProbability, xs, probs, 0.0, 1e-12,
-                evaluations - 1, noise.slope, 1.0)
+        _picard(noise, True, xs, probs, 0.0, 1e-12, evaluations - 1)
 
 
-def _one_row_evaluations(tails, xs, probs, start, tol, max_iter):
-    """_picard_rows with secant steps on one ask row, and the points s where
-    it evaluated g (xs[0] is 0.0, so s is the first column of each tails
-    call). Returns (the price or the error raised, the points)."""
-    points = []
+@pytest.mark.parametrize(
+    "belief, grid, noise, rule",
+    [(*STATIC_PINS[0][:3], "newton"), (*STATIC_PINS[1][:3], "newton"),
+     (*STATIC_PINS[2][:3], "secant"), (*STATIC_ONLY_PINS[0][:3], "picard"),
+     (*STATIC_ONLY_PINS[6][:3], "picard")],
+    ids=["logistic", "laplace", "gaussian", "two_point", "noise_trader_mix"],
+)
+def test_the_family_picks_the_step_rule(belief, grid, noise, rule, monkeypatch):
+    """Every step goes through _newton, and the family picks the dg it is
+    given: the logistic and Laplace a finite Newton slope from the first
+    step, the Gaussian nan on its first step and then the secant slope
+    through its last two evaluations, the static-only families nan (the
+    Picard step) on every step. Spied on a cold solve_static_quotes and, so
+    that the noise traders' flat map takes a step, on solves from x_1 and
+    x_n."""
+    solves = []
+    picard, newton = gmsim.equilibrium._picard, gmsim.equilibrium._newton
 
-    def spy(ys, sign):
-        points.append(float(ys[0, 0]))
-        return tails(ys, sign)
+    def picard_spy(*args):
+        solves.append([])
+        return picard(*args)
 
+    def newton_spy(s, g, dg, lo, hi):
+        solves[-1].append((s, g, dg))
+        return newton(s, g, dg, lo, hi)
+
+    monkeypatch.setattr(gmsim.equilibrium, "_picard", picard_spy)
+    monkeypatch.setattr(gmsim.equilibrium, "_newton", newton_spy)
+    solve_static_quotes(belief, grid, noise, force=True)
+    for start in (grid.x_min, grid.x_max):
+        solve_ask(belief, grid, noise, start=start, force=True)
+        solve_bid(belief, grid, noise, start=start, force=True)
+    monkeypatch.undo()
+    assert len(solves) == 6 and any(solves)
+    if rule != "picard":  # each cold side takes a first and a later step
+        assert len(solves[0]) >= 2 and len(solves[1]) >= 2
+    for steps in solves:
+        slopes = [dg for _, _, dg in steps]
+        if rule == "newton":
+            assert all(math.isfinite(dg) for dg in slopes)
+        elif rule == "picard":
+            assert all(math.isnan(dg) for dg in slopes)
+        elif steps:
+            assert math.isnan(slopes[0])
+            for (s_prev, g_prev, _), (s, g, dg) in zip(steps, steps[1:]):
+                assert dg == (g - g_prev) / (s - s_prev)
+
+
+class _Traced(NoiseModel):
+    """A continuous family without a slope, so its solves take secant
+    steps, whose survival is tail and cdf tail(-y). survival_grid records
+    the first price of each call in points: s itself where xs[0] is 0.0."""
+
+    def __init__(self, tail):
+        self.tail = tail
+        self.points = []
+
+    def survival(self, y):
+        return self.tail(y)
+
+    def cdf(self, y):
+        return self.tail(-y)
+
+    def survival_grid(self, ys):
+        self.points.append(float(ys[0, 0]))
+        return super().survival_grid(ys)
+
+
+def _one_row_evaluations(tail, xs, probs, start, tol, max_iter):
+    """_picard_rows on one ask row of _Traced(tail), and the points s where
+    it evaluated g. Returns (the price or the error raised, the points)."""
+    noise = _Traced(tail)
     try:
         price = gmsim.equilibrium._picard_rows(
-            spy, np.array(xs), np.array([probs]), np.array([[1.0]]), np.array([start]), tol,
-            max_iter, None, None, True)[0]
+            noise, np.array(xs), np.array([probs]), np.array([[1.0]]), np.array([start]), tol,
+            max_iter)[0]
     except NoConvergence as error:
-        return error, points
-    return price, points
+        return error, noise.points
+    return price, noise.points
 
 
 def test_secant_steps_outside_the_grid_take_picard_steps(monkeypatch):
@@ -552,10 +608,10 @@ def test_secant_steps_outside_the_grid_take_picard_steps(monkeypatch):
         s, g, dg, taken = side_steps[1]
         assert 1.0 - dg > 0.0 and not 0.0 <= s - (s - g) / (1.0 - dg) <= 1.0
         assert taken == g
-    assert _one_row_evaluations(noise.side_tails_grid, (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12,
+    assert _one_row_evaluations(noise.survival, (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12,
                                 500) == (ask, ask_points)
     asks, bids = _both_sides(noise, np.array([0.0, 1.0]), np.array([[0.5, 0.5]]),
-                             np.zeros(1), np.ones(1), 1e-12, 500, secant=True)
+                             np.zeros(1), np.ones(1), 1e-12, 500)
     assert [asks[0].hex(), bids[0].hex()] == [ask.hex(), bid.hex()]
 
 
@@ -571,21 +627,19 @@ def test_coincident_iterates_take_a_picard_step(monkeypatch):
     def tail(y):
         return 1.0 if y < 0.0 else math.exp(1000.0 * (y - 0.3))
 
-    row_tail = np.vectorize(tail, otypes=[float])
     xs, probs = (0.0, 1.0), [0.5, 0.5]
     seen = []
     mean = gmsim.equilibrium._conditional_mean
     monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean",
                         lambda s, *args: seen.append(s) or mean(s, *args))
     with pytest.raises(NoConvergence):
-        _picard(tail, ZeroBuyProbability, xs, probs, 0.5, 1e-15, 30, None, 1.0, True)
+        _picard(_Traced(tail), True, xs, probs, 0.5, 1e-15, 30)
     monkeypatch.undo()
     coincident = [k for k in range(1, len(seen) - 1) if seen[k] == seen[k - 1]]
     assert len(coincident) >= 3
     for k in coincident:
         assert seen[k + 1] == mean(seen[k], xs, probs, tail, ZeroBuyProbability)
-    error, points = _one_row_evaluations(lambda ys, sign: row_tail(ys), xs, probs, 0.5,
-                                         1e-15, 30)
+    error, points = _one_row_evaluations(tail, xs, probs, 0.5, 1e-15, 30)
     assert isinstance(error, NoConvergence) and points == seen
 
 

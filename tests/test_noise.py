@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gmsim.config import noise_from_dict, noise_to_dict
+from gmsim.config import noise_from_dict
 from gmsim.errors import ConfigError, GmsimError, NotDifferentiable
 from gmsim.noise import (
     Gaussian,
@@ -490,11 +490,16 @@ def test_sampling_is_deterministic_per_seed():
 # Config mapping
 
 
-def test_noise_dict_round_trip():
-    for noise in [Logistic(2.0), Gaussian(1.5), Laplace(0.8),
-                  TwoPointDiscrete(1.0, 0.5), NoiseTraderMix(0.25)]:
-        again = noise_from_dict(noise_to_dict(noise))
-        assert again == noise
+def test_noise_from_dict_builds_each_family():
+    for spec, noise in [
+        ({"family": "logistic", "scale": 2.0}, Logistic(2.0)),
+        ({"family": "gaussian", "sigma": 1.5}, Gaussian(1.5)),
+        ({"family": "laplace", "scale": 0.8}, Laplace(0.8)),
+        ({"family": "two_point", "value": 1.0, "prob": 0.5}, TwoPointDiscrete(1.0, 0.5)),
+        ({"family": "noise_trader", "buy_prob": 0.25}, NoiseTraderMix(0.25)),
+    ]:
+        built = noise_from_dict(spec)
+        assert type(built) is type(noise) and built == noise
 
 
 def test_noise_from_dict_errors_name_the_field():
