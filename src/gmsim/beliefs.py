@@ -23,10 +23,10 @@ steps that move it.
 
 All of this arithmetic lives in one private per-model kernel: the public
 functions here build it once per call, the engine once per path or batch.
-Building it runs the admissibility gate once, and its quote solves go
-through the equilibrium module's fixed-point loops, given the noise, which
-picks the step: Newton steps for the logistic and Laplace families, secant
-steps for the Gaussian, Picard steps for a forced static-only family. Its *_rows methods
+Building it runs the admissibility gate once and binds each side of the
+book once (equilibrium._side), with the step its family picks: Newton
+steps for the logistic and Laplace families, secant steps for the
+Gaussian, Picard steps for a forced static-only family. Its *_rows methods
 do the RK4 steps and their quote solves on many beliefs at once, one numpy
 row each, in the same operation order (each sum over the states a
 _column_sum), so a row equals the scalar result bit for bit; a trade's jump
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    MAX_EXPECTED_ARRIVALS, Belief, GeneratorMatrix, Quote, StateGrid, check_number, check_sizes,
+    Belief, GeneratorMatrix, Quote, StateGrid, check_count, check_number, check_sizes,
 )
 from .equilibrium import (
     DEFAULT_TOL,
@@ -53,9 +53,10 @@ from .equilibrium import (
     _iteration_ceiling,
     _picard,
     _picard_rows,
+    _side,
     solve_static_quotes,
 )
-from .errors import ConfigError, ZeroBuyProbability, ZeroSellProbability
+from .errors import ZeroBuyProbability, ZeroSellProbability
 from .noise import NoiseModel
 
 DEFAULT_ODE_STEP = 1e-3
@@ -96,15 +97,6 @@ def segment(dt, ode_step):
     least one, so dt = 0 gives one step of length 0."""
     n_steps = max(1, math.ceil(dt / ode_step))
     return n_steps, dt / n_steps
-
-
-def _check_steps(name, dt, ode_step):
-    """Refuse dt / ode_step RK4 steps above MAX_EXPECTED_ARRIVALS, with a
-    ConfigError that names ode_step; name is what dt is called."""
-    steps = dt / ode_step
-    if not steps <= MAX_EXPECTED_ARRIVALS:
-        raise ConfigError(f"ode_step: {name} / ode_step = {steps:g} RK4 steps, "
-                          f"above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
 
 
 def _clamp(p):
@@ -163,11 +155,11 @@ class _FilterKernel:
     """Quote and filter arithmetic for one model, built once and reused.
 
     Holds the grid values, the generator's columns, the arrival rate, the
-    noise, which the quote solves take whole (its family picks their step),
-    and the noise's tails for jump and the drifts. Given fp_tol it also
-    runs the admissibility gate once and keeps the iteration ceiling, so
-    that quotes() can solve; without fp_tol it only jumps and drifts, which
-    need no certificate.
+    noise (the row solves take it whole) and both sides of the book, bound
+    once here by _side: the scalar quote solves take them whole, and jump
+    and the drifts their tails. Given fp_tol it also runs the admissibility
+    gate once and keeps the iteration ceiling, so that quotes() can solve;
+    without fp_tol it only jumps and drifts, which need no certificate.
     Beliefs are plain sequences of floats, and nothing is validated here.
     """
 
@@ -188,15 +180,17 @@ class _FilterKernel:
             self.q_rows = np.array(rates, dtype=float)
         self.lam = lam
         self.noise = noise
-        self.survival = noise.survival
-        self.cdf = noise.cdf
+        self.ask_side = _side(noise, True)
+        self.bid_side = _side(noise, False)
+        self.survival = self.ask_side[0]
+        self.cdf = self.bid_side[0]
         self.side_tails_grid = noise.side_tails_grid
 
     def quotes(self, probs, ask, bid):
         """Both zero-profit quotes at probs, warm-started from ask and bid."""
-        noise, xs, tol, max_iter = self.noise, self.xs, self.fp_tol, self.max_iter
-        ask, _ = _picard(noise, True, xs, probs, ask, tol, max_iter)
-        bid, _ = _picard(noise, False, xs, probs, bid, tol, max_iter)
+        xs, tol, max_iter = self.xs, self.fp_tol, self.max_iter
+        ask, _ = _picard(self.ask_side, xs, probs, ask, tol, max_iter)
+        bid, _ = _picard(self.bid_side, xs, probs, bid, tol, max_iter)
         return ask, bid
 
     def jump(self, probs, price, buy):
@@ -403,7 +397,7 @@ def integrate_between_events(
     if dt == 0.0:
         return state
     check_number("ode_step", ode_step, "positive")
-    _check_steps("dt", dt, ode_step)
+    check_count("ode_step: dt / ode_step", dt / ode_step, "RK4 steps")
     check_sizes(state.belief, grid, q)
     check_number("lam", lam, "nonnegative")
     kernel = _FilterKernel(grid, noise, q, lam, fp_tol, force)

@@ -31,7 +31,16 @@ ROW_SUM_TOL = 1e-9
 # segment's trail keeps one entry per step, about the size of an event, and
 # `gmsim simulate` always samples path 0 for plot.csv; at 85-120 us a step
 # (README market, one CPU of a 2-core Xeon), 1e6 steps take 85 s or more.
+# check_count is the one check that refuses a count above it.
 MAX_EXPECTED_ARRIVALS = 1e6
+
+
+def check_count(name: str, count: float, what: str) -> None:
+    """Raise ConfigError unless count (name says how it is reckoned, what
+    names the things one path holds) is at most MAX_EXPECTED_ARRIVALS."""
+    if not count <= MAX_EXPECTED_ARRIVALS:
+        raise ConfigError(f"{name} = {count:g} {what}, "
+                          f"above the {MAX_EXPECTED_ARRIVALS:g} that one path can hold")
 
 
 def check_number(name: str, value: float, sign: str | None = None) -> None:

@@ -30,8 +30,8 @@ evaluations instead, (g(s) - g(s_prev)) / (s - s_prev), which costs
 nothing: one Picard step, then secant steps (3.78 evaluations of g per
 solve fell to 2.45 on an 8-state Gaussian path). The static-only families,
 whose maps jump, take Picard steps only. The noise family picks its rule:
-the solvers read it off the family's slope and static_only, and no caller
-names it. Every step is one _newton step, and a step that would leave
+_side reads it off the family with the side's tail, and no caller names
+it. Every step is one _newton step, and a step that would leave
 [x_1, x_n], meets 1 - g' <= 0 or has no slope (nan: a static-only family's,
 a secant's first step and a secant from s == s_prev) is replaced by the
 Picard step g(s). Either way a solve stops on |g(s) - s| <= tol and
@@ -42,13 +42,13 @@ Prices live in [x_1, x_n]; outside, conditioning can be vacuous and the
 sums raise ZeroBuyProbability / ZeroSellProbability.
 
 This module holds the package's only quote-solving path: _iteration_ceiling
-(the admissibility gate and the certified iteration ceiling) and _picard
-(one fixed-point loop for either side, given the noise and the side), with
-_picard_rows, the same loop over many beliefs and both sides at once for
-the lockstep engine: the ask rows and the bid rows stacked, each row with
-its side's tail. The public solvers here and the belief filter's per-model
-kernel call them. Each sum over the states in the row code is a
-_column_sum, which keeps a row equal to the scalar loop bit for bit.
+(the admissibility gate and the certified iteration ceiling), _side (what a
+solve needs of one side of the book), _picard (one fixed-point loop, given
+a side) and _picard_rows, the same loop over many beliefs and both sides
+for the lockstep engine, the ask rows stacked over the bid rows. The public
+solvers and the filter kernel call them, each binding a side once. Each sum
+over the states in the row code is a _column_sum, which keeps a row equal
+to the scalar loop bit for bit.
 """
 
 from __future__ import annotations
@@ -111,34 +111,41 @@ def _no_convergence(max_iter, tol, price):
     return NoConvergence(f"{steps}a violated admissibility precondition is the usual cause")
 
 
-def _picard(noise, buy, xs, probs, start, tol, max_iter):
-    """Solve s = g(s) from start on one side of the book: g is
-    _conditional_mean on noise's survival for the ask (buy) and on its cdf
-    for the bid.
+def _side(noise, buy):
+    """(tail, no_mass, sign, slope, secant): all a solve needs of one side
+    of the book. The ask (buy) has the survival, ZeroBuyProbability and +1,
+    the bid the cdf, ZeroSellProbability and -1; slope is the family's, and
+    secant marks a continuous family without one: the family's step rule."""
+    slope = noise.slope
+    secant = slope is None and not noise.static_only
+    if buy:
+        return noise.survival, ZeroBuyProbability, 1.0, slope, secant
+    return noise.cdf, ZeroSellProbability, -1.0, slope, secant
+
+
+def _picard(side, xs, probs, start, tol, max_iter):
+    """Solve s = g(s) from start on one side of the book, side being what
+    _side returned for it: g is _conditional_mean on the side's tail (the
+    noise's survival for the ask, its cdf for the bid).
 
     Each iteration evaluates g once, at s, and stops when |g(s) - s| <= tol
     by returning g(s); under a contraction with modulus K that price
     satisfies |g(price) - price| <= K * tol <= tol. Otherwise the next s is
-    _newton's step on s - g(s) = 0, and the family picks the slope dg:
+    _newton's step on s - g(s) = 0, and the side's slope and secant flag
+    pick the slope dg:
 
-    - a family with a slope (its density as a function of the tail value)
-      gives g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den
-      from the tails already taken, sign +1 on the ask side and -1 on the
-      bid side: Newton steps;
-    - any other continuous family gives the secant slope
+    - a slope (the family's density as a function of the tail value) gives
+      g'(s) = -sign * sum_i (x_i - g) p_i slope(tail(s - x_i)) / den from
+      the tails already taken: Newton steps;
+    - the secant flag gives the secant slope
       (g(s) - g(s_prev)) / (s - s_prev) through the last two evaluations,
       nan on the first step and at s == s_prev: secant steps;
-    - a static-only family, whose map jumps so that no slope tells where
-      the root lies, gives nan on every step: Picard steps, s = g(s).
+    - neither (a static-only family, whose map jumps so that no slope tells
+      where the root lies) gives nan on every step: Picard steps, s = g(s).
 
     Returns (price, evaluations of g).
     """
-    if buy:  # _side's choice, inline: this runs once per solve
-        tail, no_mass, sign = noise.survival, ZeroBuyProbability, 1.0
-    else:
-        tail, no_mass, sign = noise.cdf, ZeroSellProbability, -1.0
-    slope = noise.slope
-    secant = slope is None and not noise.static_only
+    tail, no_mass, sign, slope, secant = side
     lo, hi = xs[0], xs[-1]
     s = start
     # no evaluation yet, so the first step is g(s); a static-only family's dg
@@ -310,13 +317,6 @@ def _iteration_ceiling(noise, grid, tol, force):
     return int(math.ceil(math.log(tol / grid.width) / math.log(report.K))) + 20
 
 
-def _side(noise, buy_side):
-    """The tail and the zero-mass error of one side of the book."""
-    if buy_side:
-        return noise.survival, ZeroBuyProbability
-    return noise.cdf, ZeroSellProbability
-
-
 # --------------------------------------------------------------------------
 # Public evaluation
 
@@ -324,13 +324,13 @@ def _side(noise, buy_side):
 def mean_given_buy(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """g(s, pi): expected value given a customer buys at price s."""
     check_sizes(belief, grid)
-    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, True)))
+    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, True)[:2]))
 
 
 def mean_given_sell(s: float, belief: Belief, grid: StateGrid, noise: NoiseModel) -> float:
     """h(s, pi): expected value given a customer sells at price s."""
     check_sizes(belief, grid)
-    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, False)))
+    return float(_conditional_mean(s, grid.values, belief.probs, *_side(noise, False)[:2]))
 
 
 def solve_ask(
@@ -375,7 +375,7 @@ def _solve(belief, grid, noise, tol, start, force, sides):
     max_iter = _iteration_ceiling(noise, grid, tol, force)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    return [_picard(noise, buy, xs, probs, start, tol, max_iter) for buy in sides]
+    return [_picard(_side(noise, buy), xs, probs, start, tol, max_iter) for buy in sides]
 
 
 @dataclass(frozen=True)
@@ -427,7 +427,7 @@ def find_fixed_points(
     check_sizes(belief, grid)
     xs = tuple(float(v) for v in grid.values)
     probs = [float(v) for v in belief.probs]
-    tail, no_mass = _side(noise, buy_side)
+    tail, no_mass = _side(noise, buy_side)[:2]
 
     def residual(s):
         try:

@@ -231,7 +231,9 @@ def oracle_filter(
     # row k >= 1: exp(-lam * rate * dt) over the sub-step that ends at
     # checkpoint k, exactly 1.0 where lam = 0; row 0 belongs to the prior
     factors = np.ones((m + 1, n))
-    idx = np.maximum(np.searchsorted(logged_t, starts + 1e-12) - 1, 0)
+    # each sub-step's quote: the row its start logged, by the sample-row rule
+    idx = np.searchsorted(logged_t, starts + _SAMPLE_TOL * np.maximum(1.0, np.abs(starts)))
+    idx = np.maximum(idx - 1, 0)
     # in blocks of sub-steps, so the tails' temporaries stay small
     for lo in range(0, m, REPLAY_BLOCK):
         block = idx[lo:lo + REPLAY_BLOCK]

@@ -807,6 +807,39 @@ def test_dense_filter_solves_take_secant_steps(monkeypatch):
     assert sum(counts) / len(counts) < 2.6
 
 
+@pytest.mark.parametrize("n_paths", [1, 40])
+def test_a_kernel_binds_each_side_of_the_book_once(monkeypatch, n_paths):
+    """Over a README solo path and a 40-path batch, the run's one kernel
+    calls _side twice, when it is built, and every scalar quote solve is
+    handed one of those two sides, never a side bound afresh."""
+    side, picard = gmsim.beliefs._side, gmsim.beliefs._picard
+    init = gmsim.beliefs._FilterKernel.__init__
+    bound, kernels, handed = [], [], []
+
+    def spy_side(*args):
+        bound.append(side(*args))
+        return bound[-1]
+
+    def spy_init(self, *args):
+        before = len(bound)
+        init(self, *args)
+        kernels.append(bound[before:])
+
+    def spy_picard(s, *args):
+        handed.append(s)
+        return picard(s, *args)
+
+    monkeypatch.setattr(gmsim.beliefs, "_side", spy_side)
+    monkeypatch.setattr(gmsim.beliefs._FilterKernel, "__init__", spy_init)
+    monkeypatch.setattr(gmsim.beliefs, "_picard", spy_picard)
+    simulate_paths(MODEL, 3.0, SimConfig(ode_step=0.02), seed=42, n_paths=n_paths)
+    assert len(kernels) == 1 and len(kernels[0]) == 2 and len(bound) == 2
+    ask_side, bid_side = kernels[0]
+    assert len(handed) > 1000
+    assert all(s is ask_side or s is bid_side for s in handed)
+    assert any(s is ask_side for s in handed) and any(s is bid_side for s in handed)
+
+
 # --------------------------------------------------------------------------
 # Sampling reads the RK4 dense output and leaves the path alone
 

@@ -20,6 +20,7 @@ from gmsim.equilibrium import (
     solve_bid,
     solve_static_quotes,
     _picard,
+    _side,
 )
 from gmsim.errors import (
     ConditionFailed,
@@ -370,7 +371,7 @@ def test_fixed_point_iteration_cap_raises():
     """A ceiling of one step, from a start whose first step moves far more
     than tol."""
     with pytest.raises(NoConvergence):
-        _picard(LOGI, True, (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12, 1)
+        _picard(_side(LOGI, True), (0.0, 1.0), [0.5, 0.5], 0.0, 1e-12, 1)
 
 
 def test_column_sum_equals_the_scalar_loop():
@@ -429,7 +430,7 @@ def test_row_picard_equals_scalar_picard_per_row(noise):
     for r in range(len(probs)):
         try:
             want.append([
-                _picard(noise, buy, xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200)[0]
+                _picard(_side(noise, buy), xs.tolist(), probs[r].tolist(), float(s), 1e-12, 200)[0]
                 for buy, s in ((True, ask[r]), (False, bid[r]))
             ])
         except (ZeroBuyProbability, ZeroSellProbability, NoConvergence):
@@ -495,9 +496,9 @@ def test_forced_newton_falls_back_to_picard_steps(monkeypatch):
     assert taken2 == g2
     evaluations = len(steps) + 1
     xs, probs = (0.0, 1.0), [0.5, 0.5]
-    assert _picard(noise, True, xs, probs, 0.0, 1e-12, evaluations) == (price, evaluations)
+    assert _picard(_side(noise, True), xs, probs, 0.0, 1e-12, evaluations) == (price, evaluations)
     with pytest.raises(NoConvergence):
-        _picard(noise, True, xs, probs, 0.0, 1e-12, evaluations - 1)
+        _picard(_side(noise, True), xs, probs, 0.0, 1e-12, evaluations - 1)
 
 
 @pytest.mark.parametrize(
@@ -633,7 +634,7 @@ def test_coincident_iterates_take_a_picard_step(monkeypatch):
     monkeypatch.setattr(gmsim.equilibrium, "_conditional_mean",
                         lambda s, *args: seen.append(s) or mean(s, *args))
     with pytest.raises(NoConvergence):
-        _picard(_Traced(tail), True, xs, probs, 0.5, 1e-15, 30)
+        _picard(_side(_Traced(tail), True), xs, probs, 0.5, 1e-15, 30)
     monkeypatch.undo()
     coincident = [k for k in range(1, len(seen) - 1) if seen[k] == seen[k - 1]]
     assert len(coincident) >= 3

@@ -1,5 +1,6 @@
 """Tests for the reference filter and the statistical checks."""
 
+import bisect
 import inspect
 import math
 from dataclasses import replace
@@ -348,8 +349,10 @@ def test_oracle_refuses_a_model_with_another_state_count():
 # The oracle as it was first written, one checkpoint at a time: the quote
 # lookup, the scalar tails, the factor and the jump all inside the loop, and
 # one matrix per step length from a dict. Its checkpoints come from the
-# scalar sample-row rule, oracles.sample_times_reference, and every trade
-# logged at a checkpoint jumps there, one at 0 from the prior. oracle_filter
+# scalar sample-row rule, oracles.sample_times_reference, every trade
+# logged at a checkpoint jumps there, one at 0 from the prior, and each
+# sub-step's quote is the last logged row within 1e-12 * max(1, |t0|) of
+# its start t0, found by bisect. oracle_filter
 # takes everything but the recursion as arrays, folds each trade's
 # likelihood into the factors and normalises once at the end, so its
 # products round in another order: its times must equal the loop's, and its
@@ -359,7 +362,7 @@ REPLAY_TOL = 512 * np.finfo(float).eps
 
 
 def _reference_replay(record, model, h):
-    logged_t = record.sample_times
+    logged_t = record.sample_times.tolist()
     event_times = sorted(e.t for e in record.events)
     checkpoints = np.unique(sample_times_reference(event_times, h, record.horizon))
     trades = [e for e in record.events if e.outcome is not Outcome.NO_TRADE]
@@ -391,7 +394,7 @@ def _reference_replay(record, model, h):
             cache[dt] = transition_matrix(model.generator.rates, dt)
         belief = belief @ cache[dt]
         if lam > 0.0:
-            idx = max(int(np.searchsorted(logged_t, t0 + 1e-12)) - 1, 0)
+            idx = max(bisect.bisect_right(logged_t, t0 + 1e-12 * max(1.0, abs(t0))) - 1, 0)
             ask = float(record.sample_asks[idx])
             bid = float(record.sample_bids[idx])
             rate = np.array([noise.cdf(bid - x) + noise.survival(ask - x) for x in xs])
@@ -523,6 +526,21 @@ def test_oracle_applies_every_logged_trade(horizon, times, fewer):
     _, fewer_beliefs = oracle_filter(_logged_record(horizon, _buys(*fewer), h / 4), MODEL2,
                                      OracleFilterConfig(h=h))
     assert np.abs(beliefs[-1] - fewer_beliefs[-1]).sum() > 5e-3
+
+
+def test_oracle_takes_the_quote_a_trade_logged_past_t_16384():
+    """From t = 16,384 on a float's spacing is above 2e-12, so t + 1e-12
+    rounds to t; the sub-step after a BUY on a multiple of h still takes
+    the quote logged at the trade, not the row before it. The ask moves
+    from 0.6 to 0.7 at the trade, so a replay on the earlier row's quote
+    ends away from the reference's."""
+    h = 1.0
+    rec = _logged_record(16386.0, _buys(16385.0), h)
+    rec = replace(rec, sample_asks=np.where(rec.sample_times < 16385.0, 0.6, 0.7))
+    times, beliefs = oracle_filter(rec, MODEL2, OracleFilterConfig(h=h))
+    ref_times, ref_beliefs = _reference_replay(rec, MODEL2, h)
+    np.testing.assert_array_equal(times, ref_times)
+    np.testing.assert_allclose(beliefs, ref_beliefs, rtol=0.0, atol=REPLAY_TOL)
 
 
 def test_oracle_times_are_the_rows_a_record_sampled_at_h_logs():
