@@ -13,7 +13,11 @@ with modulus K on [x_1, x_n], so plain fixed-point iteration from the prior
 mean converges and the fixed points are unique. Without the condition there
 may be several fixed points or none in the interior; find_fixed_points lists
 whatever a scan of s - g(s, pi) finds, which is the honest answer for
-families like the two-point lattice.
+families like the two-point lattice. The scan runs on the row arithmetic:
+_residual takes s - g(s) at an array of prices from one side_tails_grid call
+and two _column_sums, bit for bit as the scalar g, so the scan's 20,001
+points (a block at a time) and the bisection of every bracket at once take
+no Python loop over prices.
 
 Picard iteration gains about two digits per step on the logistic market,
 where the map's slope at the fixed point is 0.004-0.015. Newton's method on
@@ -70,6 +74,8 @@ FALLBACK_MAX_ITER = 500
 # (bisection stops at ROOT_TOL / 1000, and roots within 10 * ROOT_TOL merge)
 ROOT_SCAN_POINTS = 20_001
 ROOT_TOL = 1e-10
+# scan points per _residual call, so its (points, states) temporaries stay small
+_SCAN_BLOCK = 2048
 
 
 # --------------------------------------------------------------------------
@@ -410,6 +416,18 @@ def solve_static_quotes(
 # Root listing
 
 
+def _residual(s, xs, probs, noise, sign):
+    """r(s) = s - g(s) at every price of the array s (s - h(s) for sign -1),
+    nan where the trade has no mass: _conditional_mean in row form, so each
+    entry equals the scalar residual bit for bit. find_fixed_points calls it
+    under np.errstate(all="ignore"): overflow and 0 / 0 pass silently, as
+    in the scalar arithmetic."""
+    weights = probs * noise.side_tails_grid(s[:, None] - xs, sign)
+    num = _column_sum(weights * xs)
+    den = _column_sum(weights)
+    return np.where(den <= 0.0, np.nan, s - num / den)
+
+
 def find_fixed_points(
     belief: Belief,
     grid: StateGrid,
@@ -420,56 +438,45 @@ def find_fixed_points(
 
     Works for any family, including static-only ones where the map is
     discontinuous and several fixed points (or none) can coexist. Sign
-    changes of the residual r(s) = s - g(s, pi) are refined by bisection;
-    a refined point is accepted only if the residual actually vanishes
-    there, which discards jump discontinuities of r.
+    changes of the residual r(s) = s - g(s, pi) between scan points are
+    refined by bisection, every bracket at once; a refined point is accepted
+    only if the residual actually vanishes there, which discards jump
+    discontinuities of r. The scan and the bisection share _residual.
     """
     check_sizes(belief, grid)
-    xs = tuple(float(v) for v in grid.values)
-    probs = [float(v) for v in belief.probs]
-    tail, no_mass = _side(noise, buy_side)[:2]
-
-    def residual(s):
-        try:
-            return s - _conditional_mean(s, xs, probs, tail, no_mass)
-        except no_mass:
-            return math.nan
-
+    market = (grid.values, belief.probs, noise, 1.0 if buy_side else -1.0)
     lo, hi = grid.x_min, grid.x_max
-    step = (hi - lo) / (ROOT_SCAN_POINTS - 1)
-    scale = max(1.0, abs(lo), abs(hi))
+    scale, width = max(1.0, abs(lo), abs(hi)), 1e-3 * ROOT_TOL
+    with np.errstate(all="ignore"):
+        s = lo + np.arange(ROOT_SCAN_POINTS) * ((hi - lo) / (ROOT_SCAN_POINTS - 1))
+        s[-1] = hi
+        blocks = range(0, ROOT_SCAN_POINTS, _SCAN_BLOCK)
+        r = np.concatenate([_residual(s[k:k + _SCAN_BLOCK], *market) for k in blocks])
+        # a nan residual brackets nothing: nan * r < 0 is False
+        i = np.flatnonzero(r[:-1] * r[1:] < 0.0)
+        a, b, ra = s[i], s[i + 1], r[i]
+        live = b - a > width
+        while live.any():
+            mid = 0.5 * (a + b)
+            rm = _residual(mid, *market)
+            # b moves to mid on a sign change in [a, mid], a on none, both on a zero
+            lower = live & ((rm == 0.0) | (ra * rm < 0.0))
+            upper = live & ((rm == 0.0) | ~lower)
+            new_a, new_b = np.where(upper, mid, a), np.where(lower, mid, b)
+            ra = np.where(upper, rm, ra)
+            # a bracket that no float splits (mid is a or b) stops where it is
+            live = (new_b - new_a > width) & ((new_a != a) | (new_b != b))
+            a, b = new_a, new_b
+        mid = 0.5 * (a + b)
+        # A jump discontinuity of r bisects to a point with a finite
+        # residual; a genuine root leaves essentially none.
+        genuine = np.abs(_residual(mid, *market)) <= 100.0 * width * scale + 1e-13
+    # sorted, the roots are in scan order: one near any kept root is near the last
     roots: list[float] = []
-
-    def push(candidate):
-        if all(abs(r - candidate) > max(10 * ROOT_TOL, 1e-9 * scale) for r in roots):
-            roots.append(candidate)
-
-    prev_s, prev_r = lo, math.nan  # a nan residual brackets nothing: nan * r < 0 is False
-    for i in range(ROOT_SCAN_POINTS):
-        s = lo + i * step if i < ROOT_SCAN_POINTS - 1 else hi
-        r = residual(s)
-        if r == 0.0:
-            push(s)
-        elif prev_r * r < 0.0:
-            a, b = prev_s, s
-            ra = prev_r
-            while b - a > 1e-3 * ROOT_TOL:
-                mid = 0.5 * (a + b)
-                rm = residual(mid)
-                if rm == 0.0:
-                    a = b = mid
-                    break
-                if ra * rm < 0.0:
-                    b = mid
-                else:
-                    a, ra = mid, rm
-            candidate = 0.5 * (a + b)
-            # A jump discontinuity of r bisects to a point with a finite
-            # residual; a genuine root leaves essentially none.
-            if abs(residual(candidate)) <= 100.0 * (1e-3 * ROOT_TOL) * scale + 1e-13:
-                push(candidate)
-        prev_s, prev_r = s, r
-    return sorted(roots)
+    for root in np.sort(np.concatenate([s[r == 0.0], mid[genuine]])).tolist():
+        if not roots or root - roots[-1] > max(10 * ROOT_TOL, 1e-9 * scale):
+            roots.append(root)
+    return roots
 
 
 # --------------------------------------------------------------------------

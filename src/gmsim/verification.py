@@ -186,7 +186,8 @@ def oracle_filter(
     trade at 0). The loop then carries the unnormalised belief: the chain
     step and the factors, in place, renormalising only where the belief's
     mass could underflow. Every row is divided by its own sum once the loop
-    is done; a trade whose row sums to zero raises GridMismatch.
+    is done. A row that sums to zero raises GridMismatch, naming the trade
+    it holds, or else the time where the no-trade likelihood underflowed.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
@@ -257,22 +258,24 @@ def oracle_filter(
     # The loop carries the unnormalised belief. A transition row sums to 1,
     # so a sub-step keeps at least its smallest factor of the mass: the
     # product of those since the last renormalisation bounds the mass from
-    # below, and the row is renormalised before that bound reaches
-    # _MASS_FLOOR. Every factor is at most 1, so nothing overflows.
+    # below. Where a step would take that bound under _MASS_FLOOR, the row
+    # it starts from is renormalised first, so the step's row keeps at least
+    # its smallest factor of a unit mass: it is zero only where the step's
+    # factors underflow. Every factor is at most 1, so nothing overflows.
     beliefs = np.empty((m + 1, n))
     beliefs[0] = model.initial_belief.probs * factors[0]
     prev = beliefs[0]
     lows = factors.min(axis=1).tolist()
     bound = lows[0]
     for row, p_mat, factor, low in zip(beliefs[1:], chain, factors[1:], lows[1:]):
-        np.matmul(prev, p_mat, out=row)
-        np.multiply(row, factor, out=row)
         bound *= low
         if bound < _MASS_FLOOR:
-            total = row.sum()
+            total = prev.sum()
             if total > 0.0:  # a zero row stays zero for the check below
-                row /= total
-            bound = 1.0
+                prev /= total
+            bound = low
+        np.matmul(prev, p_mat, out=row)
+        np.multiply(row, factor, out=row)
         prev = row
 
     totals = beliefs.sum(axis=1)
@@ -284,6 +287,10 @@ def oracle_filter(
                 f"logged {event.outcome.value} at t={event.t:.6f} has zero "
                 "likelihood under the replayed belief"
             )
+        raise GridMismatch(
+            f"the no-trade likelihood underflowed to zero at t={checkpoints[empty[0]]:.6f}: "
+            "no replayed belief survives a step that long at this arrival rate"
+        )
     beliefs /= totals[:, None]
     return checkpoints, beliefs
 

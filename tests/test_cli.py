@@ -186,6 +186,49 @@ def test_solve_static_scan_lists_both_lattice_roots(write_scenario, capsys):
     assert roots[1] == pytest.approx(3.0, abs=1e-9)
 
 
+# stdout of solve-static --scan-roots on the README market and three others,
+# recorded while the root scan still took one price at a time in Python
+SCAN_PINS = {
+    "logistic": ({}, [], (
+        "ask    = 0.563142502294   (3 iterations)\n"
+        "bid    = 0.436857497706   (3 iterations)\n"
+        "spread = 0.126285004588\n"
+        "ask fixed points on scan: 0.563142502294\n"
+        "bid fixed points on scan: 0.436857497706\n"
+    )),
+    "gaussian": ({"noise": {"family": "gaussian", "sigma": 1.5}}, [], (
+        "ask    = 0.639840283934   (5 iterations)\n"
+        "bid    = 0.360159716066   (5 iterations)\n"
+        "spread = 0.279680567868\n"
+        "ask fixed points on scan: 0.639840283934\n"
+        "bid fixed points on scan: 0.360159716066\n"
+    )),
+    "laplace": ({"noise": {"family": "laplace", "scale": 2.0}}, [], (
+        "ask    = 0.615117592976   (4 iterations)\n"
+        "bid    = 0.384882407024   (4 iterations)\n"
+        "spread = 0.230235185952\n"
+        "ask fixed points on scan: 0.615117592976\n"
+        "bid fixed points on scan: 0.384882407024\n"
+    )),
+    "lattice": ({"states": [1.0, 3.0], "initial_belief": [0.75, 0.25],
+                 "noise": {"family": "two_point", "value": 1.0, "prob": 0.5}}, ["--force"], (
+        "ask    = 1.8   (2 iterations)\n"
+        "bid    = 1   (2 iterations)\n"
+        "spread = 0.8\n"
+        "ask fixed points on scan: 1.8, 3\n"
+        "bid fixed points on scan: 1\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_PINS)
+def test_solve_static_scan_output_is_pinned(case, write_scenario, capsys):
+    overrides, flags, pinned = SCAN_PINS[case]
+    cfg = write_scenario(**overrides)
+    assert main(["solve-static", "--config", cfg, "--scan-roots", *flags]) == 0
+    assert capsys.readouterr().out == pinned
+
+
 # --------------------------------------------------------------------------
 # simulate
 

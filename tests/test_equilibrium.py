@@ -348,6 +348,20 @@ def test_static_quotes_run_the_gate_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("grid, noise, ceiling", [
+    (StateGrid([0.0, 1e-13]), Logistic(1.0), 10),
+    (StateGrid([0.0, 1e-300]), Logistic(1e300), gmsim.equilibrium.FALLBACK_MAX_ITER),
+], ids=["width_under_tol", "K_underflows"])
+def test_iteration_ceiling_of_a_grid_narrower_than_tol(grid, noise, ceiling):
+    """A grid no wider than tol gets the ceiling 10, and a certificate whose
+    K underflows to 0 the fallback ceiling; either solves at once, since g
+    then lies within tol of any start in the grid."""
+    assert gmsim.equilibrium._iteration_ceiling(noise, grid, 1e-12, False) == ceiling
+    q = solve_static_quotes(HALF, grid, noise)
+    assert (q.ask_iterations, q.bid_iterations) == (1, 1)
+    assert grid.x_min <= q.bid <= q.ask <= grid.x_max
+
+
 THREE_STATES = Belief([0.2, 0.3, 0.5])
 SIZE_MISMATCHES = {
     "buy_jump": lambda: buy_jump(THREE_STATES, 0.5, UNIT_GRID, LOGI),
@@ -744,6 +758,130 @@ def test_scan_finds_roots_on_its_first_and_last_points(grid, noise):
         for buy_side in (True, False):
             roots = find_fixed_points(belief, grid, noise, buy_side=buy_side)
             assert roots == [grid.values[k]]
+
+
+def _scalar_find_fixed_points(belief, grid, noise, buy_side=True):
+    """The root scan as it was written before it ran on arrays: the scalar
+    residual one point at a time, and one bisection per bracket. It never
+    ends on a bracket that no float splits (see the test below)."""
+    xs = tuple(float(v) for v in grid.values)
+    probs = [float(v) for v in belief.probs]
+    tail, no_mass = _side(noise, buy_side)[:2]
+
+    def residual(s):
+        try:
+            return s - gmsim.equilibrium._conditional_mean(s, xs, probs, tail, no_mass)
+        except no_mass:
+            return math.nan
+
+    lo, hi = grid.x_min, grid.x_max
+    points = gmsim.equilibrium.ROOT_SCAN_POINTS
+    root_tol = gmsim.equilibrium.ROOT_TOL
+    step = (hi - lo) / (points - 1)
+    scale = max(1.0, abs(lo), abs(hi))
+    roots = []
+
+    def push(candidate):
+        if all(abs(r - candidate) > max(10 * root_tol, 1e-9 * scale) for r in roots):
+            roots.append(candidate)
+
+    prev_s, prev_r = lo, math.nan
+    for i in range(points):
+        s = lo + i * step if i < points - 1 else hi
+        r = residual(s)
+        if r == 0.0:
+            push(s)
+        elif prev_r * r < 0.0:
+            a, b = prev_s, s
+            ra = prev_r
+            while b - a > 1e-3 * root_tol:
+                mid = 0.5 * (a + b)
+                rm = residual(mid)
+                if rm == 0.0:
+                    a = b = mid
+                    break
+                if ra * rm < 0.0:
+                    b = mid
+                else:
+                    a, ra = mid, rm
+            candidate = 0.5 * (a + b)
+            if abs(residual(candidate)) <= 100.0 * (1e-3 * root_tol) * scale + 1e-13:
+                push(candidate)
+        prev_s, prev_r = s, r
+    return sorted(roots)
+
+
+def _scan_markets(family, seed):
+    """Fixed-seed markets for one noise family: 2-8 states on [-3, 3], with
+    full, point-mass and one-zero beliefs and scales from 0.02 up."""
+    rng = np.random.default_rng(seed)
+    markets = []
+    for kind in ("full", "point", "one_zero", "full"):
+        n = int(rng.integers(2, 9))
+        grid = StateGrid(np.sort(rng.choice(np.arange(-300, 301), n, replace=False)) / 100.0)
+        probs = rng.dirichlet(np.ones(n))
+        if kind == "point":
+            probs = np.eye(n)[rng.integers(n)]
+        elif kind == "one_zero":
+            probs[rng.integers(n)] = 0.0
+        scale = float(rng.choice([0.02, 0.1, 0.5, 2.0]))
+        markets.append((Belief(probs), grid, family(scale, float(rng.uniform(0.1, 0.9)))))
+    return markets
+
+
+# each family's markets and their seed, picked so that at least one scan
+# lists several roots: a noise-trader mix's map is flat, and never does
+SCAN_FAMILIES = {
+    "logistic": (lambda scale, _: Logistic(scale), 41),
+    "gaussian": (lambda scale, _: Gaussian(scale), 27),
+    "laplace": (lambda scale, _: Laplace(scale), 64),
+    "two_point": (TwoPointDiscrete, 1),
+    "noise_trader_mix": (lambda _, prob: NoiseTraderMix(prob), 0),
+}
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_scan_equals_the_scalar_scan(family):
+    """The array scan returns the scalar scan's list, float for float, on
+    both sides of every market."""
+    several = 0
+    for belief, grid, noise in _scan_markets(*SCAN_FAMILIES[family]):
+        for buy_side in (True, False):
+            roots = find_fixed_points(belief, grid, noise, buy_side=buy_side)
+            assert roots == _scalar_find_fixed_points(belief, grid, noise, buy_side)
+            assert all(type(r) is float for r in roots)
+            several += len(roots) > 1
+    assert several or family == "noise_trader_mix"
+
+
+@pytest.mark.parametrize("probs, root, no_mass", [
+    ([1.0, 0.0], 0.0, lambda b, g, n: mean_given_buy(1.5, b, g, n)),
+    ([0.0, 1.0], 3.0, lambda b, g, n: mean_given_sell(1.5, b, g, n)),
+], ids=["ask", "bid"])
+def test_scan_skips_prices_without_trade_mass(probs, root, no_mass):
+    """On states [0, 3] with the two-point noise 1.0 / 0.5, a point mass has
+    no trade mass on one side beyond 1 of its state: the residual there is
+    nan and brackets nothing, and each side's one root is the state."""
+    grid, noise, belief = StateGrid([0.0, 3.0]), TwoPointDiscrete(1.0, 0.5), Belief(probs)
+    with pytest.raises((ZeroBuyProbability, ZeroSellProbability)):
+        no_mass(belief, grid, noise)
+    for buy_side in (True, False):
+        roots = find_fixed_points(belief, grid, noise, buy_side=buy_side)
+        assert roots == [root] == _scalar_find_fixed_points(belief, grid, noise, buy_side)
+
+
+@pytest.mark.parametrize("x0", [600.0, 5000.0, 1e12])
+def test_scan_ends_where_no_float_splits_a_bracket(x0):
+    """Prices near x0 are more than the bisection width 1e-13 apart as
+    floats, so a bracket narrows to two neighbouring floats and its
+    midpoint is one of them; the bracket stops there, and the scan lists
+    the one root on each side."""
+    grid = StateGrid([x0, x0 + 1.0])
+    tol = 4.0 * math.ulp(x0)
+    for buy_side, solve in ((True, solve_ask), (False, solve_bid)):
+        roots = find_fixed_points(HALF, grid, LOGI, buy_side=buy_side)
+        assert len(roots) == 1
+        assert roots[0] == pytest.approx(solve(HALF, grid, LOGI, tol=tol), abs=2 * tol)
 
 
 # --------------------------------------------------------------------------

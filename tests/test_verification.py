@@ -616,6 +616,32 @@ def test_oracle_refuses_a_trade_of_zero_likelihood():
         oracle_filter(rec, model, OracleFilterConfig(h=1e-3))
 
 
+def test_oracle_renormalises_before_a_step_that_would_underflow():
+    """At lam = 4e5 and h = 1e-3 each sub-step's no-trade factors are about
+    1e-167: normal floats, but the product of two underflows to 0. The
+    replay renormalises the row a step starts from when the step would take
+    its mass under the floor, so every belief is finite and on the
+    simplex, and equal to the per-checkpoint loop's."""
+    rec = _synthetic_record(1.0, [], 2.5e-4, 0.6, 0.3)
+    model = replace(MODEL2, arrival_rate=4e5)
+    _assert_replays_match_reference(rec, model, 1e-3)
+    _, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=1e-3))
+    assert np.all(np.isfinite(beliefs))
+    np.testing.assert_allclose(beliefs.sum(axis=1), 1.0, rtol=0.0, atol=REPLAY_TOL)
+
+
+def test_oracle_refuses_a_step_whose_no_trade_likelihood_underflows():
+    """At lam = 1e6 and h = 1e-3 every no-trade factor of a sub-step,
+    exp(-lam * rate * h) with rate about 0.96, underflows to 0, so no belief
+    survives the first sub-step, which holds no trade: the error names its
+    time."""
+    rec = _synthetic_record(1.0, [], 1e-3, 0.6, 0.3)
+    model = replace(MODEL2, arrival_rate=1e6)
+    with pytest.raises(GridMismatch, match=r"^the no-trade likelihood underflowed to zero "
+                       r"at t=0\.001000: "):
+        oracle_filter(rec, model, OracleFilterConfig(h=1e-3))
+
+
 @st.composite
 def _small_markets(draw):
     """A random admissible 2-5 state market with arrivals and a sampled run."""
