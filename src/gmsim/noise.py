@@ -107,8 +107,16 @@ class NoiseModel:
 
     def side_tails_grid(self, ys, sign) -> np.ndarray:
         """survival on the rows of ys whose sign is +1, cdf on those whose
-        sign is -1 (sign broadcasts against ys, one entry per row)."""
-        return np.where(sign > 0, self.survival_grid(ys), _elementwise(self.cdf, ys))
+        sign is -1 (sign a scalar or a column, one entry per row), each
+        tail evaluated only on the rows it gives."""
+        if np.ndim(sign) == 0:
+            return self.survival_grid(ys) if sign > 0 else _elementwise(self.cdf, ys)
+        ys = np.asarray(ys, dtype=float)
+        up = np.asarray(sign)[:, 0] > 0
+        tails = np.empty(ys.shape)
+        tails[up] = self.survival_grid(ys[up])
+        tails[~up] = _elementwise(self.cdf, ys[~up])
+        return tails
 
     def condition_constants(self, width: float) -> tuple[float, float]:
         """(K, M) of the certificate on [-width, width], in closed form: K as in

@@ -11,10 +11,13 @@ logs a row, by the engine's sample-row rule, and applies every logged trade.
 The logged quotes do not depend on the replayed belief, so the no-trade
 tails and factors of every sub-step, the transition matrices and the trade
 likelihoods are arrays computed before the replay, each trade's likelihood
-folded into the factor row of its checkpoint. The loop carries the
-unnormalised belief, one chain step and one factor product per sub-step,
-and the rows are normalised once at the end. compare_filters matches the
-two paths' times and takes their L1 distances as arrays too.
+folded into the factor row of its checkpoint. The checkpoints are the
+sample-row rule's times, already in order, with repeated times dropped in
+that order. The loop carries the unnormalised belief, with one np.dot into
+the row (the chain step, its matrix indexed from the list of the distinct
+sub-step lengths' matrices) and one in-place product by the factors per
+sub-step, and the rows are normalised once at the end. compare_filters
+matches the two paths' times and takes their L1 distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
@@ -168,7 +171,8 @@ def oracle_filter(
     """Replay a logged path through the split-step reference filter.
 
     Returns (times, beliefs): the filter's state at the times a record
-    sampled at cfg.h logs, one per time (engine._sample_times): 0, every
+    sampled at cfg.h logs, one per time (engine._sample_times, which gives
+    them in order, with the first of each run of equal times kept): 0, every
     logged event time (after its jumps), the horizon, and every multiple of
     cfg.h not within 1e-12 * max(1, |t|) of one of them. The no-trade
     likelihood over each sub-step uses the quote the engine logged at the
@@ -183,11 +187,14 @@ def oracle_filter(
     logged quote, the transition matrices of every distinct sub-step length
     in one stacked pass, and the likelihood weights of every logged trade,
     multiplied into the row of its checkpoint (row 0, the prior's, for a
-    trade at 0). The loop then carries the unnormalised belief: the chain
-    step and the factors, in place, renormalising only where the belief's
-    mass could underflow. Every row is divided by its own sum once the loop
-    is done. A row that sums to zero raises GridMismatch, naming the trade
-    it holds, or else the time where the no-trade likelihood underflowed.
+    trade at 0). The loop then carries the unnormalised belief, two calls
+    per sub-step: np.dot of the previous row by the sub-step's transition
+    matrix into its row, the matrix indexed from a list of the distinct
+    lengths' matrices, and the row's in-place product by its factors. It
+    renormalises only where the belief's mass could underflow. Every row is
+    divided by its own sum once the loop is done. A row that sums to zero
+    raises GridMismatch, naming the trade it holds, or else the time where
+    the no-trade likelihood underflowed.
     """
     if record.sample_times is None:
         raise GridMismatch("record carries no sampled quote path")
@@ -217,7 +224,10 @@ def oracle_filter(
         raise GridMismatch(
             f"logged event at t={float(outside[0])!r} lies outside [0, {horizon!r}]"
         )
-    checkpoints = np.unique(_sample_times(np.sort(event_times), cfg.h, horizon))
+    # _sample_times gives the times in order: keep the first of each run of
+    # equal ones (two events at one float, an event at 0 or at the horizon)
+    times = _sample_times(np.sort(event_times), cfg.h, horizon)
+    checkpoints = times[np.concatenate(([True], times[1:] != times[:-1]))]
     starts = checkpoints[:-1]
     dts = np.diff(checkpoints)
     m = len(dts)
@@ -226,8 +236,10 @@ def oracle_filter(
     noise = model.noise
     lam = model.arrival_rate
     lengths, length_of = np.unique(dts, return_inverse=True)
-    p_mats = _transition_matrices(model.generator.rates, lengths)
-    chain = [p_mats[i] for i in length_of]
+    # each sub-step's matrix, picked from a list of the few distinct ones,
+    # so that the loop makes no numpy view of it
+    p_mats = list(_transition_matrices(model.generator.rates, lengths))
+    chain = [p_mats[i] for i in length_of.tolist()]
 
     # row k >= 1: exp(-lam * rate * dt) over the sub-step that ends at
     # checkpoint k, exactly 1.0 where lam = 0; row 0 belongs to the prior
@@ -274,8 +286,8 @@ def oracle_filter(
             if total > 0.0:  # a zero row stays zero for the check below
                 prev /= total
             bound = low
-        np.matmul(prev, p_mat, out=row)
-        np.multiply(row, factor, out=row)
+        np.dot(prev, p_mat, out=row)
+        row *= factor
         prev = row
 
     totals = beliefs.sum(axis=1)
@@ -560,23 +572,17 @@ def consistency_check(records: list[PathRecord], grid: StateGrid) -> Consistency
     rows keep bid <= posterior mean <= ask.
     """
     xs = grid.values
-    max_gap = 0.0
-    n_events = 0
+    # every trade of the batch, its post-trade belief and the quote it took
+    trades = [e for r in records for e in r.events if e.outcome is not Outcome.NO_TRADE]
+    rows = np.array([e.belief_after for e in trades]).reshape(len(trades), len(xs))
+    prices = np.array([e.ask if e.outcome is Outcome.BUY else e.bid for e in trades])
+    max_gap = float(np.abs(rows @ xs - prices).max(initial=0.0))
     max_sum_error = 0.0
     min_component = 0.0
     violations = 0
     for r in records:
         max_sum_error = max(max_sum_error, r.diagnostics.max_sum_error)
         min_component = min(min_component, r.diagnostics.min_component)
-        for e in r.events:
-            n_events += 1
-            if e.outcome is Outcome.BUY:
-                gap = abs(float(e.belief_after @ xs) - e.ask)
-            elif e.outcome is Outcome.SELL:
-                gap = abs(float(e.belief_after @ xs) - e.bid)
-            else:
-                continue
-            max_gap = max(max_gap, gap)
         if r.sample_times is not None:
             means = r.sample_beliefs @ xs
             bad = (r.sample_bids > means + 1e-9) | (means > r.sample_asks + 1e-9)
@@ -584,7 +590,7 @@ def consistency_check(records: list[PathRecord], grid: StateGrid) -> Consistency
             sums = np.abs(r.sample_beliefs.sum(axis=1) - 1.0)
             max_sum_error = max(max_sum_error, float(sums.max()))
     return ConsistencyReport(
-        n_events=n_events,
+        n_events=sum(len(r.events) for r in records),
         max_quote_gap=max_gap,
         max_sum_error=max_sum_error,
         min_component=min_component,

@@ -17,6 +17,7 @@ from gmsim.noise import (
     NoiseTraderMix,
     TwoPointDiscrete,
     _Symmetric,
+    _elementwise,
     check_gm_condition,
 )
 from oracles import erfc_reference, ks_statistic, normal_survival_reference, scipy_noise
@@ -424,6 +425,34 @@ def test_side_tails_match_scalar_survival_and_cdf(noise):
     for row, side in ((0, noise.survival), (1, noise.cdf), (2, noise.cdf)):
         for y, got in zip(ys[row].tolist(), tails[row].tolist()):
             assert got.hex() == side(y).hex(), (row, y)
+
+
+@pytest.mark.parametrize(
+    "noise", [TwoPointDiscrete(1.0, 0.3), NoiseTraderMix(0.25)],
+    ids=["two_point", "noise_trader_mix"],
+)
+def test_static_side_tails_take_each_tail_only_where_its_sign_selects_it(noise, monkeypatch):
+    """The static-only families' side_tails_grid equals the np.where form
+    that took both tails at every entry, bit for bit, at +-value, signed
+    zeros and +-inf, with a scalar sign and with a column of signs; and it
+    takes the survival only on the +1 entries and the cdf only on the -1
+    ones."""
+    family = type(noise)
+    calls = {"survival": 0, "cdf": 0}
+    for name in calls:
+        def counted(self, y, tail=getattr(family, name), name=name):
+            calls[name] += 1
+            return tail(self, y)
+        monkeypatch.setattr(family, name, counted)
+    ys = np.array([-math.inf, -1.0, -0.0, 0.0, 1.0, math.inf, 0.5, -2.0])
+    ys = np.stack([ys, ys[::-1], -ys])
+    for sign in (1.0, -1.0, np.array([[1.0], [-1.0], [-1.0]]), np.array([[-1.0], [1.0], [-1.0]])):
+        both = np.where(sign > 0, _elementwise(noise.survival, ys), _elementwise(noise.cdf, ys))
+        calls.update(survival=0, cdf=0)
+        tails = noise.side_tails_grid(ys, sign)
+        assert tails.tobytes() == both.tobytes(), sign
+        up = np.count_nonzero(np.broadcast_to(np.asarray(sign) > 0, ys.shape))
+        assert calls == {"survival": up, "cdf": ys.size - up}, sign
 
 
 SYMMETRIC = [Logistic(0.37), Logistic(2.0), Gaussian(1.0), Gaussian(2.5), Laplace(0.8)]

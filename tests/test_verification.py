@@ -1,6 +1,7 @@
 """Tests for the reference filter and the statistical checks."""
 
 import bisect
+import hashlib
 import inspect
 import math
 from dataclasses import replace
@@ -20,6 +21,8 @@ from gmsim.engine import (
     Outcome,
     PathRecord,
     SimConfig,
+    _SAMPLE_TOL,
+    _sample_times,
     decide_trade,
     path_streams,
     sample_arrival_times,
@@ -430,14 +433,15 @@ def _assert_replays_match_reference(rec, model, h):
     assert (cmp.n_matched, cmp.max_l1, cmp.argmax_time) == ref
 
 
-def _chain8():
-    """The 8-state birth-death chain on [0, 1] with Gaussian(1.5) noise."""
-    rates = np.zeros((8, 8))
-    for i in range(7):
+def _chain(n=8):
+    """The n-state birth-death chain on [0, 1] with Gaussian(1.5) noise,
+    rates 0.6 to each neighbour, lambda 8 and a uniform prior."""
+    rates = np.zeros((n, n))
+    for i in range(n - 1):
         rates[i, i + 1] = rates[i + 1, i] = 0.6
     return MarketModel(
-        grid=StateGrid(np.linspace(0.0, 1.0, 8)), generator=GeneratorMatrix(rates),
-        arrival_rate=8.0, noise=Gaussian(1.5), initial_belief=Belief(np.full(8, 0.125)),
+        grid=StateGrid(np.linspace(0.0, 1.0, n)), generator=GeneratorMatrix(rates),
+        arrival_rate=8.0, noise=Gaussian(1.5), initial_belief=Belief(np.full(n, 1.0 / n)),
     )
 
 
@@ -451,7 +455,7 @@ README_MODEL = MarketModel(
     "model, cfg, seed",
     [
         (README_MODEL, SimConfig(ode_step=0.02, sample_dt=2.5e-4), 42),
-        (_chain8(), SimConfig(ode_step=1e-3, sample_dt=2.5e-4), 1),
+        (_chain(), SimConfig(ode_step=1e-3, sample_dt=2.5e-4), 1),
         (replace(MODEL3, noise=Laplace(1.5)), SimConfig(ode_step=0.01, sample_dt=2.5e-4), 3),
         (replace(MODEL3, arrival_rate=0.0), SimConfig(ode_step=0.01, sample_dt=2.5e-4), 0),
         (README_MODEL, SimConfig(ode_step=0.02, sample_dt=2.5e-4, perturb_ask=0.01), 5),
@@ -526,6 +530,45 @@ def test_oracle_applies_every_logged_trade(horizon, times, fewer):
     _, fewer_beliefs = oracle_filter(_logged_record(horizon, _buys(*fewer), h / 4), MODEL2,
                                      OracleFilterConfig(h=h))
     assert np.abs(beliefs[-1] - fewer_beliefs[-1]).sum() > 5e-3
+
+
+# sha256 of oracle_filter's times and beliefs (tobytes) at h, h / 2 and
+# h / 4, h = 1e-3, on fixed records sampled at h / 4. Recorded from the
+# replay that stepped with np.matmul and np.multiply: a change of the
+# replay's arithmetic must keep every bit of them.
+REPLAY_DIGESTS = {
+    "readme": "8a67015f69b57dd02b5cc54475c5fae79626fa91bc1b1db52e1f823b273aa525",
+    "chain8_gaussian": "2d62cc875d38e6b6331630576f75e91198bfd6854a70ef97a0b4811c26324058",
+    "laplace": "7302cd5586275605d3b00ac3db00800c60a69c911622b03904745f6952c94134",
+    "chain32_gaussian": "8683b11da7ffe1cf16a4318e6d36326ef73f4761e091f3f8b89c2ae14e6ac178",
+    "two_trades_at_one_float": "2fe5aab5cf9d7e1768f029fcd9b87cf5b4cbd7b334ebc27dc82fd60b805df845",
+}
+
+
+def _replay_case(case):
+    """The (model, record) of a REPLAY_DIGESTS case."""
+    if case == "two_trades_at_one_float":
+        return MODEL2, _logged_record(1.0, _buys(0.3, 0.3), 2.5e-4)
+    model, horizon, ode_step, seed = {
+        "readme": (README_MODEL, 2.0, 0.02, 42),
+        "chain8_gaussian": (_chain(), 2.0, 1e-3, 1),
+        "laplace": (replace(MODEL3, noise=Laplace(1.5)), 1.0, 0.01, 3),
+        "chain32_gaussian": (_chain(32), 1.0, 0.01, 2),
+    }[case]
+    cfg = SimConfig(ode_step=ode_step, sample_dt=2.5e-4)
+    return model, simulate_gmps_path(model, horizon, cfg, seed=seed)
+
+
+@pytest.mark.parametrize("case", REPLAY_DIGESTS)
+def test_oracle_replay_digests_hold(case):
+    model, rec = _replay_case(case)
+    assert rec.n_trades >= 2
+    digest = hashlib.sha256()
+    for step in (1e-3, 5e-4, 2.5e-4):
+        times, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=step))
+        digest.update(times.tobytes())
+        digest.update(beliefs.tobytes())
+    assert digest.hexdigest() == REPLAY_DIGESTS[case]
 
 
 def test_oracle_takes_the_quote_a_trade_logged_past_t_16384():
@@ -671,6 +714,70 @@ def test_oracle_replay_equals_the_loop_on_random_markets(run):
         model, horizon, SimConfig(ode_step=0.02, sample_dt=h / 4), seed=seed
     )
     _assert_replays_match_reference(rec, model, h)
+
+
+def _ufunc_replay(record, model, h):
+    """oracle_filter's replay with np.matmul and np.multiply per sub-step,
+    a numpy view of the sub-step's transition matrix taken per sub-step, and
+    the checkpoints deduplicated by np.unique: the same arithmetic written
+    with other numpy calls, which oracle_filter must equal bit for bit."""
+    logged_t = record.sample_times
+    event_times = np.array([e.t for e in record.events])
+    checkpoints = np.unique(_sample_times(np.sort(event_times), h, record.horizon))
+    starts = checkpoints[:-1]
+    dts = np.diff(checkpoints)
+    m, n = len(dts), model.grid.n
+    xs, noise, lam = model.grid.values, model.noise, model.arrival_rate
+    lengths, length_of = np.unique(dts, return_inverse=True)
+    p_mats = verification._transition_matrices(model.generator.rates, lengths)
+    chain = [p_mats[i] for i in length_of]
+    factors = np.ones((m + 1, n))
+    idx = np.searchsorted(logged_t, starts + _SAMPLE_TOL * np.maximum(1.0, np.abs(starts)))
+    idx = np.maximum(idx - 1, 0)
+    for lo in range(0, m, verification.REPLAY_BLOCK):
+        block = idx[lo:lo + verification.REPLAY_BLOCK]
+        size = len(block)
+        prices = np.concatenate(
+            [record.sample_asks[block, None] - xs, record.sample_bids[block, None] - xs]
+        )
+        tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
+        rate = tails[:size] + tails[size:]
+        factors[lo + 1:lo + size + 1] = np.exp(-lam * rate * dts[lo:lo + size, None])
+    trades = [e for e in record.events if e.outcome is not Outcome.NO_TRADE]
+    buys = np.array([e.outcome is Outcome.BUY for e in trades])
+    prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
+    weights = noise.side_tails_grid(prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None])
+    np.multiply.at(factors, np.searchsorted(checkpoints, [e.t for e in trades]), weights)
+    beliefs = np.empty((m + 1, n))
+    beliefs[0] = model.initial_belief.probs * factors[0]
+    prev = beliefs[0]
+    lows = factors.min(axis=1).tolist()
+    bound = lows[0]
+    for row, p_mat, factor, low in zip(beliefs[1:], chain, factors[1:], lows[1:]):
+        bound *= low
+        if bound < verification._MASS_FLOOR:
+            total = prev.sum()
+            if total > 0.0:
+                prev /= total
+            bound = low
+        np.matmul(prev, p_mat, out=row)
+        np.multiply(row, factor, out=row)
+        prev = row
+    return checkpoints, beliefs / beliefs.sum(axis=1)[:, None]
+
+
+@settings(max_examples=40)
+@given(_small_markets())
+def test_oracle_replay_equals_the_ufunc_loop_bit_for_bit(run):
+    model, h, horizon, seed = run
+    rec = simulate_gmps_path(
+        model, horizon, SimConfig(ode_step=0.02, sample_dt=h / 4), seed=seed
+    )
+    for step in (h, h / 2, h / 4):
+        times, beliefs = oracle_filter(rec, model, OracleFilterConfig(h=step))
+        ref_times, ref_beliefs = _ufunc_replay(rec, model, step)
+        assert times.tobytes() == ref_times.tobytes()
+        assert beliefs.tobytes() == ref_beliefs.tobytes()
 
 
 @settings(max_examples=40)
@@ -939,3 +1046,22 @@ def test_consistency_check_flags_perturbed_quotes():
     report = consistency_check(recs, GRID2)
     assert report.max_quote_gap > 1e-3
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "model, ode_step, ulps", [(README_MODEL, 0.02, 0), (_chain(), 0.01, 4)],
+    ids=["readme", "chain8"],
+)
+def test_consistency_gap_equals_the_per_event_loop(model, ode_step, ulps):
+    """max_quote_gap, taken as one product of the batch's trade rows, is the
+    largest |belief_after @ xs - price| of the per-event loop: bit for bit
+    on 2 states, within a few ulps of 1.0 on 8, where the product may sum
+    the states in another order."""
+    recs = simulate_paths(model, 2.0, SimConfig(ode_step=ode_step), seed=7, n_paths=20)
+    xs = model.grid.values
+    loop = max(
+        abs(float(e.belief_after @ xs) - (e.ask if e.outcome is Outcome.BUY else e.bid))
+        for r in recs for e in r.events if e.outcome is not Outcome.NO_TRADE
+    )
+    report = consistency_check(recs, model.grid)
+    assert abs(report.max_quote_gap - loop) <= ulps * np.finfo(float).eps
