@@ -26,10 +26,12 @@ ROW_SUM_TOL = 1e-9
 # A path keeps each arrival as an event of about 0.6 kB and draws each jump
 # of the value chain in a Python loop, so an expected count of either above
 # this is refused. A sampled path's grid of horizon / sample_dt rows is held
-# to the same bound: each row costs a quote solve and keeps a belief row, as
-# an arrival does. So are a path's horizon / ode_step RK4 steps: a sampled
-# segment's trail keeps one entry per step, about the size of an event, and
-# `gmsim simulate` always samples path 0 for plot.csv; at 85-120 us a step
+# to the same bound: each row costs a quote solve, and the path allocates
+# rows x (n + 4) floats of sample columns when it starts (8 (n + 4) bytes a
+# row, less than a row kept as Python objects would take). So are a path's
+# horizon / ode_step RK4 steps: a sampled segment's trail keeps one entry
+# per step, about the size of an event, and `gmsim simulate` always samples
+# path 0 for plot.csv; at 85-120 us a step
 # (README market, one CPU of a 2-core Xeon), 1e6 steps take 85 s or more.
 # check_count is the one check that refuses a count above it.
 MAX_EXPECTED_ARRIVALS = 1e6

@@ -28,7 +28,10 @@ runs path by path.
 The stops are the arrivals and the horizon only. A sampled run takes the
 same RK4 steps as an unsampled one, so sampling never moves a path's
 events: a segment's steps leave a trail of their ends, and at its stop
-_Path.flush reads the segment's sample rows off the trail as arrays.
+_Path.flush reads the segment's sample rows off the trail as arrays. A
+sampled path knows every row's time when it starts (_sample_times), so it
+allocates its sample columns then and writes each row in place, a
+segment's rows with one slice assignment per column.
 """
 
 from __future__ import annotations
@@ -321,7 +324,12 @@ class _Path:
     The stops are the arrivals and the horizon, so the integrator's steps
     never depend on sample_dt. A sample row at a stop is the state after it;
     the solo engine reads the rows in between off the segment's trail, the
-    step ends _FilterKernel.integrate left, at its stop (flush)."""
+    step ends _FilterKernel.integrate left, at its stop (flush). A sampled
+    path's record gets its five sample columns when the path starts: the
+    times from _sample_times, which are exactly the rows the path writes,
+    in order, and the asks, bids, values and beliefs allocated to match.
+    The opening row, each segment's rows and each stop's row are written
+    at a running index, filled; two stops at one float take two rows."""
 
     def __init__(self, model, horizon, config, seed, offset, kernel, opening):
         value_rng, arrival_rng, noise_rng = path_streams(seed, offset)
@@ -341,14 +349,20 @@ class _Path:
             sell_profit=0.0, n_buys=0, n_sells=0, diagnostics=SimplexDiagnostics(),
         )
         self.events = []  # EventRecord fields, beliefs as lists
-        self.rows = []  # (t, ask, bid, value, belief) of each kept sample row
+        self.filled = 0  # sample rows written so far
         self.warned = False
         self.t_prev = 0.0
         self.pending = None
         self.sampled = config.sample_dt is not None
         if self.sampled:
-            self.sample_times = _sample_times(arrivals, config.sample_dt, horizon)
-            self.row(0.0, self.value(0.0), *opening)
+            times = _sample_times(arrivals, config.sample_dt, horizon)
+            size = len(times)
+            record = self.record
+            record.sample_times = times
+            record.sample_asks, record.sample_bids, record.sample_values = (
+                np.empty(size) for _ in range(3))
+            record.sample_beliefs = np.empty((size, model.grid.n))
+            self.row(self.value(0.0), *opening)
 
     def value(self, t):
         """The chain's value at t."""
@@ -394,12 +408,18 @@ class _Path:
                                 probs, profit))
         if self.sampled:
             self.flush()
-            self.row(t, x_val, probs, ask, bid)
+            self.row(x_val, probs, ask, bid)
         return probs, ask, bid
 
-    def row(self, t, x_val, probs, ask, bid):
-        """Keep the sample row of the state (probs, ask, bid) at t."""
-        self.rows.append((t, ask + self.perturb, bid, x_val, list(probs)))
+    def row(self, x_val, probs, ask, bid):
+        """Write the state (probs, ask, bid) and the value x_val as the next
+        sample row; its time is already in the times column."""
+        i, record = self.filled, self.record
+        record.sample_asks[i] = ask + self.perturb
+        record.sample_bids[i] = bid
+        record.sample_values[i] = x_val
+        record.sample_beliefs[i] = probs
+        self.filled = i + 1
 
     def next_segment(self, ode_step):
         """Move on to the next stop. Returns the segment to it, (n_steps, h)
@@ -416,7 +436,7 @@ class _Path:
         t_prev, t_stop = self.t_prev, self.pending[0]
         self.n_steps, self.h = segment(t_stop - t_prev, ode_step)
         if self.sampled:
-            times = self.sample_times
+            times = self.record.sample_times
             self.held = times[np.searchsorted(times, t_prev, side="right"):
                               np.searchsorted(times, t_stop, side="left")]
             if self.held.size:
@@ -424,12 +444,13 @@ class _Path:
         return self.n_steps, self.h
 
     def flush(self):
-        """Keep the segment's sample rows, read off its trail as arrays: each
-        row's belief from the dense output of its step, its quotes from one
-        quotes_rows call, warm-started on the line between the step's end
-        quotes, and its value from one searchsorted. A failing solve raises
-        a scalar solve's error type here, an ask row's before a bid row's.
-        The rows feed no SimplexDiagnostics: they are not integrator steps."""
+        """Write the segment's sample rows, read off its trail as arrays, one
+        slice assignment per column: each row's belief from the dense output
+        of its step, its quotes from one quotes_rows call, warm-started on
+        the line between the step's end quotes, and its value from one
+        searchsorted. A failing solve raises a scalar solve's error type
+        here, an ask row's before a bid row's. The rows feed no
+        SimplexDiagnostics: they are not integrator steps."""
         if not self.trail:
             return
         times, t_prev, h = self.held, self.t_prev, self.h
@@ -440,22 +461,25 @@ class _Path:
         asks, bids = self.kernel.quotes_rows(probs, asks[j] + s * (asks[j + 1] - asks[j]),
                                              bids[j] + s * (bids[j + 1] - bids[j]))
         states = self.value_states[np.searchsorted(self.value_times, times, side="right") - 1]
-        self.rows.extend(zip(times.tolist(), (asks + self.perturb).tolist(), bids.tolist(),
-                             self.x_of[states].tolist(), probs))
+        rows, record = slice(self.filled, self.filled + len(times)), self.record
+        record.sample_asks[rows] = asks + self.perturb
+        record.sample_bids[rows] = bids
+        record.sample_values[rows] = self.x_of[states]
+        record.sample_beliefs[rows] = probs
+        self.filled = rows.stop
 
     def finish(self) -> PathRecord:
-        """The record, with its events and sample columns built only now:
-        the lockstep engine finishes its paths one after another, so each
-        path's objects lie together in memory, as a solo run's do."""
+        """The record, with its events built only now: the lockstep engine
+        finishes its paths one after another, so each path's objects lie
+        together in memory, as a solo run's do. A sampled record's columns
+        are the arrays the path wrote its rows into, handed over as they
+        are."""
         record = self.record
         record.events = [
             EventRecord(t, x, eps, ask, bid, outcome, np.array(before), np.array(after),
                         profit)
             for t, x, eps, ask, bid, outcome, before, after, profit in self.events
         ]
-        if self.sampled:
-            (record.sample_times, record.sample_asks, record.sample_bids,
-             record.sample_values, record.sample_beliefs) = map(np.array, zip(*self.rows))
         return record
 
 

@@ -10,14 +10,16 @@ evidence rather than tautology. It steps where a record sampled at its step
 logs a row, by the engine's sample-row rule, and applies every logged trade.
 The logged quotes do not depend on the replayed belief, so the no-trade
 tails and factors of every sub-step, the transition matrices and the trade
-likelihoods are arrays computed before the replay, each trade's likelihood
-folded into the factor row of its checkpoint. The checkpoints are the
-sample-row rule's times, already in order, with repeated times dropped in
-that order. The loop carries the unnormalised belief, with one np.dot into
-the row (the chain step, its matrix indexed from the list of the distinct
-sub-step lengths' matrices) and one in-place product by the factors per
-sub-step, and the rows are normalised once at the end. compare_filters
-matches the two paths' times and takes their L1 distances as arrays too.
+likelihoods are arrays computed before the replay. The factors are written
+into the rows of the beliefs array itself, each trade's likelihood folded
+into the row of its checkpoint. The checkpoints are the sample-row rule's
+times, already in order, with repeated times dropped in that order. The
+loop carries the unnormalised belief, with one np.dot into a scratch vector
+(the chain step, its matrix indexed from the list of the distinct sub-step
+lengths' matrices) and one in-place product of the row, which holds the
+factors, by that vector per sub-step, and the rows are normalised once at
+the end. compare_filters matches the two paths' times and takes their L1
+distances as arrays too.
 
 The statistical checks quantify the model's defining properties on batches
 of simulated paths: per-trade profit means on each side (zero under correct
@@ -182,16 +184,18 @@ def oracle_filter(
     lie in [0, horizon].
 
     Nothing but the recursion depends on the belief, so the rest is taken
-    as arrays first: one factor row per checkpoint, each sub-step's no-trade
-    factors exp(-lam * rate * dt) from one side_tails_grid call at its
-    logged quote, the transition matrices of every distinct sub-step length
-    in one stacked pass, and the likelihood weights of every logged trade,
-    multiplied into the row of its checkpoint (row 0, the prior's, for a
-    trade at 0). The loop then carries the unnormalised belief, two calls
+    as arrays first, the factors written straight into the returned beliefs
+    array: each sub-step's no-trade factors exp(-lam * rate * dt), from one
+    side_tails_grid call at its logged quote, in the row of the checkpoint
+    that ends it, the likelihood weights of every logged trade multiplied
+    into the row of its checkpoint (row 0, the prior's, for a trade at 0),
+    and the transition matrices of every distinct sub-step length in one
+    stacked pass. The loop then carries the unnormalised belief, two calls
     per sub-step: np.dot of the previous row by the sub-step's transition
-    matrix into its row, the matrix indexed from a list of the distinct
-    lengths' matrices, and the row's in-place product by its factors. It
-    renormalises only where the belief's mass could underflow. Every row is
+    matrix into one scratch vector, the matrix indexed from a list of the
+    distinct lengths' matrices, and the row's in-place product by it, the
+    same product as factors times step since IEEE multiplication commutes.
+    It renormalises only where the belief's mass could underflow. Every row is
     divided by its own sum once the loop is done. A row that sums to zero
     raises GridMismatch, naming the trade it holds, or else the time where
     the no-trade likelihood underflowed.
@@ -241,9 +245,11 @@ def oracle_filter(
     p_mats = list(_transition_matrices(model.generator.rates, lengths))
     chain = [p_mats[i] for i in length_of.tolist()]
 
-    # row k >= 1: exp(-lam * rate * dt) over the sub-step that ends at
-    # checkpoint k, exactly 1.0 where lam = 0; row 0 belongs to the prior
-    factors = np.ones((m + 1, n))
+    # each checkpoint's row holds its factors until the loop multiplies in
+    # its chain step. Row k >= 1: exp(-lam * rate * dt) over the sub-step
+    # that ends at checkpoint k, exactly 1.0 where lam = 0; row 0 belongs to
+    # the prior
+    beliefs = np.ones((m + 1, n))
     # each sub-step's quote: the row its start logged, by the sample-row rule
     idx = np.searchsorted(logged_t, starts + _SAMPLE_TOL * np.maximum(1.0, np.abs(starts)))
     idx = np.maximum(idx - 1, 0)
@@ -256,7 +262,7 @@ def oracle_filter(
         )
         tails = noise.side_tails_grid(prices, np.repeat([1.0, -1.0], size)[:, None])
         rate = tails[:size] + tails[size:]
-        factors[lo + 1:lo + size + 1] = np.exp(-lam * rate * dts[lo:lo + size, None])
+        beliefs[lo + 1:lo + size + 1] = np.exp(-lam * rate * dts[lo:lo + size, None])
 
     # every trade's likelihood multiplies its checkpoint's row, so two trades
     # at one float both apply, as the engine's two stops do
@@ -265,7 +271,7 @@ def oracle_filter(
     prices = np.array([e.ask if b else e.bid for e, b in zip(trades, buys)])
     weights = noise.side_tails_grid(prices[:, None] - xs, np.where(buys, 1.0, -1.0)[:, None])
     rows = np.searchsorted(checkpoints, [e.t for e in trades])
-    np.multiply.at(factors, rows, weights)
+    np.multiply.at(beliefs, rows, weights)
 
     # The loop carries the unnormalised belief. A transition row sums to 1,
     # so a sub-step keeps at least its smallest factor of the mass: the
@@ -274,20 +280,20 @@ def oracle_filter(
     # it starts from is renormalised first, so the step's row keeps at least
     # its smallest factor of a unit mass: it is zero only where the step's
     # factors underflow. Every factor is at most 1, so nothing overflows.
-    beliefs = np.empty((m + 1, n))
-    beliefs[0] = model.initial_belief.probs * factors[0]
+    lows = beliefs.min(axis=1).tolist()
+    beliefs[0] *= model.initial_belief.probs
     prev = beliefs[0]
-    lows = factors.min(axis=1).tolist()
+    step = np.empty(n)
     bound = lows[0]
-    for row, p_mat, factor, low in zip(beliefs[1:], chain, factors[1:], lows[1:]):
+    for row, p_mat, low in zip(beliefs[1:], chain, lows[1:]):
         bound *= low
         if bound < _MASS_FLOOR:
             total = prev.sum()
             if total > 0.0:  # a zero row stays zero for the check below
                 prev /= total
             bound = low
-        np.dot(prev, p_mat, out=row)
-        row *= factor
+        np.dot(prev, p_mat, out=step)
+        row *= step
         prev = row
 
     totals = beliefs.sum(axis=1)
