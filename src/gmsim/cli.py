@@ -8,8 +8,8 @@ Four subcommands, all driven by a YAML scenario file:
     gmsim verify --config scenario.yaml [--paths N] [--out DIR]
 
 The commands only parse their arguments, call the library, print and
-write files; what a check runs and when it passes lives in the library
-(`verify` is one call to gmsim.verification.run_verify).
+write files. What a verify check runs, when it passes and what it prints
+all live in gmsim.verification; `verify` reads only `passed` of its report.
 
 Exit codes: 0 success, 1 a verification or condition check failed, 2 bad
 configuration or usage (including a negative seed or an unwritable --out),
@@ -40,7 +40,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, GmsimError
 from .noise import check_gm_condition
-from .verification import run_verify
+from .verification import _report_lines, run_verify
 
 
 def _fmt(x: float) -> str:
@@ -207,30 +207,9 @@ def cmd_verify(args) -> int:
     cfg = _with_overrides(load_scenario(args.config), args)
     out_dir = None if args.out is None else _make_out_dir(args.out, args.made)
     report = run_verify(cfg, perturb_ask=args.perturb_ask, force=args.force)
-    for name, c in report["checks"].items():
-        line = f"{c['status'].upper():7s} {name}"
-        if name == "zero_profit" and c["status"] != "skipped":
-            line += f"  z_buy={c['z_buy']:+.2f} z_sell={c['z_sell']:+.2f}"
-        elif name == "filter_oracle":
-            line += f"  max_l1={c['max_l1']:.2e}"
-            if c.get("convergence_ratio"):
-                line += f" ratio={c['convergence_ratio']:.2f}"
-        elif name == "consistency":
-            line += f"  quote_gap={c['max_quote_gap']:.2e}"
-        elif name == "intensity" and c["status"] != "skipped":
-            worst = min(
-                min(p["buy_p_value"], p["sell_p_value"]) for p in c["pairs"]
-            )
-            line += f"  min_p={worst:.3f}"
-        elif c["status"] == "skipped":
-            line += f"  ({c['reason']})"
-        print(line)
-    print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-
+    print("\n".join(_report_lines(report)))
     if out_dir is not None:
-        (out_dir / "verify_report.json").write_text(
-            json.dumps(report, indent=2) + "\n"
-        )
+        (out_dir / "verify_report.json").write_text(json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
 

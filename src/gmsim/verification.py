@@ -28,8 +28,8 @@ quotes. The Poisson law is tested with Pearson chi-square, whose p-value
 comes from the closed-form chi-square tail for integer degrees of freedom
 (_chi2_sf), so the package needs no statistics library.
 
-run_verify bundles the checks behind `gmsim verify`, with their pass/fail
-policy, into one report.
+run_verify runs the table of checks behind `gmsim verify` (_CHECKS) into one
+report, gated by GATING_CHECKS; _report_lines builds the command's stdout.
 """
 
 from __future__ import annotations
@@ -695,27 +695,38 @@ def _intensity_check(cfg) -> dict:
     }
 
 
+# verify's checks in report order: name, run(cfg, records, perturb_ask, force)
+# on the scenario's batch, and summary(entry), printed after the name
+_CHECKS = (
+    ("zero_profit", lambda cfg, records, *_: _entry(zero_profit_test(records)),
+     lambda c: f"z_buy={c['z_buy']:+.2f} z_sell={c['z_sell']:+.2f}"),
+    ("consistency", lambda cfg, records, *_: _entry(consistency_check(records, cfg.grid)),
+     lambda c: f"quote_gap={c['max_quote_gap']:.2e}"),
+    ("filter_oracle", lambda cfg, _, perturb_ask, force: _filter_check(cfg, perturb_ask, force),
+     lambda c: f"max_l1={c['max_l1']:.2e}"
+     + (f" ratio={c['convergence_ratio']:.2f}" if c["convergence_ratio"] else "")),
+    ("intensity", lambda cfg, *_: _intensity_check(cfg),
+     lambda c: f"min_p={min(min(p['buy_p_value'], p['sell_p_value']) for p in c['pairs']):.3f}"),
+)
+# the checks whose failure fails verify; an entry of any other name is a report
+GATING_CHECKS = frozenset({"zero_profit", "consistency", "filter_oracle", "intensity"})
+
+
 def run_verify(cfg: ScenarioConfig, perturb_ask: float = 0.0, force: bool = False) -> dict:
-    """Run the four checks of `gmsim verify` on one scenario, with its seed
-    and n_paths (another seed or path count is a dataclasses.replace of
-    cfg, which checks it as a scenario file's).
+    """Run the checks of `gmsim verify` on one scenario, with its seed and
+    n_paths (another seed or path count is a dataclasses.replace of cfg,
+    which checks it as a scenario file's).
 
     Returns the dict that the command writes as verify_report.json. A check
     that raises InsufficientData is reported as skipped, with its reason;
-    passed is true when no check failed.
+    passed is true when no check in GATING_CHECKS failed.
     """
     sim = cfg.sim_config(perturb_ask=perturb_ask, force=force)
     records = simulate_paths(cfg, cfg.horizon, sim, seed=cfg.seed, n_paths=cfg.n_paths)
-    runs = {
-        "zero_profit": lambda: _entry(zero_profit_test(records)),
-        "consistency": lambda: _entry(consistency_check(records, cfg.grid)),
-        "filter_oracle": lambda: _filter_check(cfg, perturb_ask, force),
-        "intensity": lambda: _intensity_check(cfg),
-    }
     checks = {}
-    for name, run in runs.items():
+    for name, run, _ in _CHECKS:
         try:
-            checks[name] = run()
+            checks[name] = run(cfg, records, perturb_ask, force)
         except InsufficientData as exc:
             checks[name] = {"status": "skipped", "reason": str(exc)}
     return {
@@ -723,5 +734,15 @@ def run_verify(cfg: ScenarioConfig, perturb_ask: float = 0.0, force: bool = Fals
         "n_paths": cfg.n_paths,
         "perturb_ask": perturb_ask,
         "checks": checks,
-        "passed": all(c["status"] != "fail" for c in checks.values()),
+        "passed": all(c["status"] != "fail" for n, c in checks.items() if n in GATING_CHECKS),
     }
+
+
+def _report_lines(report: dict):
+    """Yield the stdout lines of `gmsim verify` for a run_verify report: each
+    check's status, name and summary (a skipped check's reason), then the verdict."""
+    for name, _, summary in _CHECKS:
+        c = report["checks"][name]
+        text = f"({c['reason']})" if c["status"] == "skipped" else summary(c)
+        yield f"{c['status'].upper():7s} {name}  {text}"
+    yield f"overall: {'PASS' if report['passed'] else 'FAIL'}"

@@ -24,7 +24,7 @@ from gmsim import load_scenario, run_verify, simulate_paths
 from gmsim.cli import main
 from gmsim.core import Belief, StateGrid
 from gmsim.equilibrium import solve_ask, solve_bid
-from gmsim.errors import ConfigError
+from gmsim.errors import ConfigError, InsufficientData
 from gmsim.noise import Logistic
 
 BASE = {
@@ -457,6 +457,43 @@ def test_verify_no_arrivals_skips_trade_checks(write_scenario, tmp_path, capsys)
     assert report["checks"]["consistency"]["status"] == "pass"
     assert report["passed"] is True
     assert text.count("SKIPPED") == 2
+
+
+@pytest.mark.parametrize("attr, name", [("consistency_check", "consistency"),
+                                        ("_filter_check", "filter_oracle")])
+def test_a_skipped_check_prints_its_reason(attr, name, write_scenario, tmp_path, capsys,
+                                           monkeypatch):
+    """Any check that raises InsufficientData prints SKIPPED with its reason,
+    whatever the check, and verify exits by the gate rule, with no traceback."""
+    def short(*args):
+        raise InsufficientData("too little to check")
+
+    monkeypatch.setattr(gmsim.verification, attr, short)
+    out = tmp_path / "r"
+    code = main(["verify", "--config", write_scenario(horizon=0.5, n_paths=8),
+                 "--out", str(out)])
+    text = capsys.readouterr().out
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["checks"][name] == {"status": "skipped", "reason": "too little to check"}
+    assert f"\nSKIPPED {name}  (too little to check)\n" in text
+    assert report["passed"] is True and code == 0
+    assert text.endswith("overall: PASS\n")
+
+
+def test_only_the_gating_checks_gate(write_scenario, capsys, monkeypatch):
+    """A failing entry outside GATING_CHECKS prints its line and leaves the
+    verdict alone; named in GATING_CHECKS, the same entry fails verify."""
+    extra = ("extra", lambda *_: {"seen": 3, "status": "fail"}, lambda c: f"seen={c['seen']}")
+    monkeypatch.setattr(gmsim.verification, "_CHECKS", (*gmsim.verification._CHECKS, extra))
+    cfg = write_scenario(horizon=0.5, n_paths=8)
+    assert main(["verify", "--config", cfg]) == 0
+    report_only = capsys.readouterr().out.splitlines()
+    assert report_only[-2:] == ["FAIL    extra  seen=3", "overall: PASS"]
+    monkeypatch.setattr(gmsim.verification, "GATING_CHECKS",
+                        gmsim.verification.GATING_CHECKS | {"extra"})
+    assert main(["verify", "--config", cfg]) == 1
+    gating = capsys.readouterr().out.splitlines()
+    assert gating == [*report_only[:-1], "overall: FAIL"]
 
 
 def test_verify_without_out_writes_nothing(write_scenario, tmp_path, capsys):

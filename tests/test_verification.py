@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.stats import chi2
+from scipy.stats import binom, chi2, kstwo
 
 import gmsim.verification as verification
 from gmsim.beliefs import SimplexDiagnostics
@@ -54,7 +54,7 @@ from gmsim.verification import (
     _poisson_gof,
 )
 
-from oracles import expm_reference, sample_times_reference
+from oracles import expm_reference, ks_statistic, sample_times_reference
 
 GRID2 = StateGrid([0.0, 1.0])
 NOISE = Logistic(2.0)
@@ -973,6 +973,34 @@ def test_intensity_check_skips_trials_no_path_can_hold():
     with pytest.raises(InsufficientData, match=r"^30 trades on the thinner side need "
                        r"[\d.e+]+ expected arrivals per trial, above 1e\+06$"):
         verification._intensity_check(thin)
+
+
+def test_intensity_false_alarms_keep_their_level_on_correct_code(monkeypatch):
+    """At the README market's symmetry pair (ask = bid = x0, state x0) and
+    the trial horizon and count that verify's intensity check takes there,
+    seeds 0-99 (fixed before any run) give 200 buy and sell p-values. On
+    correct code they lie within the 0.001 KS critical value of U(0, 1), and
+    the count below INTENSITY_ALPHA lies inside the binomial 0.001 band, [0, 8]
+    (they read D = 0.035 against 0.137, and 1 of 200 below 0.01)."""
+    cfg = ScenarioConfig(GRID2, README_MODEL.generator, README_MODEL.arrival_rate, NOISE,
+                         README_MODEL.initial_belief, horizon=3.0, seed=0)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return intensity_test(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "intensity_test", spy)
+    verification._intensity_check(cfg)
+    (_, quote, x, horizon), kwargs = calls[0]
+    assert quote == Quote(ask=0.0, bid=0.0) and x == 0.0
+    reports = [intensity_test(cfg, quote, x, horizon, **{**kwargs, "seed": seed})
+               for seed in range(100)]
+    p = np.sort([r.buy.p_value for r in reports] + [r.sell.p_value for r in reports])
+    assert ks_statistic(p, p) <= kstwo.ppf(0.999, len(p))
+    alpha = verification.INTENSITY_ALPHA
+    low, high = binom.ppf([0.0005, 0.9995], len(p), alpha)
+    assert low <= np.count_nonzero(p < alpha) <= high
 
 
 def test_intensity_refuses_a_fractional_seed():
